@@ -9,7 +9,8 @@ Reproducibility contract: paths are split into fixed-size chunks whose
 boundaries never depend on the worker-thread count, every path owns a
 counter-based stream keyed by (seed, arm, eps-index, path-index), and
 results are folded in path-index order.  (config, seed) therefore determine
-every output byte; persisted files carry no timestamps.
+every output byte for a given numpy/BLAS build and BLAS thread setting;
+persisted files carry no timestamps.
 
 Before simulating, the harness re-derives the linear-growth / Lipschitz and
 jump-size-decay certificates for the supplied kernel grid and refuses to run

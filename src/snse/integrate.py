@@ -2,11 +2,15 @@
 
 The Stokes part is integrated exactly through the semigroup factor
 exp(-lambda*dt); the bilinear term, forcing and noise enter through an
-explicit step evaluated at the left endpoint.  Two drivers share the
-bookkeeping: a Brownian one, and a pure-jump one whose atoms come from a
-sampled Poisson random measure and whose drift carries the subtracted
-compensator.  Steps that contain atoms are split at the atom times, with
-the jump applied to the left limit.
+explicit step evaluated at the left endpoint.  Two drivers share one step
+loop (records, blow-up masking, running integrals) and differ only in how
+a step moves the batch: a Brownian one, and a pure-jump one whose atoms
+come from a sampled Poisson random measure and whose drift carries the
+subtracted compensator.  Steps that contain atoms are split at the atom
+times, with the jump applied to the left limit; all paths with a k-th atom
+in a step take their k-th substep together, so the kernel and drift
+evaluations per step scale with the largest atom count of any path, not
+with the number of atoms.
 
 Per-path randomness contract (pinned by tests, do not reorder):
   * Brownian arm: one standard_normal((n_steps, n_channels)) call per path.
@@ -20,7 +24,6 @@ BlowUpError instead.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,7 @@ from .basis import BasisSpec
 from .errors import BlowUpError
 from .kernels import FieldMap, JumpKernel, compensator_drift, eval_sigma_eps
 from .nonlinear import nonlinear_term_batch
-from .sampling import JumpEvent, sample_prm
+from .sampling import sample_prm
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,55 @@ class _Recorder:
                          sup4, blow_t, u)
 
 
+def _integrate(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
+               forcing: FieldMap | None, advance) -> PathBatch:
+    """The step loop both arms share: records, blow-up masking, integrals.
+
+    advance(n, u, expl, active) moves every path across step n, given the
+    explicit drift expl at u and the mask of paths not yet blown up. It
+    returns (end states, integral of |u|_V^2 over the step, sup of |u|_H^2
+    over the states visited inside the step with -inf where none, atoms
+    applied per path); the last two are None when nothing happens inside
+    the step.
+    """
+    n_paths = u.shape[0]
+    eigs = basis.eigenvalues
+    rec = _Recorder(cfg, n_paths, basis.dim)
+    active = np.ones(n_paths, dtype=bool)
+    blow_t = np.full(n_paths, np.nan)
+    iv2 = np.zeros(n_paths)
+    counts = np.zeros(n_paths, dtype=np.int64)
+    sup4 = np.sum(u * u, axis=1) ** 2
+    cap2 = cfg.blowup_norm**2
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(cfg.n_steps):
+            expl = _explicit_drift(basis, cfg, u, forcing)
+            if n % cfg.record_stride == 0:
+                rec.record(n // cfg.record_stride, u, expl, eigs, iv2, counts)
+            u_new, iv2_step, sup2, applied = advance(n, u, expl, active)
+            if applied is not None:
+                counts += applied
+
+            h2 = np.sum(u_new * u_new, axis=1)
+            was_active = active.copy()
+            bad = active & (~np.isfinite(h2) | (h2 > cap2))
+            if bad.any():
+                blow_t[bad] = (n + 1) * cfg.dt
+                active = active & ~bad
+                u_new[bad] = np.nan
+            iv2_step[~np.isfinite(iv2_step)] = 0.0
+            iv2[was_active] += iv2_step[was_active]
+            np.maximum(sup4, np.where(active, h2 * h2, -np.inf), out=sup4)
+            if sup2 is not None:
+                seen = active & np.isfinite(sup2)
+                sup4[seen] = np.maximum(sup4[seen], sup2[seen] * sup2[seen])
+            u = u_new
+        expl = _explicit_drift(basis, cfg, u, forcing)
+        rec.record(cfg.n_recorded - 1, u, expl, eigs, iv2, counts)
+    return rec.finish(u, sup4, blow_t)
+
+
 def simulate_brownian_batch(basis: BasisSpec, cfg: SolverConfig, u0,
                             streams, noise: BrownianNoiseSpec | None = None,
                             forcing: FieldMap | None = None) -> PathBatch:
@@ -202,144 +254,103 @@ def simulate_brownian_batch(basis: BasisSpec, cfg: SolverConfig, u0,
 
     eigs = basis.eigenvalues
     efac = np.exp(-eigs * cfg.dt)
-    rec = _Recorder(cfg, n_paths, basis.dim)
-    active = np.ones(n_paths, dtype=bool)
-    blow_t = np.full(n_paths, np.nan)
-    iv2 = np.zeros(n_paths)
-    counts = np.zeros(n_paths, dtype=np.int64)
-    sup4 = np.sum(u * u, axis=1) ** 2
-    cap2 = cfg.blowup_norm**2
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(cfg.n_steps):
-            drift = _explicit_drift(basis, cfg, u, forcing)
-            if n % cfg.record_stride == 0:
-                rec.record(n // cfg.record_stride, u, drift, eigs, iv2, counts)
-            v2 = (u * u) @ eigs
-            step = u + cfg.dt * drift
-            for i in range(n_ch):
-                step = step + noise.channels[i].fn(u) * dw[:, n, i, None]
-            u_new = efac * step
+    def advance(n, u, drift, active):
+        step = u + cfg.dt * drift
+        for i in range(n_ch):
+            step = step + noise.channels[i].fn(u) * dw[:, n, i, None]
+        return efac * step, cfg.dt * ((u * u) @ eigs), None, None
 
-            h2 = np.sum(u_new * u_new, axis=1)
-            was_active = active.copy()
-            bad = active & (~np.isfinite(h2) | (h2 > cap2))
-            if bad.any():
-                blow_t[bad] = (n + 1) * cfg.dt
-                active = active & ~bad
-                u_new[bad] = np.nan
-            iv2[was_active] += cfg.dt * v2[was_active]
-            np.maximum(sup4, np.where(active, h2 * h2, -np.inf), out=sup4)
-            u = u_new
-        drift = _explicit_drift(basis, cfg, u, forcing)
-        rec.record(cfg.n_recorded - 1, u, drift, eigs, iv2, counts)
-    return rec.finish(u, sup4, blow_t)
+    return _integrate(basis, cfg, u, forcing, advance)
 
 
-def _group_events_by_step(events, dt: float, n_steps: int):
-    """Map step index -> list of (path, event slice) for paths with atoms there."""
-    per_step: dict[int, list] = defaultdict(list)
-    for p, evs in enumerate(events):
-        if not evs:
-            continue
-        idx = np.minimum((np.array([e.time for e in evs]) / dt).astype(int),
-                         n_steps - 1)
-        start = 0
-        for k in range(1, len(evs) + 1):
-            if k == len(evs) or idx[k] != idx[start]:
-                per_step[int(idx[start])].append((p, start, k))
-                start = k
-    return per_step
+def _row_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w @ v row by row, each row bit-identical to its one-row product.
 
-
-def _jump_substeps(basis: BasisSpec, cfg: SolverConfig, kernel: JumpKernel,
-                   forcing, eigs, u_p: np.ndarray, drift_p: np.ndarray,
-                   t0: float, t1: float, atoms: list[JumpEvent]):
-    """Advance one path across [t0, t1) splitting at the atoms inside.
-
-    drift_p is the compensated explicit drift already evaluated at u_p.
-    Returns (end state, integral of |u|_V^2 over the step, sup of |u|_H^2
-    over the visited substates, number of atoms applied).
+    A (P, dim) @ (dim,) product goes through gemv, whose sums differ in the
+    last bits from the dot product of a single row; a stack of vector
+    products takes the dot route for every row.
     """
-    t, u_cur, drift = t0, u_p, drift_p
-    iv2 = 0.0
-    sup2 = -np.inf
-    for ev in atoms:
-        delta = ev.time - t
-        if delta > 0.0:
-            iv2 += delta * float((u_cur * u_cur) @ eigs)
-            u_cur = np.exp(-eigs * delta) * (u_cur + delta * drift)
-            sup2 = max(sup2, float(np.sum(u_cur * u_cur)))
-        u_cur = u_cur + eval_sigma_eps(kernel.channels[ev.channel], u_cur, ev.mark)
-        sup2 = max(sup2, float(np.sum(u_cur * u_cur)))
-        t = ev.time
-        expl = _explicit_drift(basis, cfg, u_cur[None, :], forcing)[0]
-        drift = expl - compensator_drift(kernel, u_cur)
-    delta = t1 - t
-    iv2 += delta * float((u_cur * u_cur) @ eigs)
-    u_end = np.exp(-eigs * delta) * (u_cur + delta * drift)
-    return u_end, iv2, sup2, len(atoms)
+    return np.matmul(w[:, None, :], v)[:, 0]
 
 
 def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
                         streams, kernel: JumpKernel,
                         forcing: FieldMap | None = None) -> PathBatch:
-    """Drive a batch of paths with the compensated pure-jump noise."""
+    """Drive a batch of paths with the compensated pure-jump noise.
+
+    A step with atoms is split at the atom times: between atoms the state
+    moves by the exponential Euler step with the compensated drift of the
+    last substate, and each atom adds sigma_eps to the left limit. Round k
+    of a step advances, as one batch, every path that has a k-th atom in
+    that step.
+    """
     n_paths = len(streams)
     u = _tile_initial(u0, n_paths, basis.dim)
-    events = [sample_prm(kernel, cfg.t_end, g) for g in streams]
-    per_step = _group_events_by_step(events, cfg.dt, cfg.n_steps)
+    prms = [sample_prm(kernel, cfg.t_end, g) for g in streams]
+    path = np.repeat(np.arange(n_paths), [len(a) for a in prms])
+    times = np.concatenate([a.times for a in prms])
+    marks = np.concatenate([a.marks for a in prms])
+    chans = np.concatenate([a.channels for a in prms])
+    step = np.minimum((times / cfg.dt).astype(int), cfg.n_steps - 1)
+    # rank of each atom among its path's atoms in the same step
+    _, first, group = np.unique(path * cfg.n_steps + step, return_index=True,
+                                return_inverse=True)
+    rank = np.arange(times.size) - first[group]
+    order = np.lexsort((path, rank, step))
+    path, times, marks, chans, rank = (a[order] for a in
+                                       (path, times, marks, chans, rank))
+    bounds = np.searchsorted(step[order], np.arange(cfg.n_steps + 1))
 
     eigs = basis.eigenvalues
     efac = np.exp(-eigs * cfg.dt)
-    rec = _Recorder(cfg, n_paths, basis.dim)
-    active = np.ones(n_paths, dtype=bool)
-    blow_t = np.full(n_paths, np.nan)
-    iv2 = np.zeros(n_paths)
-    counts = np.zeros(n_paths, dtype=np.int64)
-    sup4 = np.sum(u * u, axis=1) ** 2
-    cap2 = cfg.blowup_norm**2
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(cfg.n_steps):
-            expl = _explicit_drift(basis, cfg, u, forcing)
-            if n % cfg.record_stride == 0:
-                rec.record(n // cfg.record_stride, u, expl, eigs, iv2, counts)
-            driftc = expl - compensator_drift(kernel, u)
-            v2 = (u * u) @ eigs
-            u_new = efac * (u + cfg.dt * driftc)
+    def advance(n, u, expl, active):
+        driftc = expl - compensator_drift(kernel, u)
+        u_new = efac * (u + cfg.dt * driftc)
+        iv2_step = cfg.dt * ((u * u) @ eigs)
+        here = np.arange(bounds[n], bounds[n + 1])
+        here = here[active[path[here]]]
+        if not here.size:
+            return u_new, iv2_step, None, None
+        rows = path[here[rank[here] == 0]]
+        u_cur, drift = u[rows], driftc[rows]
+        t = np.full(rows.size, n * cfg.dt)
+        piece = np.zeros(rows.size)
+        sup2 = np.full(rows.size, -np.inf)   # fmax below skips NaN substates
+        for k_atoms in np.split(here, np.flatnonzero(np.diff(rank[here])) + 1):
+            at = np.searchsorted(rows, path[k_atoms])
+            delta = times[k_atoms] - t[at]
+            go = delta > 0.0
+            if go.any():
+                a, d = at[go], delta[go, None]
+                v = u_cur[a]
+                piece[a] += d[:, 0] * _row_dot(v * v, eigs)
+                v = np.exp(-eigs * d) * (v + d * drift[a])
+                u_cur[a] = v
+                sup2[a] = np.fmax(sup2[a], np.sum(v * v, axis=1))
+            for c, channel in enumerate(kernel.channels):
+                on = chans[k_atoms] == c
+                if on.any():
+                    a = at[on]
+                    u_cur[a] += eval_sigma_eps(channel, u_cur[a],
+                                               marks[k_atoms[on]])
+            v = u_cur[at]
+            sup2[at] = np.fmax(sup2[at], np.sum(v * v, axis=1))
+            t[at] = times[k_atoms]
+            drift[at] = (_explicit_drift(basis, cfg, v, forcing)
+                         - compensator_drift(kernel, v))
+        delta = (n * cfg.dt + cfg.dt) - t
+        piece += delta * _row_dot(u_cur * u_cur, eigs)
+        u_new[rows] = np.exp(-eigs * delta[:, None]) * (u_cur
+                                                        + delta[:, None] * drift)
+        iv2_step[rows] = piece
+        sup2_all = np.full(n_paths, -np.inf)
+        sup2_all[rows] = sup2
+        return (u_new, iv2_step, sup2_all,
+                np.bincount(path[here], minlength=n_paths))
 
-            iv2_step = cfg.dt * v2
-            sup2_extra = {}
-            t0 = n * cfg.dt
-            for p, a0, a1 in per_step.get(n, ()):
-                if not active[p]:
-                    continue
-                u_end, piece, sup2, applied = _jump_substeps(
-                    basis, cfg, kernel, forcing, eigs, u[p], driftc[p],
-                    t0, t0 + cfg.dt, events[p][a0:a1])
-                u_new[p] = u_end
-                iv2_step[p] = piece
-                sup2_extra[p] = sup2
-                counts[p] += applied
-
-            h2 = np.sum(u_new * u_new, axis=1)
-            was_active = active.copy()
-            bad = active & (~np.isfinite(h2) | (h2 > cap2))
-            if bad.any():
-                blow_t[bad] = (n + 1) * cfg.dt
-                active = active & ~bad
-                u_new[bad] = np.nan
-            iv2_step[~np.isfinite(iv2_step)] = 0.0
-            iv2[was_active] += iv2_step[was_active]
-            np.maximum(sup4, np.where(active, h2 * h2, -np.inf), out=sup4)
-            for p, sup2 in sup2_extra.items():
-                if active[p] and np.isfinite(sup2):
-                    sup4[p] = max(sup4[p], sup2 * sup2)
-            u = u_new
-        expl = _explicit_drift(basis, cfg, u, forcing)
-        rec.record(cfg.n_recorded - 1, u, expl, eigs, iv2, counts)
-    return rec.finish(u, sup4, blow_t)
+    return _integrate(basis, cfg, u, forcing, advance)
 
 
 def _single(batch: PathBatch) -> PathSample:

@@ -341,18 +341,19 @@ def cert_nodes(channel: JumpChannel) -> tuple[np.ndarray, np.ndarray]:
     return _gl_nodes(full_lo, hi)
 
 
-def eval_sigma_eps(channel: JumpChannel, coeffs, z: float):
-    """sigma_eps(u, z) for one mark; zero field off the h support."""
-    if z == 0.0:
+def eval_sigma_eps(channel: JumpChannel, coeffs, z):
+    """sigma_eps(u, z) for one mark, or row by row for (P, dim) rows and P marks.
+
+    The field is zero where the mark lies off the h support.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    if np.any(z == 0.0):
         raise ValueError("marks must be nonzero")
-    hval = float(channel.h.fn(z))
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if hval == 0.0:
-        return np.zeros_like(coeffs)
-    if channel.theta.family == "one":
-        return channel.sigma.fn(1.0 * coeffs) * hval
-    tval = float(channel.theta.fn(z))
-    return channel.sigma.fn(tval * coeffs) * hval
+    hval = np.asarray(channel.h.fn(z))[..., None]
+    if channel.theta.family != "one":
+        coeffs = np.asarray(channel.theta.fn(z))[..., None] * coeffs
+    return np.where(hval == 0.0, 0.0, channel.sigma.fn(coeffs) * hval)
 
 
 def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:

@@ -6,7 +6,8 @@ are grouped into batches or threads.
 
 Event draw order per channel is fixed and documented: count, then times, then
 magnitudes, then signs. Changing it would silently change every jump-arm
-trajectory, so the order is pinned by tests.
+trajectory, so the order is pinned by tests.  A path's atoms come back as
+struct-of-arrays (``Atoms``), stably sorted by (time, channel).
 """
 
 from __future__ import annotations
@@ -38,10 +39,15 @@ def derive_stream(seed: int, arm: str, eps_index: int, path_index: int) -> np.ra
 
 
 @dataclass(frozen=True)
-class JumpEvent:
-    time: float
-    mark: float
-    channel: int
+class Atoms:
+    """The atoms of one path's Poisson random measure, as parallel arrays."""
+
+    times: np.ndarray
+    marks: np.ndarray
+    channels: np.ndarray
+
+    def __len__(self) -> int:
+        return self.times.size
 
 
 def _sample_magnitudes(ch: JumpChannel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -85,21 +91,22 @@ def _rejection_magnitudes(ch: JumpChannel, n: int, rng: np.random.Generator,
     return out
 
 
-def sample_channel_events(ch: JumpChannel, channel_index: int, horizon: float,
-                          rng: np.random.Generator) -> list[JumpEvent]:
+def _sample_channel(ch: JumpChannel, horizon: float,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted times, signed marks) of one channel, in the pinned draw order."""
     count = int(rng.poisson(ch.activity * horizon))
     times = np.sort(rng.random(count)) * horizon
     mags = _sample_magnitudes(ch, count, rng)
     signs = np.where(rng.random(count) < ch.p_negative, -1.0, 1.0)
-    return [JumpEvent(float(t), float(s * m), channel_index)
-            for t, m, s in zip(times, mags, signs)]
+    return times, signs * mags
 
 
 def sample_prm(kernel: JumpKernel, horizon: float,
-               rng: np.random.Generator) -> list[JumpEvent]:
-    """All jump events of every channel on [0, horizon], sorted by time."""
-    events: list[JumpEvent] = []
-    for idx, ch in enumerate(kernel.channels):
-        events.extend(sample_channel_events(ch, idx, horizon, rng))
-    events.sort(key=lambda e: (e.time, e.channel))
-    return events
+               rng: np.random.Generator) -> Atoms:
+    """All atoms of every channel on [0, horizon], sorted by (time, channel)."""
+    drawn = [_sample_channel(ch, horizon, rng) for ch in kernel.channels]
+    times = np.concatenate([t for t, _ in drawn])
+    marks = np.concatenate([m for _, m in drawn])
+    channels = np.repeat(np.arange(len(drawn)), [t.size for t, _ in drawn])
+    order = np.lexsort((channels, times))
+    return Atoms(times[order], marks[order], channels[order])

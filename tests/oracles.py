@@ -80,3 +80,86 @@ def embed(field, big_basis):
     for m, a in zip(field.basis.modes, field.coeffs):
         c[big_basis.mode_index(m.kx, m.ky, m.parity)] = a
     return SpectralField(big_basis, c)
+
+
+def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
+    """Jump arm advanced one path and one atom at a time.
+
+    The straightforward form of the jump-adapted split: for every path
+    with atoms in a step, walk its atoms in order, moving by the
+    exponential Euler step with the compensated drift of the last substate
+    and adding sigma_eps at each atom.  Bookkeeping (blow-up masking, the
+    V-integral, the H-norm supremum, records) is spelled out inline.
+    """
+    from snse.integrate import _explicit_drift, _Recorder, _tile_initial
+    from snse.kernels import compensator_drift, eval_sigma_eps
+    from snse.sampling import sample_prm
+
+    n_paths = len(streams)
+    u = _tile_initial(u0, n_paths, basis.dim)
+    atoms = [sample_prm(kernel, cfg.t_end, g) for g in streams]
+    eigs = basis.eigenvalues
+    efac = np.exp(-eigs * cfg.dt)
+    rec = _Recorder(cfg, n_paths, basis.dim)
+    active = np.ones(n_paths, dtype=bool)
+    blow_t = np.full(n_paths, np.nan)
+    iv2 = np.zeros(n_paths)
+    counts = np.zeros(n_paths, dtype=np.int64)
+    sup4 = np.sum(u * u, axis=1) ** 2
+    cap2 = cfg.blowup_norm**2
+    steps = [np.minimum((a.times / cfg.dt).astype(int), cfg.n_steps - 1)
+             for a in atoms]
+
+    def substeps(u_cur, drift, t, t1, a, ks):
+        piece, sup2 = 0.0, -np.inf
+        for k in ks:
+            delta = a.times[k] - t
+            if delta > 0.0:
+                piece += delta * float((u_cur * u_cur) @ eigs)
+                u_cur = np.exp(-eigs * delta) * (u_cur + delta * drift)
+                sup2 = max(sup2, float(np.sum(u_cur * u_cur)))
+            channel = kernel.channels[a.channels[k]]
+            u_cur = u_cur + eval_sigma_eps(channel, u_cur, a.marks[k])
+            sup2 = max(sup2, float(np.sum(u_cur * u_cur)))
+            t = a.times[k]
+            expl = _explicit_drift(basis, cfg, u_cur[None, :], forcing)[0]
+            drift = expl - compensator_drift(kernel, u_cur)
+        delta = t1 - t
+        piece += delta * float((u_cur * u_cur) @ eigs)
+        return np.exp(-eigs * delta) * (u_cur + delta * drift), piece, sup2
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(cfg.n_steps):
+            expl = _explicit_drift(basis, cfg, u, forcing)
+            if n % cfg.record_stride == 0:
+                rec.record(n // cfg.record_stride, u, expl, eigs, iv2, counts)
+            driftc = expl - compensator_drift(kernel, u)
+            u_new = efac * (u + cfg.dt * driftc)
+            iv2_step = cfg.dt * ((u * u) @ eigs)
+            sup2_extra = {}
+            for p in range(n_paths):
+                ks = np.flatnonzero(steps[p] == n)
+                if not active[p] or not ks.size:
+                    continue
+                u_new[p], iv2_step[p], sup2_extra[p] = substeps(
+                    u[p], driftc[p], n * cfg.dt, n * cfg.dt + cfg.dt,
+                    atoms[p], ks)
+                counts[p] += ks.size
+
+            h2 = np.sum(u_new * u_new, axis=1)
+            was_active = active.copy()
+            bad = active & (~np.isfinite(h2) | (h2 > cap2))
+            if bad.any():
+                blow_t[bad] = (n + 1) * cfg.dt
+                active = active & ~bad
+                u_new[bad] = np.nan
+            iv2_step[~np.isfinite(iv2_step)] = 0.0
+            iv2[was_active] += iv2_step[was_active]
+            np.maximum(sup4, np.where(active, h2 * h2, -np.inf), out=sup4)
+            for p, sup2 in sup2_extra.items():
+                if active[p] and np.isfinite(sup2):
+                    sup4[p] = max(sup4[p], sup2 * sup2)
+            u = u_new
+        expl = _explicit_drift(basis, cfg, u, forcing)
+        rec.record(cfg.n_recorded - 1, u, expl, eigs, iv2, counts)
+    return rec.finish(u, sup4, blow_t)

@@ -15,6 +15,8 @@ from snse.measures import alpha_stable_measure
 from snse.nonlinear import nonlinear_term_batch
 from snse.sampling import derive_stream, sample_prm
 
+from oracles import reference_jump_batch
+
 NU1 = alpha_stable_measure(1.0)
 
 
@@ -196,7 +198,7 @@ class TestJump:
         path = simulate_jump(basis2, cfg, u0,
                              derive_stream(11, "jump", 0, 2), kernel)
 
-        events = sample_prm(kernel, t_end, derive_stream(11, "jump", 0, 2))
+        atoms = sample_prm(kernel, t_end, derive_stream(11, "jump", 0, 2))
         eigs = basis2.eigenvalues
 
         def advance(u, span, dt_fine=2e-5):
@@ -211,15 +213,15 @@ class TestJump:
 
         u = u0.copy()
         t = 0.0
-        for ev in events:
-            u = advance(u, ev.time - t)
-            u = u + sigma.fn(float(ch.theta.fn(ev.mark)) * u) * float(ch.h.fn(ev.mark))
-            t = ev.time
+        for time, mark in zip(atoms.times, atoms.marks):
+            u = advance(u, time - t)
+            u = u + sigma.fn(float(ch.theta.fn(mark)) * u) * float(ch.h.fn(mark))
+            t = time
         u = advance(u, t_end - t)
 
         rel = np.linalg.norm(path.terminal - u) / np.linalg.norm(u)
         assert rel < 5e-3
-        assert path.jump_counts[-1] == len(events)
+        assert path.jump_counts[-1] == len(atoms)
 
     def test_mean_decay_constant_sigma(self, basis2):
         # compensation makes the mode mean follow the semigroup
@@ -258,6 +260,67 @@ class TestJump:
             assert batch.jump_counts[p, -1] == n_events
         again = simulate_jump_batch(basis2, cfg, u0, streams(), kernel)
         assert np.array_equal(batch.terminal, again.terminal)
+
+
+class TestJumpOracle:
+    """Batched rounds against the one-path, one-atom reference integrator."""
+
+    FIELDS = ("terminal", "int_v2", "sup_h4", "norm_h2", "jump_counts",
+              "blowup_time")
+
+    @staticmethod
+    def _both(basis, cfg, u0, kernel, n_paths, seed):
+        def streams():
+            return [derive_stream(seed, "jump", 0, p) for p in range(n_paths)]
+        return (simulate_jump_batch(basis, cfg, u0, streams(), kernel),
+                reference_jump_batch(basis, cfg, u0, streams(), kernel))
+
+    def test_linear_many_atoms_per_step(self, basis2):
+        g = np.zeros(basis2.dim)
+        g[2] = 0.5
+        kernel = build_jump_kernel(constant_field(g), "annulus", "one", 0.05,
+                                   NU1, channels=2)
+        cfg = SolverConfig(t_end=1.0, dt=0.05, record_stride=2,
+                           include_nonlinearity=False)
+        u0 = random_field(basis2, np.random.default_rng(4), norm_h=0.5).coeffs
+        got, ref = self._both(basis2, cfg, u0, kernel, 64, 31)
+        assert got.jump_counts[:, -1].mean() > 2 * 38 * cfg.dt
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(ref, name), err_msg=name)
+
+    def test_nonlinear_saturating_cosine(self, basis2):
+        kernel = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
+                                   NU1)
+        cfg = SolverConfig(t_end=0.5, dt=0.01, record_stride=5)
+        u0 = random_field(basis2, np.random.default_rng(5), norm_h=0.6).coeffs
+        got, ref = self._both(basis2, cfg, u0, kernel, 32, 37)
+        for name in ("terminal", "int_v2", "sup_h4", "norm_h2"):
+            np.testing.assert_allclose(getattr(got, name), getattr(ref, name),
+                                       rtol=1e-10, atol=1e-14, err_msg=name)
+        np.testing.assert_array_equal(got.jump_counts, ref.jump_counts)
+        np.testing.assert_array_equal(got.blowup_time, ref.blowup_time)
+
+    def test_every_path_blows_up_inside_atom_steps(self, basis2):
+        # odd profile, so no compensator drift: only an atom (size >= 4.7)
+        # can leave the ball of radius 3
+        g = np.zeros(basis2.dim)
+        g[0] = 20.0
+        kernel = build_jump_kernel(constant_field(g), "outer_linear", "one",
+                                   0.1, NU1)
+        cfg = SolverConfig(t_end=4.0, dt=0.05, record_stride=4,
+                           include_nonlinearity=False, blowup_norm=3.0)
+        u0 = unit_vector(basis2, 1, amp=0.5)
+        got, ref = self._both(basis2, cfg, u0, kernel, 16, 41)
+        assert np.all(np.isfinite(got.blowup_time))
+        for p, t_blow in enumerate(got.blowup_time):
+            atoms = sample_prm(kernel, cfg.t_end, derive_stream(41, "jump", 0, p))
+            n = round(t_blow / cfg.dt) - 1
+            assert np.any((atoms.times >= n * cfg.dt)
+                          & (atoms.times < (n + 1) * cfg.dt))
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(ref, name), err_msg=name)
 
 
 class TestBlowUpAndExit:

@@ -198,6 +198,21 @@ class TestChannels:
         with pytest.raises(ValueError):
             eval_sigma_eps(ch, u.coeffs, 0.0)
 
+    def test_eval_sigma_eps_rows(self, basis2, rng):
+        # one mark per row, each row equal to its one-mark value; the last
+        # mark lies off the h support
+        kern = build_jump_kernel(saturating(), "annulus", "cosine", 0.2, NU1)
+        ch = kern.channels[0]
+        rows = np.stack([random_field(basis2, rng).coeffs for _ in range(4)])
+        marks = np.array([0.5, -0.3, 0.9, 5.0])
+        out = eval_sigma_eps(ch, rows, marks)
+        assert out.shape == rows.shape
+        for r, z in zip(range(4), marks):
+            assert np.array_equal(out[r], eval_sigma_eps(ch, rows[r], z))
+        assert np.all(out[3] == 0.0)
+        with pytest.raises(ValueError):
+            eval_sigma_eps(ch, rows, np.array([0.5, 0.0, 0.9, 0.4]))
+
     def test_sup_jump_size_joint_grid_close_to_closed_form(self):
         # with theta == one the joint sup factorizes exactly
         for family, eps in (("annulus", 0.1), ("inner_linear", 0.05)):

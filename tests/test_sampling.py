@@ -7,6 +7,7 @@ from scipy import stats
 from snse.kernels import build_jump_kernel, scaled_identity
 from snse.measures import (
     alpha_stable_measure, custom_measure, power_magnitude_cdf,
+    power_magnitude_ppf,
 )
 from snse.sampling import derive_stream, sample_prm, stream_key
 
@@ -48,11 +49,13 @@ class TestEventSampling:
         kern = _kernel()
         ev1 = sample_prm(kern, 1.0, derive_stream(3, "jump", 1, 0))
         ev2 = sample_prm(kern, 1.0, derive_stream(3, "jump", 1, 0))
-        assert ev1 == ev2
+        assert np.array_equal(ev1.times, ev2.times)
+        assert np.array_equal(ev1.marks, ev2.marks)
+        assert np.array_equal(ev1.channels, ev2.channels)
 
     def test_times_sorted_within_horizon(self):
         events = sample_prm(_kernel(), 2.5, derive_stream(5, "jump", 1, 7))
-        times = [e.time for e in events]
+        times = list(events.times)
         assert times == sorted(times)
         assert all(0.0 <= t <= 2.5 for t in times)
 
@@ -71,7 +74,7 @@ class TestEventSampling:
         kern = build_jump_kernel(scaled_identity(), "inner_linear", "one", 0.1, NU1)
         lo, hi = kern.channels[0].sample_range
         events = sample_prm(kern, 0.02, derive_stream(2, "jump", 0, 0))
-        marks = np.array([e.mark for e in events])
+        marks = events.marks
         assert np.all((np.abs(marks) >= lo) & (np.abs(marks) <= hi))
 
     def test_mark_magnitude_law(self):
@@ -80,7 +83,7 @@ class TestEventSampling:
         rng = derive_stream(17, "jump", 0, 0)
         marks = []
         for p in range(400):
-            marks += [e.mark for e in sample_prm(kern, 1.0, derive_stream(17, "jump", 0, p))]
+            marks += list(sample_prm(kern, 1.0, derive_stream(17, "jump", 0, p)).marks)
         mags = np.abs(np.array(marks))
         res = stats.kstest(mags, lambda x: power_magnitude_cdf(-2.0, 0.05, 1.0, x))
         assert res.pvalue > 0.01
@@ -89,7 +92,7 @@ class TestEventSampling:
         kern = _kernel(eps=0.05)
         marks = []
         for p in range(200):
-            marks += [e.mark for e in sample_prm(kern, 1.0, derive_stream(19, "jump", 0, p))]
+            marks += list(sample_prm(kern, 1.0, derive_stream(19, "jump", 0, p)).marks)
         frac_neg = np.mean(np.array(marks) < 0)
         assert abs(frac_neg - 0.5) < 4.0 / np.sqrt(len(marks))
 
@@ -101,7 +104,28 @@ class TestEventSampling:
         mags = []
         for p in range(300):
             rngp = derive_stream(23, "jump", 0, p)
-            mags += [abs(e.mark) for e in sample_prm(kern, 1.0, rngp)]
+            mags += list(np.abs(sample_prm(kern, 1.0, rngp).marks))
         res = stats.kstest(np.array(mags),
                            lambda x: power_magnitude_cdf(-2.0, 0.1, 1.0, x))
         assert res.pvalue > 0.01
+
+    def test_draw_order_replayed_by_hand(self):
+        # per channel: count, sorted times, magnitudes, signs; then a stable
+        # sort of all channels' atoms by (time, channel)
+        kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.05,
+                                 NU1, channels=3)
+        atoms = sample_prm(kern, 1.5, derive_stream(29, "jump", 0, 4))
+        rng = derive_stream(29, "jump", 0, 4)
+        drawn = []
+        for c, ch in enumerate(kern.channels):
+            count = rng.poisson(ch.activity * 1.5)
+            times = np.sort(rng.random(count)) * 1.5
+            mags = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
+                                       rng.random(count))
+            signs = np.where(rng.random(count) < ch.p_negative, -1.0, 1.0)
+            drawn += [(t, c, s * m) for t, m, s in zip(times, mags, signs)]
+        drawn.sort(key=lambda a: (a[0], a[1]))
+        assert len(atoms) == len(drawn) > 0
+        assert np.array_equal(atoms.times, [a[0] for a in drawn])
+        assert np.array_equal(atoms.channels, [a[1] for a in drawn])
+        assert np.array_equal(atoms.marks, [a[2] for a in drawn])
