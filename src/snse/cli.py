@@ -190,8 +190,7 @@ def cmd_converge(args) -> int:
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set "
                           "[output] dir in the run file")
-    persist(result, out_dir, dump_paths=run.dump_paths,
-            overwrite=args.force, threads=args.threads)
+    persist(result, out_dir, dump_paths=run.dump_paths, overwrite=args.force)
     print(f"wrote {Path(out_dir) / 'summary.csv'}")
 
     if result.invalid:

@@ -1,34 +1,17 @@
-"""Action of the two generators on quadratic observables.
+"""Quadratic-variation blocks of the two generators and the gap between them.
 
-For g(x) = x_k x_j both generators share the drift part
-drift_k x_j + drift_j x_k with drift = -lambda x - B(x) + F(x); they
-differ only in the quadratic-variation block, which is sum_i of
-sigma_i(x) outer sigma_i(x) on the Brownian arm and the nu-integral of
-the jump-field outer products on the pure-jump arm.  The gap between the
-generators is therefore the gap between the variation blocks, with the
-drift cancelling identically.
+For g(x) = x_k x_j both generators share the drift part, so the gap on the
+quadratic observables is the gap between the variation blocks: sum_i of
+sigma_i(x) outer sigma_i(x) on the Brownian arm and the nu-integral of the
+jump-field outer products on the pure-jump arm.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import BasisSpec
 from .integrate import BrownianNoiseSpec
-from .kernels import FieldMap, JumpKernel, cert_nodes
-from .nonlinear import nonlinear_term_batch
-
-
-def drift_vector(basis: BasisSpec, x, forcing: FieldMap | None = None,
-                 include_nonlinearity: bool = True) -> np.ndarray:
-    """-lambda x - B(x) + F(x) at a single state."""
-    x = np.asarray(x, dtype=np.float64)
-    out = -basis.eigenvalues * x
-    if include_nonlinearity:
-        out = out - nonlinear_term_batch(basis, x[None, :])[0]
-    if forcing is not None:
-        out = out + forcing.fn(x)
-    return out
+from .kernels import JumpKernel, node_values
 
 
 def diffusion_qv_matrix(noise: BrownianNoiseSpec, x) -> np.ndarray:
@@ -44,45 +27,15 @@ def diffusion_qv_matrix(noise: BrownianNoiseSpec, x) -> np.ndarray:
 def jump_qv_matrix(kernel: JumpKernel, x) -> np.ndarray:
     """sum_channels integral of sigma_eps(x, z) outer sigma_eps(x, z) d(nu).
 
-    Evaluated on full-support Gauss-Legendre nodes, which the compensator
-    cross-checks hold to about eight digits.
+    Evaluated on each channel's full-support node table, which the
+    compensator cross-checks hold to about eight digits.
     """
     x = np.asarray(x, dtype=np.float64)
     total = np.zeros((x.size, x.size))
     for ch in kernel.channels:
-        rho = ch.measure.density
-        nodes, weights = cert_nodes(ch)
-        for sgn in (1.0, -1.0):
-            z = sgn * nodes
-            hv = np.asarray(ch.h.fn(z))
-            tv = np.asarray(ch.theta.fn(z))
-            wq = weights * np.asarray(rho(z)) * hv * hv
-            sig = ch.sigma.fn(tv[:, None] * x[None, :])
-            total += (wq[:, None] * sig).T @ sig
+        for w, hv, sig in node_values(ch, x):
+            total += ((w * hv * hv)[:, None] * sig).T @ sig
     return total
-
-
-def generator_quadratic(basis: BasisSpec, x, qv: np.ndarray,
-                        forcing: FieldMap | None = None,
-                        include_nonlinearity: bool = True) -> np.ndarray:
-    """Matrix of L(x_k x_j) values given a quadratic-variation block."""
-    x = np.asarray(x, dtype=np.float64)
-    d = drift_vector(basis, x, forcing, include_nonlinearity)
-    return d[:, None] * x[None, :] + x[:, None] * d[None, :] + qv
-
-
-def generator_diffusion(basis: BasisSpec, x, noise: BrownianNoiseSpec,
-                        forcing: FieldMap | None = None,
-                        include_nonlinearity: bool = True) -> np.ndarray:
-    return generator_quadratic(basis, x, diffusion_qv_matrix(noise, x),
-                               forcing, include_nonlinearity)
-
-
-def generator_jump(basis: BasisSpec, x, kernel: JumpKernel,
-                   forcing: FieldMap | None = None,
-                   include_nonlinearity: bool = True) -> np.ndarray:
-    return generator_quadratic(basis, x, jump_qv_matrix(kernel, x),
-                               forcing, include_nonlinearity)
 
 
 def generator_gap(kernel: JumpKernel, noise: BrownianNoiseSpec, x) -> float:

@@ -400,9 +400,9 @@ def moment_lines(result: ExperimentResult) -> list[str]:
     return out
 
 
-def manifest_lines(result: ExperimentResult, threads: int = 1) -> list[str]:
+def manifest_lines(result: ExperimentResult) -> list[str]:
     # plain key: value; deliberately no timestamps so reruns are
-    # byte-identical (threads is excluded from the hash for the same reason)
+    # byte-identical
     cfg = result.config
     lines = [
         "format: snse-manifest-1",
@@ -442,7 +442,7 @@ def path_dump_lines(batch: PathBatch, track_modes) -> list[str]:
 
 
 def persist(result: ExperimentResult, out_dir, dump_paths: bool = False,
-            overwrite: bool = False, threads: int = 1) -> Path:
+            overwrite: bool = False) -> Path:
     """Write summary.csv, moments.csv, manifest.txt (and optional dumps)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -451,7 +451,7 @@ def persist(result: ExperimentResult, out_dir, dump_paths: bool = False,
         raise FileExistsError(f"{target} exists; pass overwrite to replace")
     _write_text(target, summary_lines(result))
     _write_text(out / "moments.csv", moment_lines(result))
-    _write_text(out / "manifest.txt", manifest_lines(result, threads))
+    _write_text(out / "manifest.txt", manifest_lines(result))
     if dump_paths:
         track = result.config.solver.track_modes
         _write_text(out / "paths_bm.csv",

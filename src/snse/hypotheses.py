@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import BasisSpec
 from .generators import generator_gap, jump_qv_matrix, matched_noise
-from .kernels import (FieldMap, JumpKernel, build_jump_kernel, cert_nodes,
+from .kernels import (FieldMap, JumpKernel, build_jump_kernel, node_values,
                       sup_jump_size, zero_map)
 from .measures import LevyMeasure
 
@@ -47,21 +47,12 @@ def kernel_grid(base_sigma: FieldMap, family_h: str, family_theta: str,
             for e in eps_grid]
 
 
-def _signed_nodes(ch):
-    nodes, weights = cert_nodes(ch)
-    for sgn in (1.0, -1.0):
-        z = sgn * nodes
-        w = weights * np.asarray(ch.measure.density(z))
-        yield z, w, np.asarray(ch.h.fn(z)), np.asarray(ch.theta.fn(z))
-
-
 def jump_l2_mass(kernel: JumpKernel, u) -> float:
     """sum_channels integral of |sigma_eps(u, z)|_H^2 d(nu)."""
     u = np.asarray(u, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
-        for z, w, hv, tv in _signed_nodes(ch):
-            sig = ch.sigma.fn(tv[:, None] * u[None, :])
+        for w, hv, sig in node_values(ch, u):
             total += float((w * hv * hv) @ np.sum(sig * sig, axis=1))
     return total
 
@@ -71,8 +62,7 @@ def jump_l4_mass(kernel: JumpKernel, u) -> float:
     u = np.asarray(u, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
-        for z, w, hv, tv in _signed_nodes(ch):
-            sig = ch.sigma.fn(tv[:, None] * u[None, :])
+        for w, hv, sig in node_values(ch, u):
             n2 = np.sum(sig * sig, axis=1)
             total += float((w * hv**4) @ (n2 * n2))
     return total
@@ -84,9 +74,9 @@ def jump_l2_diff(kernel: JumpKernel, u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
-        for z, w, hv, tv in _signed_nodes(ch):
-            du = (ch.sigma.fn(tv[:, None] * u[None, :])
-                  - ch.sigma.fn(tv[:, None] * v[None, :]))
+        for (w, hv, su), (_, _, sv) in zip(node_values(ch, u),
+                                           node_values(ch, v)):
+            du = su - sv
             total += float((w * hv * hv) @ np.sum(du * du, axis=1))
     return total
 
@@ -96,8 +86,7 @@ def jump_v2_mass(kernel: JumpKernel, u, eigenvalues) -> float:
     u = np.asarray(u, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
-        for z, w, hv, tv in _signed_nodes(ch):
-            sig = ch.sigma.fn(tv[:, None] * u[None, :])
+        for w, hv, sig in node_values(ch, u):
             total += float((w * hv * hv) @ ((sig * sig) @ eigenvalues))
     return total
 

@@ -13,11 +13,18 @@ exactly 1. Built-in h families:
     outer_linear  z / sqrt(second moment over {1 <= |z| <= 1/eps})
     inner_linear  z / sqrt(second moment over {0 < |z| <= eps})
 
-The inner_linear family has infinite activity; simulation truncates marks to
-{delta <= |z| <= eps} with delta chosen so the discarded share of the
-quadratic variation stays below a configured budget (default 1e-4). The
-compensator is still taken over the full support; for the built-in odd
-profiles the below-cutoff part cancels by symmetry.
+Each channel carries one frozen Gauss-Legendre table over the full h support
+(24 log-spaced panels of 10 nodes, both signs) holding the density-weighted
+rule weights and the h and theta values at the nodes. The compensator, the
+certification masses and the jump quadratic variation all integrate against
+this table, so the kernel's callables are evaluated there once.
+
+The inner_linear family has infinite activity. The cutoff applies to path
+sampling only: marks are drawn from {delta <= |z| <= eps} with delta chosen
+so the discarded share of the quadratic variation stays below a configured
+budget (default 1e-4). Every nu-integral, the compensator included, still
+spans the full support; for the built-in odd profiles the below-cutoff part
+of the compensator cancels by symmetry.
 """
 
 from __future__ import annotations
@@ -33,9 +40,6 @@ from .measures import (
     LevyMeasure, annulus_mass, moment_mass, power_primitive, radial_integral,
 )
 
-H_FAMILIES = ("annulus", "outer_linear", "inner_linear", "custom")
-THETA_FAMILIES = ("one", "cosine", "gaussian_dip", "custom")
-
 
 # ---------------------------------------------------------------------------
 # theta: scalar modulations of the state
@@ -49,8 +53,7 @@ class ThetaKernel:
     sup_abs: float   # sup_z |theta(z)|
 
 
-def build_theta(family: str, epsilon: float, fn: Callable | None = None,
-                sup_dev: float | None = None) -> ThetaKernel:
+def build_theta(family: str, epsilon: float) -> ThetaKernel:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if family == "one":
@@ -69,10 +72,6 @@ def build_theta(family: str, epsilon: float, fn: Callable | None = None,
             return 1.0 - amp * np.exp(-0.5 * (epsilon * z) ** 2)
 
         return ThetaKernel("gaussian_dip", epsilon, dip, amp, 1.0)
-    if family == "custom":
-        if fn is None or sup_dev is None:
-            raise ValueError("custom theta needs fn and sup_dev")
-        return ThetaKernel("custom", epsilon, fn, sup_dev, 1.0 + sup_dev)
     raise ValueError(f"unknown theta family {family!r}")
 
 
@@ -87,7 +86,6 @@ class HKernel:
     scale: float                   # h = profile / scale
     sup_abs: float
     profile: Callable
-    odd: bool
 
     def fn(self, z):
         z = np.asarray(z, dtype=np.float64)
@@ -104,35 +102,25 @@ def _linear_profile(z):
     return np.asarray(z, dtype=np.float64)
 
 
-def build_h(family: str, epsilon: float, measure: LevyMeasure,
-            profile: Callable | None = None,
-            support: tuple[float, float] | None = None) -> HKernel:
+def build_h(family: str, epsilon: float, measure: LevyMeasure) -> HKernel:
     """Construct and normalize an amplitude profile for one channel."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if family == "annulus":
         support = (epsilon, 1.0)
         norm_sq = annulus_mass(measure, *support)
-        profile, odd = _flat_profile, False
+        profile = _flat_profile
         sup_profile = 1.0
     elif family == "outer_linear":
         support = (1.0, 1.0 / epsilon)
         norm_sq = moment_mass(measure, *support, k=2)
-        profile, odd = _linear_profile, True
+        profile = _linear_profile
         sup_profile = support[1]
     elif family == "inner_linear":
         support = (0.0, epsilon)
         norm_sq = moment_mass(measure, *support, k=2)
-        profile, odd = _linear_profile, True
+        profile = _linear_profile
         sup_profile = support[1]
-    elif family == "custom":
-        if profile is None or support is None:
-            raise ValueError("custom h needs profile and support")
-        norm_sq = radial_integral(measure, lambda z: profile(z) ** 2, *support)
-        grid = np.linspace(max(support[0], 1e-12), support[1], 4097)
-        sup_profile = float(max(np.max(np.abs(profile(grid))),
-                                np.max(np.abs(profile(-grid)))))
-        odd = False
     else:
         raise ValueError(f"unknown h family {family!r}")
     if not np.isfinite(norm_sq) or norm_sq <= 0.0:
@@ -140,7 +128,7 @@ def build_h(family: str, epsilon: float, measure: LevyMeasure,
             f"h family {family!r} has normalizer {norm_sq!r} on {measure.label()}")
     scale = math.sqrt(norm_sq)
     return HKernel(family, epsilon, support, scale, sup_profile / scale,
-                   profile, odd)
+                   profile)
 
 
 def h_norm_check(h: HKernel, measure: LevyMeasure) -> float:
@@ -218,6 +206,23 @@ def zero_map() -> FieldMap:
 
 _PANELS = 24
 _GL_ORDER = 10
+_BLOCK = 32   # compensator contraction width; fixes its summation order
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """Gauss-Legendre rule over the full h support, frozen at construction.
+
+    Row 0 holds the marks +z, row 1 the marks -z; each row is the composite
+    rule on log-spaced panels. w is the rule weight times the Levy density,
+    h and theta the kernel values at the same marks. Every nu-integral of a
+    channel reads these arrays instead of calling the kernel's callables.
+    """
+
+    z: np.ndarray       # (2, Q)
+    w: np.ndarray       # (2, Q)
+    h: np.ndarray       # (2, Q)
+    theta: np.ndarray   # (2, Q)
 
 
 @dataclass
@@ -232,20 +237,22 @@ class JumpChannel:
     h_integral: float
     discarded_qv_fraction: float
     p_negative: float
-    nodes: np.ndarray
-    node_weights: np.ndarray
+    table: NodeTable
 
 
-def _gl_nodes(lo: float, hi: float):
-    """Composite Gauss-Legendre rule over [lo, hi], log-spaced panels."""
+def _node_table(theta: ThetaKernel, h: HKernel, measure: LevyMeasure) -> NodeTable:
+    lo, hi = h.support
     x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.geomspace(lo, hi, _PANELS + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.geomspace(max(lo, 1e-14 * hi), hi, _PANELS + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+    weights = (half * w).ravel()
+    z = np.stack([nodes, -nodes])
+    table = NodeTable(z, np.stack([weights, weights]) * measure.density(z),
+                      h.fn(z), theta.fn(z))
+    for arr in (table.z, table.w, table.h, table.theta):
+        arr.setflags(write=False)
+    return table
 
 
 def _auto_cutoff(h: HKernel, measure: LevyMeasure, budget: float) -> float:
@@ -304,10 +311,9 @@ def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
         pos = radial_integral(measure, lambda z: 1.0 if z > 0 else 0.0,
                               sample_lo, hi)
         p_neg = 1.0 - pos / activity
-    node_lo = sample_lo if sample_lo > 0.0 else max(lo, 1e-9 * hi)
-    nodes, weights = _gl_nodes(node_lo, hi)
     return JumpChannel(sigma, theta, h, measure, delta, (sample_lo, hi),
-                       activity, h_integral, discarded, p_neg, nodes, weights)
+                       activity, h_integral, discarded, p_neg,
+                       _node_table(theta, h, measure))
 
 
 @dataclass
@@ -327,20 +333,6 @@ def build_jump_kernel(base_sigma: FieldMap, family_h: str, family_theta: str,
     return JumpKernel(epsilon, chan)
 
 
-def cert_nodes(channel: JumpChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes spanning the full h support, sampling cutoff ignored.
-
-    The cutoff delta only trims what the path sampler must realize;
-    analytical checks integrate the kernel as defined. Channels without a
-    cutoff reuse their simulation nodes.
-    """
-    lo, hi = channel.h.support
-    full_lo = max(lo, 1e-14 * hi)
-    if channel.sample_range[0] <= full_lo:
-        return channel.nodes, channel.node_weights
-    return _gl_nodes(full_lo, hi)
-
-
 def eval_sigma_eps(channel: JumpChannel, coeffs, z):
     """sigma_eps(u, z) for one mark, or row by row for (P, dim) rows and P marks.
 
@@ -354,6 +346,17 @@ def eval_sigma_eps(channel: JumpChannel, coeffs, z):
     if channel.theta.family != "one":
         coeffs = np.asarray(channel.theta.fn(z))[..., None] * coeffs
     return np.where(hval == 0.0, 0.0, channel.sigma.fn(coeffs) * hval)
+
+
+def node_values(channel: JumpChannel, coeffs, cols=slice(None)):
+    """Per sign: table weights w, h and sigma(theta(z) u) at the nodes in cols.
+
+    coeffs may carry leading row axes; the node axis sits before the last.
+    """
+    t = channel.table
+    for s in (0, 1):
+        scaled = t.theta[s, cols, None] * coeffs[..., None, :]
+        yield t.w[s, cols], t.h[s, cols], channel.sigma.fn(scaled)
 
 
 def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
@@ -370,18 +373,9 @@ def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
             if ch.h_integral != 0.0:
                 total += ch.h_integral * ch.sigma.fn(coeffs)
             continue
-        rho = ch.measure.density
-        for q0 in range(0, ch.nodes.size, 32):
-            z = ch.nodes[q0:q0 + 32]
-            w = ch.node_weights[q0:q0 + 32]
-            for sgn in (1.0, -1.0):
-                zz = sgn * z
-                hv = np.asarray(ch.h.fn(zz))
-                tv = np.asarray(ch.theta.fn(zz))
-                scaled = tv[:, None] * coeffs[..., None, :]
-                vals = ch.sigma.fn(scaled)
-                wq = w * np.asarray(rho(zz)) * hv
-                total += np.einsum("q,...qn->...n", wq, vals)
+        for q0 in range(0, ch.table.z.shape[1], _BLOCK):
+            for w, hv, vals in node_values(ch, coeffs, slice(q0, q0 + _BLOCK)):
+                total += np.einsum("q,...qn->...n", w * hv, vals)
     return total
 
 

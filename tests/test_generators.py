@@ -1,41 +1,17 @@
-"""Generator formulas vs finite differences along the flow and direct quadrature."""
+"""Quadratic-variation blocks and the generator gap vs closed forms and direct quadrature."""
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 from snse.basis import random_field
-from snse.generators import (diffusion_qv_matrix, drift_vector,
-                             generator_diffusion, generator_gap,
-                             generator_jump, generator_quadratic,
+from snse.generators import (diffusion_qv_matrix, generator_gap,
                              jump_qv_matrix, matched_noise)
 from snse.integrate import BrownianNoiseSpec
 from snse.kernels import (build_jump_kernel, constant_field, saturating,
                           scaled_identity)
 from snse.measures import alpha_stable_measure
-from snse.nonlinear import nonlinear_term_batch
 
 NU1 = alpha_stable_measure(1.0)
-
-
-def test_drift_part_matches_flow_derivative(basis2):
-    # central difference of x_k x_j along the deterministic flow
-    rng = np.random.default_rng(31)
-    x0 = random_field(basis2, rng, norm_h=0.8).coeffs
-    force = saturating(0.7)
-    eigs = basis2.eigenvalues
-
-    def rhs(t, y):
-        return (-eigs * y - nonlinear_term_batch(basis2, y[None, :])[0]
-                + force.fn(y))
-
-    h = 1e-5
-    xp = solve_ivp(rhs, (0, h), x0, rtol=1e-12, atol=1e-14).y[:, -1]
-    xm = solve_ivp(rhs, (0, -h), x0, rtol=1e-12, atol=1e-14).y[:, -1]
-    fd = (np.outer(xp, xp) - np.outer(xm, xm)) / (2 * h)
-
-    formula = generator_quadratic(basis2, x0, np.zeros((basis2.dim,) * 2),
-                                  forcing=force)
-    assert np.allclose(formula, fd, rtol=1e-6, atol=1e-8)
 
 
 def test_diffusion_qv_closed_form(basis2):
@@ -46,11 +22,6 @@ def test_diffusion_qv_closed_form(basis2):
     noise = BrownianNoiseSpec((constant_field(g1), constant_field(g2)))
     expect = np.outer(g1, g1) + np.outer(g2, g2)
     assert np.allclose(diffusion_qv_matrix(noise, x), expect, rtol=1e-14)
-
-    lg = generator_diffusion(basis2, x, noise, include_nonlinearity=False)
-    d = drift_vector(basis2, x, include_nonlinearity=False)
-    assert np.allclose(lg, d[:, None] * x + x[:, None] * d + expect,
-                       rtol=1e-13)
 
 
 def test_jump_qv_identity_sigma(basis2):
@@ -123,12 +94,3 @@ def test_gap_decreases_with_epsilon(basis2):
     # leading term is linear in eps, so a 4x eps drop shrinks the gap ~4x
     assert 0.15 < gaps[2] / gaps[0] < 0.35
 
-
-def test_generator_jump_includes_drift(basis2):
-    rng = np.random.default_rng(13)
-    x = random_field(basis2, rng, norm_h=0.7).coeffs
-    kern = build_jump_kernel(scaled_identity(0.5), "annulus", "one", 0.1, NU1)
-    lg = generator_jump(basis2, x, kern)
-    d = drift_vector(basis2, x)
-    qv = jump_qv_matrix(kern, x)
-    assert np.allclose(lg, d[:, None] * x + x[:, None] * d + qv, rtol=1e-13)

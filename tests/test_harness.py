@@ -219,7 +219,7 @@ class TestPersist:
         res_a = run_experiment(_config(basis1, n_paths=110), threads=1)
         res_b = run_experiment(_config(basis1, n_paths=110), threads=3)
         persist(res_a, tmp_path / "a", dump_paths=True)
-        persist(res_b, tmp_path / "b", dump_paths=True, threads=3)
+        persist(res_b, tmp_path / "b", dump_paths=True)
         for name in ("summary.csv", "moments.csv", "manifest.txt",
                      "paths_bm.csv", "paths_eps0.2.csv", "paths_eps0.1.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \

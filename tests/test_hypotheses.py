@@ -42,6 +42,19 @@ class TestMassHelpers:
         duv = float(np.sum((u - v) ** 2))
         assert abs(jump_l2_diff(kern, u, v) - duv) < 1e-8 * duv
 
+    def test_cutoff_channel_masses_span_full_support(self, basis2):
+        # sampling drops {|z| < delta}, about 1e-4 of the QV; the masses
+        # must still integrate the whole h support
+        rng = np.random.default_rng(5)
+        u = random_field(basis2, rng, norm_h=1.3).coeffs
+        kern = build_jump_kernel(scaled_identity(1.0), "inner_linear", "one",
+                                 0.05, NU1)
+        ch = kern.channels[0]
+        assert ch.cutoff_delta > 0.0
+        assert ch.discarded_qv_fraction > 0.5e-4
+        h2 = float(np.sum(u * u))
+        assert abs(jump_l2_mass(kern, u) - h2) < 1e-8 * h2
+
     def test_saturating_cosine_dense_quadrature_oracle(self, basis2):
         rng = np.random.default_rng(3)
         u = random_field(basis2, rng, norm_h=1.1).coeffs

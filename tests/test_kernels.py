@@ -8,10 +8,12 @@ from scipy.integrate import quad
 
 from snse.basis import SpectralField, get_basis, random_field
 from snse.errors import InadmissibleKernelError
+from snse.generators import jump_qv_matrix
+from snse.hypotheses import jump_l2_mass
 from snse.kernels import (
-    build_h, build_jump_kernel, build_theta, compensator_drift, constant_field,
-    diagonal_map, eval_sigma_eps, h_norm_check, make_channel, saturating,
-    scaled_identity, sup_jump_size, zero_map,
+    HKernel, build_h, build_jump_kernel, build_theta, compensator_drift,
+    constant_field, diagonal_map, eval_sigma_eps, h_norm_check, make_channel,
+    saturating, scaled_identity, sup_jump_size, zero_map,
 )
 from snse.measures import alpha_stable_measure, power_law_measure
 
@@ -185,6 +187,31 @@ class TestChannels:
         ref = quad(integrand, 0.2, 1.0, epsrel=1e-12)[0]
         assert drift[2] == pytest.approx(ref, rel=1e-8)
         assert np.max(np.abs(np.delete(drift, 2))) < 1e-12
+
+    def test_node_table_is_the_only_kernel_evaluation(self, basis2, rng,
+                                                      monkeypatch):
+        # once the channel is built, the nu-integrals read the frozen table
+        # and never call h, theta or the density again
+        kern = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
+                                 alpha_stable_measure(1.0))
+        ch = kern.channels[0]
+        u = random_field(basis2, rng).coeffs
+        rows = np.stack([random_field(basis2, rng).coeffs for _ in range(3)])
+
+        def values():
+            return (compensator_drift(kern, u), compensator_drift(kern, rows),
+                    jump_l2_mass(kern, u), jump_qv_matrix(kern, u))
+
+        before = values()
+
+        def refuse(*args):
+            raise AssertionError("kernel callable evaluated")
+
+        monkeypatch.setattr(HKernel, "fn", refuse)
+        object.__setattr__(ch.theta, "fn", refuse)
+        object.__setattr__(ch.measure, "density", refuse)
+        for a, b in zip(before, values()):
+            assert np.array_equal(a, b)
 
     def test_eval_sigma_eps(self, basis2, rng):
         kern = build_jump_kernel(saturating(), "annulus", "cosine", 0.2, NU1)
