@@ -27,8 +27,8 @@ import numpy as np
 
 from .basis import BasisSpec
 from .generators import generator_gap, jump_qv_matrix, matched_noise
-from .kernels import (FieldMap, JumpKernel, build_jump_kernel, node_values,
-                      sup_jump_size, zero_map)
+from .kernels import (FieldMap, JumpKernel, build_jump_kernel, gain_moment,
+                      node_values, sup_jump_size, zero_map)
 from .measures import LevyMeasure
 
 
@@ -52,8 +52,8 @@ def jump_l2_mass(kernel: JumpKernel, u) -> float:
     u = np.asarray(u, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
-        for w, hv, sig in node_values(ch, u):
-            total += float((w * hv * hv) @ np.sum(sig * sig, axis=1))
+        sig = ch.sigma.fn(u)
+        total += float(gain_moment(ch, u, 2) * (sig @ sig))
     return total
 
 
@@ -62,21 +62,25 @@ def jump_l4_mass(kernel: JumpKernel, u) -> float:
     u = np.asarray(u, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
-        for w, hv, sig in node_values(ch, u):
-            n2 = np.sum(sig * sig, axis=1)
-            total += float((w * hv**4) @ (n2 * n2))
+        sig = ch.sigma.fn(u)
+        total += float(gain_moment(ch, u, 4) * (sig @ sig) ** 2)
     return total
 
 
 def jump_l2_diff(kernel: JumpKernel, u, v) -> float:
-    """sum_channels integral of |sigma_eps(u, z) - sigma_eps(v, z)|_H^2 d(nu)."""
+    """sum_channels integral of |sigma_eps(u, z) - sigma_eps(v, z)|_H^2 d(nu).
+
+    The difference is formed node by node: expanding the square into three
+    gain moments would cancel catastrophically for nearby u and v.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
-        for (w, hv, su), (_, _, sv) in zip(node_values(ch, u),
+        su, sv = ch.sigma.fn(u), ch.sigma.fn(v)
+        for (w, hv, gu), (_, _, gv) in zip(node_values(ch, u),
                                            node_values(ch, v)):
-            du = su - sv
+            du = gu[:, None] * su - gv[:, None] * sv
             total += float((w * hv * hv) @ np.sum(du * du, axis=1))
     return total
 
@@ -86,8 +90,8 @@ def jump_v2_mass(kernel: JumpKernel, u, eigenvalues) -> float:
     u = np.asarray(u, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
-        for w, hv, sig in node_values(ch, u):
-            total += float((w * hv * hv) @ ((sig * sig) @ eigenvalues))
+        sig = ch.sigma.fn(u)
+        total += float(gain_moment(ch, u, 2) * ((sig * sig) @ eigenvalues))
     return total
 
 

@@ -19,6 +19,11 @@ rule weights and the h and theta values at the nodes. The compensator, the
 certification masses and the jump quadratic variation all integrate against
 this table, so the kernel's callables are evaluated there once.
 
+Every state map declares a scalar gain with sigma(t u) = gain(t, |u|_H) sigma(u).
+A nu-integral of sigma(theta(z) u) h(z) therefore needs sigma(u) once and the
+table's scalar gain moments sum_z w h^k gain(theta(z), |u|)^k, never sigma at
+the nodes.
+
 The inner_linear family has infinite activity. The cutoff applies to path
 sampling only: marks are drawn from {delta <= |z| <= eps} with delta chosen
 so the discarded share of the quadratic variation stays below a configured
@@ -144,7 +149,10 @@ class FieldMap:
     """Named Lipschitz map on coefficient arrays, vectorized over leading axes.
 
     ball_sup(R) is the exact sup of |map(u)|_H over the H ball of radius R,
-    used by the closed-form jump-size bound.
+    used by the closed-form jump-size bound; it acts elementwise on an array
+    of radii. gain(t, r) is the scalar with fn(t u) = gain(t, |u|_H) fn(u)
+    for every real t; it broadcasts t against r, and the jump-channel
+    nu-integrals rely on it in place of evaluating fn at every mark.
     """
 
     name: str
@@ -152,12 +160,13 @@ class FieldMap:
     lipschitz: float
     maps_v: bool
     ball_sup: Callable
+    gain: Callable
 
 
 def scaled_identity(c: float = 1.0) -> FieldMap:
     return FieldMap(f"identity:{c:g}",
                     lambda u: c * np.asarray(u, dtype=np.float64),
-                    abs(c), True, lambda r: abs(c) * r)
+                    abs(c), True, lambda r: abs(c) * r, lambda t, r: t)
 
 
 def saturating(c: float = 1.0) -> FieldMap:
@@ -166,8 +175,11 @@ def saturating(c: float = 1.0) -> FieldMap:
         n = np.linalg.norm(u, axis=-1, keepdims=True)
         return c * u / (1.0 + n)
 
+    def gain(t, r):
+        return t * (1.0 + r) / (1.0 + np.abs(t) * r)
+
     return FieldMap(f"saturating:{c:g}", fn, abs(c), True,
-                    lambda r: abs(c) * r / (1.0 + r))
+                    lambda r: abs(c) * r / (1.0 + r), gain)
 
 
 def constant_field(coeffs, name: str | None = None) -> FieldMap:
@@ -186,19 +198,19 @@ def constant_field(coeffs, name: str | None = None) -> FieldMap:
             return g_ro
         return np.broadcast_to(g, u.shape).copy()
 
-    return FieldMap(name, fn, 0.0, True, lambda r: gnorm)
+    return FieldMap(name, fn, 0.0, True, lambda r: gnorm, lambda t, r: 1.0)
 
 
 def diagonal_map(diag, name: str | None = None) -> FieldMap:
     d = np.asarray(diag, dtype=np.float64)
     top = float(np.max(np.abs(d)))
     return FieldMap(name or "diagonal", lambda u: np.asarray(u, dtype=np.float64) * d,
-                    top, True, lambda r: top * r)
+                    top, True, lambda r: top * r, lambda t, r: t)
 
 
 def zero_map() -> FieldMap:
     return FieldMap("zero", lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-                    0.0, True, lambda r: 0.0)
+                    0.0, True, lambda r: 0.0, lambda t, r: 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +218,6 @@ def zero_map() -> FieldMap:
 
 _PANELS = 24
 _GL_ORDER = 10
-_BLOCK = 32   # compensator contraction width; fixes its summation order
 
 
 @dataclass(frozen=True)
@@ -348,15 +359,32 @@ def eval_sigma_eps(channel: JumpChannel, coeffs, z):
     return np.where(hval == 0.0, 0.0, channel.sigma.fn(coeffs) * hval)
 
 
-def node_values(channel: JumpChannel, coeffs, cols=slice(None)):
-    """Per sign: table weights w, h and sigma(theta(z) u) at the nodes in cols.
+def node_values(channel: JumpChannel, coeffs):
+    """Per sign: table weights w, h and the gains gain(theta(z), |u|_H).
 
-    coeffs may carry leading row axes; the node axis sits before the last.
+    coeffs may carry leading row axes; the gains have shape (..., Q), so
+    sigma(theta(z) u) is gain[..., q] * sigma(u) at node q.
     """
     t = channel.table
+    r = np.linalg.norm(coeffs, axis=-1, keepdims=True)
+    shape = r.shape[:-1] + t.theta.shape[1:]
     for s in (0, 1):
-        scaled = t.theta[s, cols, None] * coeffs[..., None, :]
-        yield t.w[s, cols], t.h[s, cols], channel.sigma.fn(scaled)
+        g = channel.sigma.gain(t.theta[s], r)
+        yield t.w[s], t.h[s], np.broadcast_to(g, shape)
+
+
+def gain_moment(channel: JumpChannel, coeffs, k: int):
+    """sum_z w h^k gain(theta(z), |u|_H)^k over the table, one value per row.
+
+    With it, the nu-integral of |sigma_eps(u, z)|^k is |sigma(u)|^k times
+    this moment (and for k = 1 the integral of sigma_eps itself). The signs
+    are summed as separate partial sums in sign order, so the two halves of
+    an odd profile under an even theta cancel exactly.
+    """
+    total = 0.0
+    for w, hv, g in node_values(channel, coeffs):
+        total = total + g**k @ (w * hv**k)
+    return total
 
 
 def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
@@ -373,9 +401,7 @@ def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
             if ch.h_integral != 0.0:
                 total += ch.h_integral * ch.sigma.fn(coeffs)
             continue
-        for q0 in range(0, ch.table.z.shape[1], _BLOCK):
-            for w, hv, vals in node_values(ch, coeffs, slice(q0, q0 + _BLOCK)):
-                total += np.einsum("q,...qn->...n", w * hv, vals)
+        total += ch.sigma.fn(coeffs) * gain_moment(ch, coeffs, 1)[..., None]
     return total
 
 
@@ -392,6 +418,6 @@ def sup_jump_size(channel: JumpChannel, radius: float, z_grid: int = 4097) -> fl
         z = sgn * r
         hv = np.abs(np.asarray(channel.h.fn(z)))
         tv = np.abs(np.asarray(channel.theta.fn(z)))
-        vals = hv * np.array([channel.sigma.ball_sup(t * radius) for t in tv])
+        vals = hv * channel.sigma.ball_sup(tv * radius)
         best = max(best, float(vals.max()))
     return best

@@ -163,3 +163,70 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
         expl = _explicit_drift(basis, cfg, u, forcing)
         rec.record(cfg.n_recorded - 1, u, expl, eigs, iv2, counts)
     return rec.finish(u, sup4, blow_t)
+
+
+# ---------------------------------------------------------------------------
+# nu-integrals with sigma evaluated at every node of the channel's table
+
+def reference_node_values(channel, coeffs):
+    """Per sign: table weights w, h and sigma(theta(z) u) at every node.
+
+    coeffs may carry leading row axes; the node axis sits before the last.
+    """
+    t = channel.table
+    for s in (0, 1):
+        scaled = t.theta[s, :, None] * coeffs[..., None, :]
+        yield t.w[s], t.h[s], channel.sigma.fn(scaled)
+
+
+def reference_compensator(kernel, coeffs):
+    """Integral of sigma_eps(u, z) d(nu), channel by channel and node by node."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    total = np.zeros_like(coeffs)
+    for ch in kernel.channels:
+        for w, hv, vals in reference_node_values(ch, coeffs):
+            total += np.einsum("q,...qn->...n", w * hv, vals)
+    return total
+
+
+def reference_l2_mass(kernel, u):
+    total = 0.0
+    for ch in kernel.channels:
+        for w, hv, sig in reference_node_values(ch, u):
+            total += float((w * hv * hv) @ np.sum(sig * sig, axis=1))
+    return total
+
+
+def reference_l4_mass(kernel, u):
+    total = 0.0
+    for ch in kernel.channels:
+        for w, hv, sig in reference_node_values(ch, u):
+            n2 = np.sum(sig * sig, axis=1)
+            total += float((w * hv**4) @ (n2 * n2))
+    return total
+
+
+def reference_l2_diff(kernel, u, v):
+    total = 0.0
+    for ch in kernel.channels:
+        for (w, hv, su), (_, _, sv) in zip(reference_node_values(ch, u),
+                                           reference_node_values(ch, v)):
+            du = su - sv
+            total += float((w * hv * hv) @ np.sum(du * du, axis=1))
+    return total
+
+
+def reference_v2_mass(kernel, u, eigenvalues):
+    total = 0.0
+    for ch in kernel.channels:
+        for w, hv, sig in reference_node_values(ch, u):
+            total += float((w * hv * hv) @ ((sig * sig) @ eigenvalues))
+    return total
+
+
+def reference_qv_matrix(kernel, x):
+    total = np.zeros((x.size, x.size))
+    for ch in kernel.channels:
+        for w, hv, sig in reference_node_values(ch, x):
+            total += ((w * hv * hv)[:, None] * sig).T @ sig
+    return total

@@ -171,7 +171,7 @@ class TestQvAndGapPanel:
 
     def test_non_v_map_is_skipped_with_note(self, basis2):
         rough = FieldMap("rough", lambda u: np.asarray(u, dtype=np.float64),
-                         1.0, False, lambda r: r)
+                         1.0, False, lambda r: r, gain=lambda t, r: t)
         kernels = kernel_grid(rough, "annulus", "one", (0.1, 0.05), NU1)
         rep = check_qv_limit_v_growth(basis2, kernels)
         assert rep.notes

@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
+from oracles import (
+    reference_compensator, reference_l2_diff, reference_l2_mass,
+    reference_l4_mass, reference_qv_matrix, reference_v2_mass,
+)
 from snse.basis import SpectralField, get_basis, random_field
 from snse.errors import InadmissibleKernelError
 from snse.generators import jump_qv_matrix
-from snse.hypotheses import jump_l2_mass
+from snse.hypotheses import jump_l2_diff, jump_l2_mass, jump_l4_mass, jump_v2_mass
 from snse.kernels import (
     HKernel, build_h, build_jump_kernel, build_theta, compensator_drift,
     constant_field, diagonal_map, eval_sigma_eps, h_norm_check, make_channel,
@@ -18,6 +25,10 @@ from snse.kernels import (
 from snse.measures import alpha_stable_measure, power_law_measure
 
 NU1 = alpha_stable_measure(1.0)
+GAIN_DIM = 6
+BUILTIN_MAPS = (scaled_identity(0.7), saturating(0.5),
+                diagonal_map(np.linspace(-1.0, 2.0, GAIN_DIM)),
+                constant_field(0.5 * np.eye(GAIN_DIM)[1]), zero_map())
 
 
 class TestThetaFamilies:
@@ -134,6 +145,77 @@ class TestFieldMaps:
                     best = max(best, float(np.linalg.norm(fm.fn(d))))
                 assert best <= fm.ball_sup(radius) + 1e-9
                 assert best >= 0.95 * fm.ball_sup(radius) - 1e-9
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(fm=st.sampled_from(BUILTIN_MAPS),
+           t=st.floats(1e-3, 3.0), negative=st.booleans(),
+           direction=arrays(np.float64, GAIN_DIM, elements=st.floats(-1.0, 1.0)),
+           size=st.floats(0.0, 1e6 / math.sqrt(GAIN_DIM)))
+    def test_gain_factors_the_map(self, fm, t, negative, direction, size):
+        # fn(t u) = gain(t, |u|_H) fn(u) for both signs of t, u = 0 included
+        t = -t if negative else t
+        u = size * direction
+        np.testing.assert_allclose(
+            fm.fn(t * u), fm.gain(t, np.linalg.norm(u)) * fm.fn(u),
+            rtol=1e-14, atol=1e-300)
+
+
+def _assert_matches_oracle(value, ref):
+    # relative to the largest reference entry, tolerance fixed beforehand
+    value, ref = np.asarray(value), np.asarray(ref)
+    scale = np.max(np.abs(ref))
+    if scale == 0.0:
+        assert np.array_equal(value, ref)
+    else:
+        assert np.max(np.abs(value - ref)) <= 1e-13 * scale
+
+
+class TestGainMoments:
+    """The gain-moment nu-integrals against sigma evaluated at every node."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    @pytest.mark.parametrize("theta", ["cosine", "gaussian_dip"])
+    @pytest.mark.parametrize("family", ["annulus", "inner_linear",
+                                        "outer_linear"])
+    @pytest.mark.parametrize("map_name", ["identity", "saturating",
+                                          "diagonal", "constant"])
+    def test_matches_node_walk(self, basis2, map_name, family, theta, alpha):
+        dim = basis2.dim
+        sigma = {"identity": scaled_identity(0.7), "saturating": saturating(0.5),
+                 "diagonal": diagonal_map(np.linspace(-1.0, 2.0, dim)),
+                 "constant": constant_field(0.5 * np.eye(dim)[3])}[map_name]
+        kern = build_jump_kernel(sigma, family, theta, 0.05,
+                                 alpha_stable_measure(alpha))
+        self._check(kern, basis2, odd=family != "annulus")
+
+    def test_two_channel_kernel(self, basis2):
+        kern = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.1,
+                                 NU1, channels=2)
+        self._check(kern, basis2, odd=False)
+
+    @staticmethod
+    def _check(kern, basis, odd):
+        rng = np.random.default_rng(31)
+        rows = (rng.standard_normal((128, basis.dim))
+                * np.geomspace(0.05, 20.0, 128)[:, None] / np.sqrt(basis.dim))
+        u, v = rows[5], rows[90]
+        for x in (u, rows[:1], rows[:7], rows):
+            drift = compensator_drift(kern, x)
+            if odd:
+                # odd profile, even theta: the two signs cancel exactly
+                assert np.array_equal(drift, np.zeros_like(x))
+            else:
+                _assert_matches_oracle(drift, reference_compensator(kern, x))
+        eigs = basis.eigenvalues
+        for value, ref in (
+                (jump_l2_mass(kern, u), reference_l2_mass(kern, u)),
+                (jump_l4_mass(kern, u), reference_l4_mass(kern, u)),
+                (jump_l2_diff(kern, u, v), reference_l2_diff(kern, u, v)),
+                (jump_v2_mass(kern, u, eigs),
+                 reference_v2_mass(kern, u, eigs)),
+                (jump_qv_matrix(kern, u), reference_qv_matrix(kern, u))):
+            _assert_matches_oracle(value, ref)
 
 
 class TestChannels:
