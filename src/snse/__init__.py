@@ -5,16 +5,15 @@ __version__ = "0.1.0"
 
 from .basis import BasisSpec, SpectralField, get_basis, norms, stokes_eigenvalue
 from .config import LoadedRun, load_config
-from .errors import (BlowUpError, CertificationError, ConfigError,
-                     InadmissibleKernelError, QuadratureError)
+from .errors import (CertificationError, ConfigError, InadmissibleKernelError,
+                     QuadratureError)
 from .harness import (ExperimentConfig, ExperimentResult, persist,
                       run_arm, run_experiment)
 from .hypotheses import (certify_kernels, check_growth_lipschitz,
                          check_jump_size_decay, check_qv_limit_v_growth,
                          gap_panel, kernel_grid, martingale_diagnostic)
 from .integrate import (BrownianNoiseSpec, PathBatch, SolverConfig,
-                        simulate_brownian, simulate_brownian_batch,
-                        simulate_jump, simulate_jump_batch)
+                        simulate_brownian_batch, simulate_jump_batch)
 from .kernels import (build_h, build_jump_kernel, build_theta, constant_field,
                       h_norm_check, saturating, scaled_identity, zero_map)
 from .measures import (alpha_stable_measure, annulus_mass, custom_measure,
@@ -27,15 +26,15 @@ from .stats import compare_laws, ks_statistic, ks_threshold, summarize
 __all__ = [
     "BasisSpec", "SpectralField", "get_basis", "norms", "stokes_eigenvalue",
     "LoadedRun", "load_config",
-    "BlowUpError", "CertificationError", "ConfigError",
+    "CertificationError", "ConfigError",
     "InadmissibleKernelError", "QuadratureError",
     "ExperimentConfig", "ExperimentResult", "persist", "run_arm",
     "run_experiment",
     "certify_kernels", "check_growth_lipschitz", "check_jump_size_decay",
     "check_qv_limit_v_growth", "gap_panel", "kernel_grid",
     "martingale_diagnostic",
-    "BrownianNoiseSpec", "PathBatch", "SolverConfig", "simulate_brownian",
-    "simulate_brownian_batch", "simulate_jump", "simulate_jump_batch",
+    "BrownianNoiseSpec", "PathBatch", "SolverConfig",
+    "simulate_brownian_batch", "simulate_jump_batch",
     "build_h", "build_jump_kernel", "build_theta", "constant_field",
     "h_norm_check", "saturating", "scaled_identity", "zero_map",
     "alpha_stable_measure", "annulus_mass", "custom_measure",

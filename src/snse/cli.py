@@ -22,8 +22,7 @@ from pathlib import Path
 
 from .basis import get_basis
 from .config import load_config
-from .errors import (BlowUpError, CertificationError, ConfigError,
-                     QuadratureError)
+from .errors import CertificationError, ConfigError, QuadratureError
 from .harness import (BLOWUP_BUDGET, functional_samples, path_dump_lines,
                       persist, run_arm, run_experiment)
 from .hypotheses import certify_kernels
@@ -252,7 +251,7 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1
-    except (BlowUpError, QuadratureError) as exc:
+    except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -160,7 +160,6 @@ class LoadedRun:
     experiment: ExperimentConfig
     out_dir: str | None
     dump_paths: bool
-    jump_spec: dict
 
 
 def _read_sections(path) -> dict[str, _Section]:
@@ -240,7 +239,6 @@ def load_config(path, seed: int | None = None,
     noise = BrownianNoiseSpec((sigma,) * channels)
 
     kernels: tuple = ()
-    jump_spec: dict = {}
     if "jump" in sec:
         jmp = sec["jump"]
         if jmp.require("sigma") != sigma_spec:
@@ -256,16 +254,13 @@ def load_config(path, seed: int | None = None,
         cutoff = jmp.get("cutoff_delta", "auto")
         if cutoff != "auto":
             cutoff = float(cutoff)
-        jump_spec = {
-            "family_h": jmp.require("family_h"),
-            "family_theta": jmp.get("family_theta", "one"),
-            "epsilons": eps,
-            "measure": jmp.require("measure"),
-        }
+        family_h = jmp.require("family_h")
+        family_theta = jmp.get("family_theta", "one")
+        measure = jmp.require("measure")
         try:
             kernels = tuple(kernel_grid(
-                sigma, jump_spec["family_h"], jump_spec["family_theta"], eps,
-                parse_measure_spec(jump_spec["measure"]), channels=channels,
+                sigma, family_h, family_theta, eps,
+                parse_measure_spec(measure), channels=channels,
                 cutoff_delta=cutoff,
                 qv_budget=jmp.get_float("qv_budget", 1e-4)))
         except ValueError as exc:
@@ -290,4 +285,4 @@ def load_config(path, seed: int | None = None,
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return LoadedRun(experiment, out_dir, dump, jump_spec)
+    return LoadedRun(experiment, out_dir, dump)

@@ -28,14 +28,3 @@ class ConfigError(ValueError):
 class CertificationError(RuntimeError):
     """Raised when a kernel fails the startup hypothesis checks."""
 
-
-class BlowUpError(RuntimeError):
-    """Raised when a trajectory produces non-finite coefficients.
-
-    Attributes:
-        time: first grid time at which a non-finite value appeared.
-    """
-
-    def __init__(self, time: float, message: str = ""):
-        self.time = time
-        super().__init__(message or f"non-finite state at t={time:.6g}")

@@ -15,12 +15,12 @@ from .kernels import JumpKernel, gain_moment
 
 
 def diffusion_qv_matrix(noise: BrownianNoiseSpec, x) -> np.ndarray:
-    """sum_i sigma_i(x) outer sigma_i(x)."""
+    """sum_i sigma_i(x) outer sigma_i(x), one (dim, dim) block per row of x."""
     x = np.asarray(x, dtype=np.float64)
-    total = np.zeros((x.size, x.size))
+    total = np.zeros(x.shape + x.shape[-1:])
     for ch in noise.channels:
         s = ch.fn(x)
-        total += np.outer(s, s)
+        total += s[..., :, None] * s[..., None, :]
     return total
 
 
@@ -28,20 +28,21 @@ def jump_qv_matrix(kernel: JumpKernel, x) -> np.ndarray:
     """sum_channels integral of sigma_eps(x, z) outer sigma_eps(x, z) d(nu).
 
     Each channel contributes sigma(x) outer sigma(x) times its second gain
-    moment over the full-support node table.
+    moment over the full-support node table; one block per row of x.
     """
     x = np.asarray(x, dtype=np.float64)
-    total = np.zeros((x.size, x.size))
+    total = np.zeros(x.shape + x.shape[-1:])
     for ch in kernel.channels:
         sig = ch.sigma.fn(x)
-        total += gain_moment(ch, x, 2) * np.outer(sig, sig)
+        total += (gain_moment(ch, x, 2)[..., None, None]
+                  * (sig[..., :, None] * sig[..., None, :]))
     return total
 
 
-def generator_gap(kernel: JumpKernel, noise: BrownianNoiseSpec, x) -> float:
-    """max_{k,j} |L_jump - L_diffusion| on the quadratic observables."""
+def generator_gap(kernel: JumpKernel, noise: BrownianNoiseSpec, x):
+    """max_{k,j} |L_jump - L_diffusion| on the quadratic observables, per row."""
     diff = jump_qv_matrix(kernel, x) - diffusion_qv_matrix(noise, x)
-    return float(np.max(np.abs(diff)))
+    return np.max(np.abs(diff), axis=(-2, -1))
 
 
 def matched_noise(kernel: JumpKernel) -> BrownianNoiseSpec:

@@ -8,6 +8,11 @@ witness index attaining them, so every number is reproducible from
 panels only, never claimed for the whole space; the uniform-in-epsilon
 statements use the largest grid epsilon as their threshold.
 
+The mass helpers take (P, dim) rows of states and return one value per
+row, each bit-identical to its one-row call, so every check makes one call
+per kernel over all sampled fields. Only the Lipschitz column walks its
+(u, v) pairs: its node-wise difference would build (P, Q, dim) temporaries.
+
 Check names map onto the certified statements as follows:
   * check_growth_lipschitz: linear-growth and Lipschitz bounds of the
     drift map and the jump field, L2 and L4 in the jump mark.
@@ -26,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec
-from .generators import generator_gap, jump_qv_matrix, matched_noise
+from .generators import generator_gap, matched_noise
 from .kernels import (FieldMap, JumpKernel, build_jump_kernel, gain_moment,
-                      node_values, sup_jump_size, zero_map)
+                      node_values, row_dot, sup_jump_size, zero_map)
 from .measures import LevyMeasure
 
 
@@ -47,31 +52,32 @@ def kernel_grid(base_sigma: FieldMap, family_h: str, family_theta: str,
             for e in eps_grid]
 
 
-def jump_l2_mass(kernel: JumpKernel, u) -> float:
-    """sum_channels integral of |sigma_eps(u, z)|_H^2 d(nu)."""
+def jump_l2_mass(kernel: JumpKernel, u):
+    """sum_channels integral of |sigma_eps(u, z)|_H^2 d(nu), one value per row."""
     u = np.asarray(u, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
         sig = ch.sigma.fn(u)
-        total += float(gain_moment(ch, u, 2) * (sig @ sig))
+        total = total + gain_moment(ch, u, 2) * row_dot(sig, sig)
     return total
 
 
-def jump_l4_mass(kernel: JumpKernel, u) -> float:
-    """sum_channels integral of |sigma_eps(u, z)|_H^4 d(nu)."""
+def jump_l4_mass(kernel: JumpKernel, u):
+    """sum_channels integral of |sigma_eps(u, z)|_H^4 d(nu), one value per row."""
     u = np.asarray(u, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
         sig = ch.sigma.fn(u)
-        total += float(gain_moment(ch, u, 4) * (sig @ sig) ** 2)
+        total = total + gain_moment(ch, u, 4) * row_dot(sig, sig) ** 2
     return total
 
 
 def jump_l2_diff(kernel: JumpKernel, u, v) -> float:
     """sum_channels integral of |sigma_eps(u, z) - sigma_eps(v, z)|_H^2 d(nu).
 
-    The difference is formed node by node: expanding the square into three
-    gain moments would cancel catastrophically for nearby u and v.
+    One (u, v) pair per call. The difference is formed node by node:
+    expanding the square into three gain moments would cancel
+    catastrophically for nearby u and v.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -85,20 +91,20 @@ def jump_l2_diff(kernel: JumpKernel, u, v) -> float:
     return total
 
 
-def jump_v2_mass(kernel: JumpKernel, u, eigenvalues) -> float:
+def jump_v2_mass(kernel: JumpKernel, u, eigenvalues):
     """Same as jump_l2_mass but in the V norm."""
     u = np.asarray(u, dtype=np.float64)
     total = 0.0
     for ch in kernel.channels:
         sig = ch.sigma.fn(u)
-        total += float(gain_moment(ch, u, 2) * ((sig * sig) @ eigenvalues))
+        total = total + gain_moment(ch, u, 2) * row_dot(sig * sig, eigenvalues)
     return total
 
 
-def brownian_l2_mass(kernel: JumpKernel, u) -> float:
-    """|sigma(u)|_H^2 summed over the matched Brownian channels."""
+def brownian_l2_mass(kernel: JumpKernel, u):
+    """|sigma(u)|_H^2 summed over the matched Brownian channels, per row."""
     u = np.asarray(u, dtype=np.float64)
-    return float(sum(np.sum(ch.sigma.fn(u) ** 2) for ch in kernel.channels))
+    return sum(np.sum(ch.sigma.fn(u) ** 2, axis=-1) for ch in kernel.channels)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +179,17 @@ def _grid_epsilons(kernels) -> list[float]:
     return eps
 
 
+def _max_witness(vals) -> tuple[float, int]:
+    """Largest value and the first index attaining it; NaN never wins.
+
+    (-inf, 0) when no value exceeds -inf, as for a running maximum that
+    starts at -inf with witness 0 and takes only strict improvements.
+    """
+    vals = np.where(np.isnan(vals), -np.inf, vals)
+    i = int(np.argmax(vals))
+    return (float(vals[i]), i) if vals[i] > -np.inf else (-np.inf, 0)
+
+
 def check_growth_lipschitz(basis: BasisSpec, kernels, forcing: FieldMap | None = None,
                            n_samples: int = 40, seed: int = 101,
                            bound: float | None = None) -> HypothesisReport:
@@ -189,26 +206,19 @@ def check_growth_lipschitz(basis: BasisSpec, kernels, forcing: FieldMap | None =
     fields = random_sample_fields(basis, 2 * n_samples, seed)
     us, vs = fields[:n_samples], fields[n_samples:]
 
+    n2 = np.sum(us * us, axis=1)
+    fu = F.fn(us)
+    f2 = np.sum(fu**2, axis=1)
+    fdiff = np.sum((fu - F.fn(vs)) ** 2, axis=1)
+    duv = np.sum((us - vs) ** 2, axis=1)
     rows = []
     for e, kern in zip(eps, kernels):
-        g2w = g4w = lw = 0
-        g2 = g4 = lp = -np.inf
-        for i in range(n_samples):
-            u, v = us[i], vs[i]
-            h2 = 1.0 + float(np.sum(u * u))
-            val = (float(np.sum(F.fn(u) ** 2)) + jump_l2_mass(kern, u)) / h2
-            if val > g2:
-                g2, g2w = val, i
-            val = jump_l4_mass(kern, u) / (1.0 + float(np.sum(u * u)) ** 2)
-            if val > g4:
-                g4, g4w = val, i
-            duv = float(np.sum((u - v) ** 2))
-            val = (float(np.sum((F.fn(u) - F.fn(v)) ** 2))
-                   + jump_l2_diff(kern, u, v)) / duv
-            if val > lp:
-                lp, lw = val, i
-        for name, val, wit in (("growth_l2", g2, g2w), ("growth_l4", g4, g4w),
-                               ("lipschitz", lp, lw)):
+        l2diff = np.array([jump_l2_diff(kern, u, v) for u, v in zip(us, vs)])
+        for name, vals in (
+                ("growth_l2", (f2 + jump_l2_mass(kern, us)) / (1.0 + n2)),
+                ("growth_l4", jump_l4_mass(kern, us) / (1.0 + n2**2)),
+                ("lipschitz", (fdiff + l2diff) / duv)):
+            val, wit = _max_witness(vals)
             ok = np.isfinite(val) and (bound is None or val <= bound)
             rows.append(CheckRow(name, e, val, wit, bool(ok)))
     return HypothesisReport("growth_lipschitz", rows,
@@ -253,24 +263,17 @@ def check_qv_limit_v_growth(basis: BasisSpec, kernels, n_samples: int = 40,
     eigs = basis.eigenvalues
     maps_v = all(ch.sigma.maps_v for k in kernels for ch in k.channels)
 
+    h2 = 1.0 + np.sum(fields * fields, axis=1)
+    v2 = 1.0 + row_dot(fields * fields, eigs)
     rows = []
     gaps = []
     for e, kern in zip(eps, kernels):
-        gap, gw = -np.inf, 0
-        vg, vw = -np.inf, 0
-        for i, u in enumerate(fields):
-            val = abs(jump_l2_mass(kern, u) - brownian_l2_mass(kern, u)) \
-                / (1.0 + float(np.sum(u * u)))
-            if val > gap:
-                gap, gw = val, i
-            if maps_v:
-                v2 = 1.0 + float((u * u) @ eigs)
-                val = jump_v2_mass(kern, u, eigs) / v2
-                if val > vg:
-                    vg, vw = val, i
+        gap, gw = _max_witness(np.abs(jump_l2_mass(kern, fields)
+                                      - brownian_l2_mass(kern, fields)) / h2)
         gaps.append(gap)
         rows.append(CheckRow("qv_gap", e, gap, gw, True))
         if maps_v:
+            vg, vw = _max_witness(jump_v2_mass(kern, fields, eigs) / v2)
             rows.append(CheckRow("v_growth", e, vg, vw, bool(np.isfinite(vg))))
 
     trend_ok = all(b <= a * trend_slack + 1e-9 for a, b in zip(gaps, gaps[1:]))
@@ -309,11 +312,8 @@ def gap_panel(basis: BasisSpec, kernels, panel: np.ndarray | None = None,
     eps = _grid_epsilons(kernels)
     if panel is None:
         panel = sample_panel(basis)
-    gaps = np.empty((len(kernels), panel.shape[0]))
-    for a, kern in enumerate(kernels):
-        noise = matched_noise(kern)
-        for b, x in enumerate(panel):
-            gaps[a, b] = generator_gap(kern, noise, x)
+    gaps = np.stack([generator_gap(kern, matched_noise(kern), panel)
+                     for kern in kernels])
     panel_max = gaps.max(axis=1)
     monotone = all(nxt < cur or max(cur, nxt) <= floor
                    for cur, nxt in zip(panel_max, panel_max[1:]))

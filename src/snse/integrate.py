@@ -18,8 +18,7 @@ Per-path randomness contract (pinned by tests, do not reorder):
 
 Trajectories are never clamped.  Once a path leaves the configured norm
 ball it is marked blown up, its state traces turn NaN from that record on,
-and the rest of the batch keeps going; the scalar entry points raise
-BlowUpError instead.
+and the rest of the batch keeps going.  A single path is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import BlowUpError
-from .kernels import FieldMap, JumpKernel, compensator_drift, eval_sigma_eps
+from .kernels import (FieldMap, JumpKernel, compensator_drift, eval_sigma_eps,
+                      row_dot)
 from .nonlinear import nonlinear_term_batch
 from .sampling import sample_prm
 
@@ -108,28 +107,6 @@ class PathBatch:
 
     def valid_mask(self) -> np.ndarray:
         return np.isnan(self.blowup_time)
-
-
-@dataclass
-class PathSample:
-    """Single-path view with the same field meanings as PathBatch."""
-
-    times: np.ndarray
-    norm_h2: np.ndarray
-    norm_v2: np.ndarray
-    int_v2: np.ndarray
-    mode_traces: np.ndarray
-    drift_traces: np.ndarray
-    jump_counts: np.ndarray
-    sup_h4: float
-    terminal: np.ndarray
-
-    @classmethod
-    def from_batch(cls, batch: PathBatch, p: int) -> "PathSample":
-        return cls(batch.times, batch.norm_h2[p], batch.norm_v2[p],
-                   batch.int_v2[p], batch.mode_traces[p],
-                   batch.drift_traces[p], batch.jump_counts[p],
-                   float(batch.sup_h4[p]), batch.terminal[p])
 
 
 def _tile_initial(u0, n_paths: int, dim: int) -> np.ndarray:
@@ -264,16 +241,6 @@ def simulate_brownian_batch(basis: BasisSpec, cfg: SolverConfig, u0,
     return _integrate(basis, cfg, u, forcing, advance)
 
 
-def _row_dot(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """w @ v row by row, each row bit-identical to its one-row product.
-
-    A (P, dim) @ (dim,) product goes through gemv, whose sums differ in the
-    last bits from the dot product of a single row; a stack of vector
-    products takes the dot route for every row.
-    """
-    return np.matmul(w[:, None, :], v)[:, 0]
-
-
 def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
                         streams, kernel: JumpKernel,
                         forcing: FieldMap | None = None) -> PathBatch:
@@ -325,7 +292,7 @@ def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
             if go.any():
                 a, d = at[go], delta[go, None]
                 v = u_cur[a]
-                piece[a] += d[:, 0] * _row_dot(v * v, eigs)
+                piece[a] += d[:, 0] * row_dot(v * v, eigs)
                 v = np.exp(-eigs * d) * (v + d * drift[a])
                 u_cur[a] = v
                 sup2[a] = np.fmax(sup2[a], np.sum(v * v, axis=1))
@@ -341,7 +308,7 @@ def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
             drift[at] = (_explicit_drift(basis, cfg, v, forcing)
                          - compensator_drift(kernel, v))
         delta = (n * cfg.dt + cfg.dt) - t
-        piece += delta * _row_dot(u_cur * u_cur, eigs)
+        piece += delta * row_dot(u_cur * u_cur, eigs)
         u_new[rows] = np.exp(-eigs * delta[:, None]) * (u_cur
                                                         + delta[:, None] * drift)
         iv2_step[rows] = piece
@@ -351,29 +318,6 @@ def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
                 np.bincount(path[here], minlength=n_paths))
 
     return _integrate(basis, cfg, u, forcing, advance)
-
-
-def _single(batch: PathBatch) -> PathSample:
-    t = float(batch.blowup_time[0])
-    if np.isfinite(t):
-        raise BlowUpError(t)
-    return PathSample.from_batch(batch, 0)
-
-
-def simulate_brownian(basis: BasisSpec, cfg: SolverConfig, u0, stream,
-                      noise: BrownianNoiseSpec | None = None,
-                      forcing: FieldMap | None = None) -> PathSample:
-    """Single-path Brownian run; raises BlowUpError instead of masking."""
-    return _single(simulate_brownian_batch(basis, cfg, u0, [stream], noise,
-                                           forcing))
-
-
-def simulate_jump(basis: BasisSpec, cfg: SolverConfig, u0, stream,
-                  kernel: JumpKernel,
-                  forcing: FieldMap | None = None) -> PathSample:
-    """Single-path jump run; raises BlowUpError instead of masking."""
-    return _single(simulate_jump_batch(basis, cfg, u0, [stream], kernel,
-                                       forcing))
 
 
 def exit_time_index(batch: PathBatch, level: float) -> np.ndarray:

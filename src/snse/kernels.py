@@ -359,6 +359,16 @@ def eval_sigma_eps(channel: JumpChannel, coeffs, z):
     return np.where(hval == 0.0, 0.0, channel.sigma.fn(coeffs) * hval)
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b row by row over the last axis, b a vector or rows like a.
+
+    Each row is bit-identical to its one-row product: a (P, n) @ (n,) gemv
+    sums in a different order, while a stack of vector products takes the
+    dot route for every row.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def node_values(channel: JumpChannel, coeffs):
     """Per sign: table weights w, h and the gains gain(theta(z), |u|_H).
 
@@ -383,7 +393,7 @@ def gain_moment(channel: JumpChannel, coeffs, k: int):
     """
     total = 0.0
     for w, hv, g in node_values(channel, coeffs):
-        total = total + g**k @ (w * hv**k)
+        total = total + row_dot(g**k, w * hv**k)
     return total
 
 

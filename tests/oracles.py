@@ -230,3 +230,84 @@ def reference_qv_matrix(kernel, x):
         for w, hv, sig in reference_node_values(ch, x):
             total += ((w * hv * hv)[:, None] * sig).T @ sig
     return total
+
+
+# ---------------------------------------------------------------------------
+# certification checks, one sampled field at a time
+
+def reference_max_witness(vals):
+    """Running maximum from -inf with witness 0, strict improvements only."""
+    best, wit = -np.inf, 0
+    for i, val in enumerate(vals):
+        if val > best:
+            best, wit = val, i
+    return best, wit
+
+
+def reference_growth_lipschitz(basis, kernels, forcing=None, n_samples=40,
+                               seed=101, bound=None):
+    """(check, epsilon, value, witness, passed) rows of check_growth_lipschitz.
+
+    Every ratio is formed from one-row helper calls, field by field.
+    """
+    from snse.hypotheses import (jump_l2_diff, jump_l2_mass, jump_l4_mass,
+                                 random_sample_fields)
+    from snse.kernels import zero_map
+
+    F = forcing if forcing is not None else zero_map()
+    fields = random_sample_fields(basis, 2 * n_samples, seed)
+    us, vs = fields[:n_samples], fields[n_samples:]
+    rows = []
+    for kern in kernels:
+        g2, g4, lp = [], [], []
+        for u, v in zip(us, vs):
+            n2 = float(np.sum(u * u))
+            g2.append((float(np.sum(F.fn(u) ** 2))
+                       + float(jump_l2_mass(kern, u))) / (1.0 + n2))
+            g4.append(float(jump_l4_mass(kern, u)) / (1.0 + n2 ** 2))
+            lp.append((float(np.sum((F.fn(u) - F.fn(v)) ** 2))
+                       + jump_l2_diff(kern, u, v))
+                      / float(np.sum((u - v) ** 2)))
+        for name, vals in (("growth_l2", g2), ("growth_l4", g4),
+                           ("lipschitz", lp)):
+            val, wit = reference_max_witness(vals)
+            ok = np.isfinite(val) and (bound is None or val <= bound)
+            rows.append((name, kern.epsilon, val, wit, bool(ok)))
+    return rows
+
+
+def reference_qv_limit_v_growth(basis, kernels, n_samples=40, seed=202,
+                                qv_tol=0.05, trend_slack=1.05):
+    """(check, epsilon, value, witness, passed) rows of check_qv_limit_v_growth.
+
+    The matched Brownian mass is summed here with np.sum, independently of
+    the package's helper.
+    """
+    from snse.hypotheses import jump_l2_mass, jump_v2_mass, random_sample_fields
+
+    fields = random_sample_fields(basis, n_samples, seed)
+    eigs = basis.eigenvalues
+    maps_v = all(ch.sigma.maps_v for k in kernels for ch in k.channels)
+    rows, gaps = [], []
+    for kern in kernels:
+        qv, vg = [], []
+        for u in fields:
+            bm = float(sum(np.sum(ch.sigma.fn(u) ** 2)
+                           for ch in kern.channels))
+            qv.append(abs(float(jump_l2_mass(kern, u)) - bm)
+                      / (1.0 + float(np.sum(u * u))))
+            if maps_v:
+                vg.append(float(jump_v2_mass(kern, u, eigs))
+                          / (1.0 + float((u * u) @ eigs)))
+        gap, gw = reference_max_witness(qv)
+        gaps.append(gap)
+        rows.append(["qv_gap", kern.epsilon, gap, gw, True])
+        if maps_v:
+            val, wit = reference_max_witness(vg)
+            rows.append(["v_growth", kern.epsilon, val, wit,
+                         bool(np.isfinite(val))])
+    trend_ok = all(b <= a * trend_slack + 1e-9 for a, b in zip(gaps, gaps[1:]))
+    for r in rows:
+        if r[0] == "qv_gap":
+            r[4] = bool(trend_ok and gaps[-1] <= qv_tol)
+    return [tuple(r) for r in rows]

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 from pathlib import Path
 from textwrap import dedent
@@ -9,6 +10,8 @@ from snse.cli import main
 from snse.config import (load_config, parse_coeff_list, parse_map_spec,
                          parse_measure_spec)
 from snse.errors import ConfigError
+from snse.harness import run_arm
+from snse.integrate import SolverConfig
 
 MINIMAL = """\
 [basis]
@@ -99,7 +102,7 @@ class TestLoader:
         cfg = run.experiment
         assert cfg.epsilons == (0.2, 0.1)
         assert cfg.kernels[0].channels[0].sigma.name == "constant:0.5@0"
-        assert run.jump_spec["family_h"] == "annulus"
+        assert cfg.kernels[0].channels[0].h.family == "annulus"
 
     def test_overrides(self, tmp_path):
         path = _write(tmp_path, MINIMAL)
@@ -332,6 +335,22 @@ class TestShippedConfigs:
         for name in ("ou_linear", "desk_convergence"):
             run = load_config(EXAMPLES / f"{name}.cfg")
             assert run.experiment.kernels
+
+    def test_desk_state_leaves_initial_span(self):
+        # B(u0) != 0 must carry both arms off the ray through u0; a state
+        # with B(u0) = 0 and noise parallel to u keeps the share at 1e-16
+        cfg = load_config(EXAMPLES / "desk_convergence.cfg").experiment
+        short = dataclasses.replace(
+            cfg, n_paths=100,
+            solver=SolverConfig(t_end=0.1, dt=cfg.solver.dt,
+                                record_stride=cfg.solver.record_stride))
+        assert cfg.epsilons[2] == 0.05
+        unit = cfg.initial / np.linalg.norm(cfg.initial)
+        for arm, j in (("brownian", 0), ("jump", 2)):
+            u = run_arm(short, arm, j).terminal
+            off = u - np.outer(u @ unit, unit)
+            share = np.linalg.norm(off, axis=1) / np.linalg.norm(u, axis=1)
+            assert share.min() >= 1e-3, (arm, share.min())
 
     def test_console_script_installed(self):
         proc = subprocess.run(["snse", "tensor-dump", "--nmax", "1"],

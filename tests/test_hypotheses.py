@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from snse.basis import random_field
-from snse.hypotheses import (certify_kernels, check_growth_lipschitz,
+from snse.basis import get_basis, random_field
+from snse.hypotheses import (_max_witness, certify_kernels,
+                             check_growth_lipschitz,
                              check_jump_size_decay, check_qv_limit_v_growth,
                              gap_panel, jump_l2_diff, jump_l2_mass,
                              jump_l4_mass, jump_v2_mass, kernel_grid,
@@ -17,6 +18,9 @@ from snse.kernels import (FieldMap, build_jump_kernel, constant_field,
                           saturating, scaled_identity, sup_jump_size)
 from snse.measures import alpha_stable_measure, power_law_measure
 from snse.sampling import derive_stream
+
+from oracles import (reference_growth_lipschitz, reference_max_witness,
+                     reference_qv_limit_v_growth)
 
 NU1 = alpha_stable_measure(1.0)
 GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
@@ -95,6 +99,46 @@ class TestGrowthLipschitz:
         u = fields[row.witness]
         val = jump_l2_mass(kernels[0], u) / (1.0 + float(np.sum(u * u)))
         assert val == row.value
+
+
+class TestBatchedChecks:
+    """The array checks against the per-field loops of tests/oracles.py."""
+
+    @pytest.mark.parametrize("vals", [
+        [1.0, 3.0, 3.0, 2.0],
+        [np.nan, 2.0, np.nan, 2.0],
+        [np.nan, np.nan, np.nan],
+        [-np.inf, -np.inf],
+        [-np.inf, np.nan, -1.0],
+        [1.0, np.inf, 2.0, np.inf],
+        [np.nan, -np.inf, np.inf],
+        [0.5],
+    ])
+    def test_max_witness_matches_running_max(self, vals):
+        got = _max_witness(np.array(vals))
+        want = reference_max_witness(vals)
+        assert got == want and type(got[0]) is float
+
+    @pytest.mark.parametrize("n_max", [2, 4])
+    @pytest.mark.parametrize("grid", ["family_i", "cosine_forced", "tail"])
+    def test_rows_match_per_field_oracle(self, grid, n_max):
+        basis = get_basis(n_max)
+        sigma, family, theta, forcing = {
+            "family_i": (saturating(0.5), "annulus", "one", None),
+            "cosine_forced": (saturating(0.5), "inner_linear", "cosine",
+                              saturating(0.8)),
+            "tail": (scaled_identity(1.0), "outer_linear", "one", None),
+        }[grid]
+        kernels = kernel_grid(sigma, family, theta, GRID, NU1)
+
+        def rows(rep):
+            return [(r.check, r.epsilon, r.value, r.witness, r.passed)
+                    for r in rep.rows]
+
+        assert (rows(check_growth_lipschitz(basis, kernels, forcing))
+                == reference_growth_lipschitz(basis, kernels, forcing))
+        assert (rows(check_qv_limit_v_growth(basis, kernels))
+                == reference_qv_limit_v_growth(basis, kernels))
 
 
 class TestJumpSizeDecay:

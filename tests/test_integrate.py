@@ -5,10 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from snse.basis import get_basis, random_field
-from snse.errors import BlowUpError
 from snse.integrate import (BrownianNoiseSpec, SolverConfig, exit_time_index,
-                            simulate_brownian, simulate_brownian_batch,
-                            simulate_jump, simulate_jump_batch)
+                            simulate_brownian_batch, simulate_jump_batch)
 from snse.kernels import (build_jump_kernel, constant_field, saturating,
                           scaled_identity)
 from snse.measures import alpha_stable_measure
@@ -59,11 +57,11 @@ class TestDeterministicDrift:
         # one mode, no noise: exact semigroup decay, B vanishes on it
         cfg = SolverConfig(t_end=1.0, dt=1e-3, record_stride=100)
         u0 = unit_vector(basis2, 0, amp=0.7)
-        path = simulate_brownian(basis2, cfg, u0, diag_stream())
-        assert abs(path.terminal[0] - 0.7 * np.exp(-1.0)) < 1e-12
-        assert np.linalg.norm(path.terminal[1:]) < 1e-12
+        path = simulate_brownian_batch(basis2, cfg, u0, [diag_stream()])
+        assert abs(path.terminal[0, 0] - 0.7 * np.exp(-1.0)) < 1e-12
+        assert np.linalg.norm(path.terminal[0, 1:]) < 1e-12
         expect = 0.49 * np.exp(-2.0 * path.times)
-        assert np.allclose(path.norm_h2, expect, rtol=1e-9)
+        assert np.allclose(path.norm_h2[0], expect, rtol=1e-9)
 
     def test_matches_ode_solver(self, basis2):
         # full drift with nonlinearity and forcing vs a high-accuracy ODE run
@@ -71,7 +69,8 @@ class TestDeterministicDrift:
         u0 = random_field(basis2, rng, norm_h=0.5).coeffs
         force = saturating(0.8)
         cfg = SolverConfig(t_end=0.5, dt=2e-4, record_stride=2500)
-        path = simulate_brownian(basis2, cfg, u0, diag_stream(), forcing=force)
+        path = simulate_brownian_batch(basis2, cfg, u0, [diag_stream()],
+                                       forcing=force)
 
         eigs = basis2.eigenvalues
 
@@ -82,19 +81,19 @@ class TestDeterministicDrift:
         sol = solve_ivp(rhs, (0.0, 0.5), u0, rtol=1e-11, atol=1e-12,
                         method="RK45")
         ref = sol.y[:, -1]
-        rel = np.linalg.norm(path.terminal - ref) / np.linalg.norm(ref)
+        rel = np.linalg.norm(path.terminal[0] - ref) / np.linalg.norm(ref)
         assert rel < 2e-3
 
     def test_sup_and_integral_traces(self, basis2):
         # pure decay keeps the sup at t=0 and gives a closed-form left sum
         cfg = SolverConfig(t_end=1.0, dt=1e-3, include_nonlinearity=False)
         u0 = unit_vector(basis2, 0, amp=2.0)
-        path = simulate_brownian(basis2, cfg, u0, diag_stream())
-        assert path.sup_h4 == 16.0
+        path = simulate_brownian_batch(basis2, cfg, u0, [diag_stream()])
+        assert path.sup_h4[0] == 16.0
         dt = cfg.dt
         discrete = 4.0 * dt * (1 - np.exp(-2.0)) / (1 - np.exp(-2 * dt))
-        assert abs(path.int_v2[-1] - discrete) < 1e-10
-        assert abs(path.int_v2[-1] - 2.0 * (1 - np.exp(-2.0))) < 5e-3
+        assert abs(path.int_v2[0, -1] - discrete) < 1e-10
+        assert abs(path.int_v2[0, -1] - 2.0 * (1 - np.exp(-2.0))) < 5e-3
 
     def test_tracked_mode_drift(self, basis2):
         rng = np.random.default_rng(17)
@@ -165,12 +164,12 @@ class TestBrownian:
         streams = lambda: [derive_stream(9, "brownian", 0, p) for p in range(6)]
         batch = simulate_brownian_batch(basis2, cfg, u0, streams(), noise=noise)
         for p in range(6):
-            one = simulate_brownian(basis2, cfg, u0,
-                                    derive_stream(9, "brownian", 0, p),
-                                    noise=noise)
-            assert np.allclose(batch.terminal[p], one.terminal,
+            one = simulate_brownian_batch(basis2, cfg, u0,
+                                          [derive_stream(9, "brownian", 0, p)],
+                                          noise=noise)
+            assert np.allclose(batch.terminal[p], one.terminal[0],
                                rtol=1e-10, atol=1e-14)
-            assert np.allclose(batch.norm_h2[p], one.norm_h2,
+            assert np.allclose(batch.norm_h2[p], one.norm_h2[0],
                                rtol=1e-10, atol=1e-14)
         again = simulate_brownian_batch(basis2, cfg, u0, streams(), noise=noise)
         assert np.array_equal(batch.terminal, again.terminal)
@@ -179,9 +178,9 @@ class TestBrownian:
     def test_no_noise_channels_is_deterministic(self, basis2):
         u0 = unit_vector(basis2, 2, amp=0.5)
         cfg = SolverConfig(t_end=0.1, dt=1e-3)
-        a = simulate_brownian(basis2, cfg, u0, diag_stream(),
-                              noise=BrownianNoiseSpec(()))
-        b = simulate_brownian(basis2, cfg, u0, diag_stream(1))
+        a = simulate_brownian_batch(basis2, cfg, u0, [diag_stream()],
+                                    noise=BrownianNoiseSpec(()))
+        b = simulate_brownian_batch(basis2, cfg, u0, [diag_stream(1)])
         assert np.array_equal(a.terminal, b.terminal)
 
 
@@ -195,8 +194,8 @@ class TestJump:
         u0 = random_field(basis2, rng, norm_h=0.8).coeffs
         t_end = 0.5
         cfg = SolverConfig(t_end=t_end, dt=5e-4, include_nonlinearity=False)
-        path = simulate_jump(basis2, cfg, u0,
-                             derive_stream(11, "jump", 0, 2), kernel)
+        path = simulate_jump_batch(basis2, cfg, u0,
+                                   [derive_stream(11, "jump", 0, 2)], kernel)
 
         atoms = sample_prm(kernel, t_end, derive_stream(11, "jump", 0, 2))
         eigs = basis2.eigenvalues
@@ -219,9 +218,9 @@ class TestJump:
             t = time
         u = advance(u, t_end - t)
 
-        rel = np.linalg.norm(path.terminal - u) / np.linalg.norm(u)
+        rel = np.linalg.norm(path.terminal[0] - u) / np.linalg.norm(u)
         assert rel < 5e-3
-        assert path.jump_counts[-1] == len(atoms)
+        assert path.jump_counts[0, -1] == len(atoms)
 
     def test_mean_decay_constant_sigma(self, basis2):
         # compensation makes the mode mean follow the semigroup
@@ -250,11 +249,11 @@ class TestJump:
         streams = lambda: [derive_stream(5, "jump", 0, p) for p in range(5)]
         batch = simulate_jump_batch(basis2, cfg, u0, streams(), kernel)
         for p in range(5):
-            one = simulate_jump(basis2, cfg, u0,
-                                derive_stream(5, "jump", 0, p), kernel)
-            assert np.allclose(batch.terminal[p], one.terminal,
+            one = simulate_jump_batch(basis2, cfg, u0,
+                                      [derive_stream(5, "jump", 0, p)], kernel)
+            assert np.allclose(batch.terminal[p], one.terminal[0],
                                rtol=1e-10, atol=1e-14)
-            assert np.array_equal(batch.jump_counts[p], one.jump_counts)
+            assert np.array_equal(batch.jump_counts[p], one.jump_counts[0])
             n_events = len(sample_prm(kernel, 0.3,
                                       derive_stream(5, "jump", 0, p)))
             assert batch.jump_counts[p, -1] == n_events
@@ -324,15 +323,6 @@ class TestJumpOracle:
 
 
 class TestBlowUpAndExit:
-    def test_scalar_raises(self, basis2):
-        cfg = SolverConfig(t_end=3.0, dt=1e-3, record_stride=100,
-                           include_nonlinearity=False, blowup_norm=1e3)
-        u0 = unit_vector(basis2, 0, amp=1.0)
-        with pytest.raises(BlowUpError) as exc:
-            simulate_brownian(basis2, cfg, u0, diag_stream(),
-                              forcing=scaled_identity(6.0))
-        assert 1.2 < exc.value.time < 1.6
-
     def test_batch_masks_blown_path(self, basis2):
         cfg = SolverConfig(t_end=3.0, dt=1e-3, record_stride=100,
                            include_nonlinearity=False, blowup_norm=1e3)

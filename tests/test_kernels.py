@@ -15,12 +15,13 @@ from oracles import (
 )
 from snse.basis import SpectralField, get_basis, random_field
 from snse.errors import InadmissibleKernelError
-from snse.generators import jump_qv_matrix
-from snse.hypotheses import jump_l2_diff, jump_l2_mass, jump_l4_mass, jump_v2_mass
+from snse.generators import generator_gap, jump_qv_matrix, matched_noise
+from snse.hypotheses import (brownian_l2_mass, jump_l2_diff, jump_l2_mass,
+                             jump_l4_mass, jump_v2_mass)
 from snse.kernels import (
     HKernel, build_h, build_jump_kernel, build_theta, compensator_drift,
     constant_field, diagonal_map, eval_sigma_eps, h_norm_check, make_channel,
-    saturating, scaled_identity, sup_jump_size, zero_map,
+    row_dot, saturating, scaled_identity, sup_jump_size, zero_map,
 )
 from snse.measures import alpha_stable_measure, power_law_measure
 
@@ -216,6 +217,52 @@ class TestGainMoments:
                  reference_v2_mass(kern, u, eigs)),
                 (jump_qv_matrix(kern, u), reference_qv_matrix(kern, u))):
             _assert_matches_oracle(value, ref)
+
+
+class TestRowStability:
+    """Row-wise helpers give every row the bits of its one-row call."""
+
+    @pytest.mark.parametrize("n_rows", [1, 7, 128])
+    def test_row_dot_matches_one_row_products(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        a = rng.standard_normal((n_rows, 37)) * np.geomspace(1e-3, 1e3, 37)
+        vec = rng.standard_normal(37)
+        rows = rng.standard_normal((n_rows, 37))
+        assert np.array_equal(row_dot(a, vec),
+                              np.array([x @ vec for x in a]))
+        assert np.array_equal(row_dot(a, rows),
+                              np.array([x @ y for x, y in zip(a, rows)]))
+        one = row_dot(a[0], vec)
+        assert one.shape == () and one == a[0] @ vec
+
+    @pytest.mark.parametrize("theta", ["one", "cosine"])
+    @pytest.mark.parametrize("family", ["annulus", "inner_linear"])
+    @pytest.mark.parametrize("sigma", [scaled_identity(0.7), saturating(0.5)],
+                             ids=["identity", "saturating"])
+    def test_stack_equals_row_calls(self, basis2, sigma, family, theta):
+        kern = build_jump_kernel(sigma, family, theta, 0.05, NU1)
+        noise = matched_noise(kern)
+        eigs = basis2.eigenvalues
+        rng = np.random.default_rng(7)
+        rows = (rng.standard_normal((40, basis2.dim))
+                * np.geomspace(0.05, 20.0, 40)[:, None])
+        for fn in (lambda x: jump_l2_mass(kern, x),
+                   lambda x: jump_l4_mass(kern, x),
+                   lambda x: jump_v2_mass(kern, x, eigs),
+                   lambda x: brownian_l2_mass(kern, x),
+                   lambda x: jump_qv_matrix(kern, x),
+                   lambda x: generator_gap(kern, noise, x)):
+            assert np.array_equal(fn(rows), np.stack([fn(x) for x in rows]))
+
+    def test_compensator_independent_of_batch_size(self, basis2):
+        kern = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
+                                 NU1)
+        rng = np.random.default_rng(9)
+        rows = (rng.standard_normal((128, basis2.dim))
+                * np.geomspace(0.05, 20.0, 128)[:, None])
+        assert np.array_equal(compensator_drift(kern, rows),
+                              np.stack([compensator_drift(kern, x)
+                                        for x in rows]))
 
 
 class TestChannels:
