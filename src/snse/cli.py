@@ -37,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="run configuration file")
     common.add_argument("--seed", type=int, help="override the run seed")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads (never changes results)")
     common.add_argument("--force", action="store_true",
                         help="proceed despite failed certification; "
                              "allow overwriting previous output")
@@ -129,11 +127,11 @@ def cmd_simulate(args) -> int:
         if not cfg.kernels:
             raise ConfigError("simulate --arm jump needs a [jump] section")
         idx = len(cfg.kernels) - 1
-        batch = run_arm(cfg, "jump", idx, threads=args.threads)
+        batch = run_arm(cfg, "jump", idx)
         label, dump_name = (f"jump eps={cfg.epsilons[idx]:g}",
                             f"paths_eps{cfg.epsilons[idx]:g}.csv")
     else:
-        batch = run_arm(cfg, "brownian", 0, threads=args.threads)
+        batch = run_arm(cfg, "brownian", 0)
         label, dump_name = "bm", "paths_bm.csv"
 
     frac = 1.0 - batch.valid_mask().mean()
@@ -166,7 +164,7 @@ def cmd_converge(args) -> int:
     cfg = run.experiment
     if not cfg.kernels:
         raise ConfigError("converge needs a [jump] section")
-    result = run_experiment(cfg, force=args.force, threads=args.threads)
+    result = run_experiment(cfg, force=args.force)
 
     if result.forced:
         print("UNCERTIFIED: kernel checks failed, proceeding under --force")

@@ -218,6 +218,7 @@ def zero_map() -> FieldMap:
 
 _PANELS = 24
 _GL_ORDER = 10
+_SUP_GRID = 4097   # marks per sign in the sup_jump_size grid
 
 
 @dataclass(frozen=True)
@@ -415,14 +416,14 @@ def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
     return total
 
 
-def sup_jump_size(channel: JumpChannel, radius: float, z_grid: int = 4097) -> float:
+def sup_jump_size(channel: JumpChannel, radius: float) -> float:
     """sup over marks and over the H ball of radius M of |sigma_eps(u, z)|_H.
 
     Exact in the state (via ball_sup), gridded in the mark. The grid includes
     the support endpoints, where the built-in profiles attain their sup.
     """
     lo, hi = channel.h.support
-    r = np.linspace(max(lo, 1e-12 * hi), hi, z_grid)
+    r = np.linspace(max(lo, 1e-12 * hi), hi, _SUP_GRID)
     best = 0.0
     for sgn in (1.0, -1.0):
         z = sgn * r

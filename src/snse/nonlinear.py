@@ -21,6 +21,9 @@ import numpy as np
 
 from .basis import BasisSpec, SpectralField, TWO_PI
 
+_TENSOR_TOL = 1e-12   # coupling entries at or below this are dropped as zero
+_B_BATCH = 2000       # random triples per verify_b_estimates batch
+
 
 def _synth(basis: BasisSpec, coeffs: np.ndarray) -> np.ndarray:
     """Grid values for a coefficient array (..., dim) -> (..., M, M, 2)."""
@@ -89,7 +92,7 @@ class CouplingTensor:
             yield int(a), int(b), int(c), float(v)
 
 
-def coupling_tensor(basis: BasisSpec, tol: float = 1e-12) -> CouplingTensor:
+def coupling_tensor(basis: BasisSpec) -> CouplingTensor:
     """All nonzero entries b(e_i, e_j, e_l), computed mode pair by mode pair.
 
     Cost grows like dim^3; callers guard n_max (the CLI caps dumps at 8).
@@ -105,7 +108,7 @@ def coupling_tensor(basis: BasisSpec, tol: float = 1e-12) -> CouplingTensor:
         g1 = basis.deriv_factor[1, pj] * vals_grid[pj]
         adv = vals_grid[..., 0:1] * g0[None] + vals_grid[..., 1:2] * g1[None]
         tj = adv.reshape(basis.dim, -1) @ smat.T / m2  # (i, l)
-        ii, ll = np.nonzero(np.abs(tj) > tol)
+        ii, ll = np.nonzero(np.abs(tj) > _TENSOR_TOL)
         out_i.append(ii)
         out_j.append(np.full(ii.shape, j, dtype=np.int64))
         out_l.append(ll)
@@ -128,7 +131,7 @@ class BEstimateReport:
 
 
 def verify_b_estimates(basis: BasisSpec, n_samples: int = 1000,
-                       seed: int = 0, batch: int = 2000) -> BEstimateReport:
+                       seed: int = 0) -> BEstimateReport:
     """Max ratio of b against its two interpolation bounds on random triples.
 
     The first bound carries the explicit constant 2 and the report's ratio is
@@ -141,7 +144,7 @@ def verify_b_estimates(basis: BasisSpec, n_samples: int = 1000,
     dom_max = 0.0
     done = 0
     while done < n_samples:
-        n = min(batch, n_samples - done)
+        n = min(_B_BATCH, n_samples - done)
         decays = rng.uniform(0.5, 1.5, size=(3, n))
         cu, cv, cw = (rng.standard_normal((n, basis.dim))
                       * lam[None, :] ** (-decays[a][:, None]) for a in range(3))

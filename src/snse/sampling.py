@@ -1,8 +1,8 @@
 """Poisson random measure sampling and reproducible stream derivation.
 
 Every path owns a counter-based generator keyed by (seed, arm, eps-index,
-path-index), so trajectories are bit-for-bit reproducible no matter how paths
-are grouped into batches or threads.
+path-index), so a path's random draws do not depend on how paths are grouped
+into batches.
 
 Event draw order per channel is fixed and documented: count, then times, then
 magnitudes, then signs. Changing it would silently change every jump-arm
@@ -22,6 +22,7 @@ from .measures import power_magnitude_ppf
 ARM_CODES = {"brownian": 1, "jump": 2, "diagnostic": 3}
 
 _MASK64 = (1 << 64) - 1
+_ENVELOPE_CELLS = 64   # rejection-envelope cells over the sampled range
 
 
 def stream_key(seed: int, arm: str, eps_index: int, path_index: int) -> int:
@@ -57,8 +58,8 @@ def _sample_magnitudes(ch: JumpChannel, n: int, rng: np.random.Generator) -> np.
     return _rejection_magnitudes(ch, n, rng)
 
 
-def _rejection_magnitudes(ch: JumpChannel, n: int, rng: np.random.Generator,
-                          cells: int = 64) -> np.ndarray:
+def _rejection_magnitudes(ch: JumpChannel, n: int,
+                          rng: np.random.Generator) -> np.ndarray:
     """Piecewise-constant-envelope rejection sampler for custom densities.
 
     The envelope is the per-cell max of the density on a refinement grid,
@@ -66,6 +67,7 @@ def _rejection_magnitudes(ch: JumpChannel, n: int, rng: np.random.Generator,
     package targets, not for wildly oscillatory ones.
     """
     lo, hi = ch.sample_range
+    cells = _ENVELOPE_CELLS
     edges = np.geomspace(lo, hi, cells + 1) if lo > 0 else np.linspace(lo, hi, cells + 1)
     dens = ch.measure.density
 

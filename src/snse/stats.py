@@ -52,8 +52,8 @@ class LawComparison:
     ks_pass: bool
 
 
-def compare_laws(samples_a, samples_b, alpha: float = 0.01) -> LawComparison:
-    """Mean gap with its joint standard error, plus the KS verdict.
+def compare_laws(samples_a, samples_b) -> LawComparison:
+    """Mean gap with its joint standard error, plus the KS verdict at 1 percent.
 
     Samples whose pooled spread is below the floating-point resolution
     floor (1e-9 relative) pass the KS test outright: at that scale the
@@ -64,7 +64,7 @@ def compare_laws(samples_a, samples_b, alpha: float = 0.01) -> LawComparison:
     mean_a, _, se_a = summarize(a)
     mean_b, _, se_b = summarize(b)
     ks = ks_statistic(a, b)
-    thr = ks_threshold(a.size, b.size, alpha)
+    thr = ks_threshold(a.size, b.size)
     pooled = np.concatenate([a, b])
     span = float(pooled.max() - pooled.min())
     degenerate = span <= 1e-9 * (1.0 + float(np.max(np.abs(pooled))))

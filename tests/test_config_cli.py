@@ -1,11 +1,14 @@
 import dataclasses
+import os
 import subprocess
+import sys
 from pathlib import Path
 from textwrap import dedent
 
 import numpy as np
 import pytest
 
+import snse
 from snse.cli import main
 from snse.config import (load_config, parse_coeff_list, parse_map_spec,
                          parse_measure_spec)
@@ -314,6 +317,17 @@ class TestCliTensorDump:
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
+# one short persisted run of a config in a fresh interpreter, so the BLAS
+# thread setting of its environment is read before numpy loads
+SHORT_RUN = """
+import dataclasses, sys
+from snse.config import load_config
+from snse.harness import persist, run_experiment
+cfg = load_config(sys.argv[1], n_paths=100).experiment
+cfg.solver = dataclasses.replace(cfg.solver, t_end=0.2)
+persist(run_experiment(cfg), sys.argv[2], dump_paths=True)
+"""
+
 
 class TestShippedConfigs:
     def test_family_i_certifies(self, capsys):
@@ -351,6 +365,24 @@ class TestShippedConfigs:
             off = u - np.outer(u @ unit, unit)
             share = np.linalg.norm(off, axis=1) / np.linalg.norm(u, axis=1)
             assert share.min() >= 1e-3, (arm, share.min())
+
+    def test_linear_bytes_independent_of_blas_threads(self, tmp_path):
+        # linear runs make no BLAS product whose bits follow the thread
+        # count; nonlinear runs do (B(u)), so only this config is pinned
+        src = str(Path(snse.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", SHORT_RUN,
+                            str(EXAMPLES / "ou_linear.cfg"),
+                            str(tmp_path / threads)], env=env, check=True)
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert names == ["manifest.txt", "moments.csv", "paths_bm.csv",
+                         "paths_eps0.2.csv", "summary.csv"]
+        for name in names:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
 
     def test_console_script_installed(self):
         proc = subprocess.run(["snse", "tensor-dump", "--nmax", "1"],

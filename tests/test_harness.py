@@ -87,15 +87,6 @@ class TestConfigValidation:
 
 
 class TestRunArm:
-    def test_thread_count_does_not_change_bytes(self, basis1):
-        cfg = _config(basis1, n_paths=130, chunk_size=32)
-        for arm, j in (("brownian", 0), ("jump", 1)):
-            one = run_arm(cfg, arm, j, threads=1)
-            four = run_arm(cfg, arm, j, threads=4)
-            for name in ("norm_h2", "terminal", "jump_counts", "int_v2"):
-                assert np.array_equal(getattr(one, name), getattr(four, name),
-                                      equal_nan=True)
-
     def test_chunk_size_does_not_change_values(self, basis1):
         cfg = _config(basis1, n_paths=50, chunk_size=512)
         alt = dataclasses.replace(cfg, chunk_size=7)
@@ -215,9 +206,9 @@ class TestRunExperiment:
 
 
 class TestPersist:
-    def test_reruns_and_threads_are_byte_identical(self, basis1, tmp_path):
-        res_a = run_experiment(_config(basis1, n_paths=110), threads=1)
-        res_b = run_experiment(_config(basis1, n_paths=110), threads=3)
+    def test_reruns_are_byte_identical(self, basis1, tmp_path):
+        res_a = run_experiment(_config(basis1, n_paths=110))
+        res_b = run_experiment(_config(basis1, n_paths=110))
         persist(res_a, tmp_path / "a", dump_paths=True)
         persist(res_b, tmp_path / "b", dump_paths=True)
         for name in ("summary.csv", "moments.csv", "manifest.txt",

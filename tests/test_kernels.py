@@ -253,6 +253,10 @@ class TestRowStability:
                    lambda x: jump_qv_matrix(kern, x),
                    lambda x: generator_gap(kern, noise, x)):
             assert np.array_equal(fn(rows), np.stack([fn(x) for x in rows]))
+        near = rows + 1e-3 * rng.standard_normal(rows.shape)
+        assert np.array_equal(jump_l2_diff(kern, rows, near),
+                              np.stack([jump_l2_diff(kern, u, v)
+                                        for u, v in zip(rows, near)]))
 
     def test_compensator_independent_of_batch_size(self, basis2):
         kern = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
