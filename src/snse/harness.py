@@ -11,7 +11,7 @@ size is in the config hash) serially in path order.  (config, seed) fix every
 output byte for a given numpy/BLAS build and BLAS thread setting; persisted
 files carry no timestamps.  Linear runs are also byte-stable across BLAS
 thread counts (tested); nonlinear runs are not: B(u) at P = 512, n_max = 4
-differs in 30,346 of 40,960 entries (<= 5.8e-16 relative) at 1 and 2 threads.
+differs in 30,317 of 40,960 entries (<= 6.6e-16 relative) at 1 and 2 threads.
 
 Before simulating, the harness re-derives the linear-growth / Lipschitz and
 jump-size-decay certificates for the supplied kernel grid and refuses to run

@@ -38,6 +38,7 @@ from .measures import LevyMeasure
 _QV_TOL = 0.05          # largest qv_gap allowed at the smallest epsilon
 _QV_TREND_SLACK = 1.05  # relative rise of qv_gap tolerated along the grid
 _GAP_FLOOR = 1e-12      # generator-gap panel max treated as numerical zero
+_DIFF_BLOCK = 2         # row pairs per jump_l2_diff block; bounds its temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +79,23 @@ def jump_l4_mass(kernel: JumpKernel, u):
 def jump_l2_diff(kernel: JumpKernel, u, v):
     """sum_channels integral of |sigma_eps(u, z) - sigma_eps(v, z)|_H^2 d(nu).
 
-    One value per row pair. The difference is formed node by node (in
-    place, two (P, Q, dim) arrays at most): three gain moments would
-    cancel catastrophically for nearby u and v.
+    One value per row pair. The difference is formed node by node: three
+    gain moments would cancel catastrophically for nearby u and v. Row
+    pairs go through in blocks of _DIFF_BLOCK, so the two (rows, Q, dim)
+    temporaries stay small; each row's sums do not depend on its block.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    if u.ndim == 1:
+        return _l2_diff_rows(kernel, u, v)
+    out = np.empty(len(u))
+    for i in range(0, len(u), _DIFF_BLOCK):
+        out[i:i + _DIFF_BLOCK] = _l2_diff_rows(kernel, u[i:i + _DIFF_BLOCK],
+                                               v[i:i + _DIFF_BLOCK])
+    return out
+
+
+def _l2_diff_rows(kernel: JumpKernel, u, v):
     total = 0.0
     for ch in kernel.channels:
         su, sv = ch.sigma.fn(u)[..., None, :], ch.sigma.fn(v)[..., None, :]

@@ -11,11 +11,29 @@ quadrature of the cubic integrand is exact for fields inside the truncation
 
 The Galerkin nonlinear term B(u) is the projection of (u . grad) u onto the
 basis, so (B(u), w) = b(u, u, w) for every basis field w and (B(u), u) = 0.
+It is computed in stress-divergence form. Since div u = 0,
+(u . grad) u = div(u (x) u), and integrating by parts against a mode gives
+
+    B_l = -<u (x) u, grad e_l>.
+
+Split u (x) u into its traceless part D = [[a, b], [b, -a]], with
+a = (u_x^2 - u_y^2) / 2 and b = u_x u_y, plus the isotropic part
+|u|^2 / 2 * I. The isotropic part pairs with grad e_l to give
+-<|u|^2 / 2, div e_l> = 0, because every mode is divergence free. So B(u)
+is one synthesis of u, the two stress components formed pointwise, and one
+projection gemm against a table of mode gradients: half the gemm flops of
+synthesizing u, d_x u and d_y u and projecting (u . grad) u. Every
+integrand above is a trigonometric polynomial of degree at most 3 n_max in
+each variable, which the grid integrates exactly. The identities therefore
+hold on the grid, and the two forms agree to round-off. `bilinear_b_batch`
+keeps the advective form, since it evaluates b(u, v, w) for three
+different fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,24 +50,17 @@ def _synth(basis: BasisSpec, coeffs: np.ndarray) -> np.ndarray:
     return out.reshape(c.shape[:-1] + (basis.m_grid, basis.m_grid, 2))
 
 
-def _advect_grid(basis: BasisSpec, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """(u . grad) v on the grid for coefficient batches cu, cv."""
+def bilinear_b_batch(basis: BasisSpec, cu, cv, cw) -> np.ndarray:
+    """b(u, v, w) for coefficient batches of shape (..., dim)."""
     cu, cv = np.broadcast_arrays(
         np.asarray(cu, dtype=np.float64), np.asarray(cv, dtype=np.float64)
     )
     # one synthesis gemm for u, dv/dx, dv/dy beats three separate calls
     trio = np.stack((cu, basis.deriv_coeffs(cv, 0), basis.deriv_coeffs(cv, 1)))
-    ug, dv0, dv1 = _synth(basis, trio)
-    adv = dv0
+    ug, adv, dv1 = _synth(basis, trio)
     adv *= ug[..., 0:1]
     dv1 *= ug[..., 1:2]
     adv += dv1
-    return adv
-
-
-def bilinear_b_batch(basis: BasisSpec, cu, cv, cw) -> np.ndarray:
-    """b(u, v, w) for coefficient batches of shape (..., dim)."""
-    adv = _advect_grid(basis, cu, cv)
     wg = _synth(basis, cw)
     return np.einsum("...xyc,...xyc->...", adv, wg) / basis.m_grid**2
 
@@ -59,11 +70,37 @@ def bilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
     return float(bilinear_b_batch(u.basis, u.coeffs, v.coeffs, w.coeffs))
 
 
+@lru_cache(maxsize=8)
+def _stress_table(basis: BasisSpec) -> np.ndarray:
+    """(2 M^2, dim) table G that projects the traceless stress onto the modes.
+
+    Column l is -(d_x e_x - d_y e_y, d_x e_y + d_y e_x) / M^2 for mode e_l,
+    laid out like the synthesized grid, so (D @ G)_l = -<D, grad e_l>.
+    """
+    vals = basis.mode_values()
+    p = basis.partner
+    # d/dx_a e_l = deriv_factor[a, partner(l)] * e_partner(l)
+    dx = basis.deriv_factor[0, p][:, None, None, None] * vals[p]
+    dy = basis.deriv_factor[1, p][:, None, None, None] * vals[p]
+    g = np.stack((dx[..., 0] - dy[..., 1], dx[..., 1] + dy[..., 0]), axis=-1)
+    g *= -1.0 / basis.m_grid**2
+    return np.ascontiguousarray(g.reshape(basis.dim, -1).T)
+
+
 def nonlinear_term_batch(basis: BasisSpec, coeffs) -> np.ndarray:
-    """Galerkin projection of (u . grad) u for a coefficient batch."""
-    adv = _advect_grid(basis, coeffs, coeffs)
-    flat = adv.reshape(adv.shape[:-3] + (-1,))
-    return flat @ basis.synthesis_matrix().T / basis.m_grid**2
+    """Galerkin projection of (u . grad) u for a coefficient batch.
+
+    Stress-divergence form: synthesize u, overwrite its grid values with the
+    traceless stress (a, b), project with the cached gradient table.
+    """
+    d = np.asarray(coeffs, dtype=np.float64) @ basis.synthesis_matrix()
+    ux, uy = d[..., 0::2], d[..., 1::2]  # grid components are interleaved
+    uxy = ux * uy
+    d *= d
+    ux -= uy
+    ux *= 0.5
+    uy[...] = uxy
+    return d @ _stress_table(basis)
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:

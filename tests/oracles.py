@@ -1,9 +1,11 @@
 """Independent reference computations used only by the tests.
 
-Nothing here touches the package's pseudo-spectral machinery: the trilinear
-form is evaluated by expanding every trig factor into complex exponentials
-and applying the exact resonance condition s1*k + s2*l + s3*m = 0, so the
-two routes share no code beyond the mode metadata.
+The convolution oracle does not touch the package's pseudo-spectral
+machinery: the trilinear form is evaluated by expanding every trig factor
+into complex exponentials and applying the exact resonance condition
+s1*k + s2*l + s3*m = 0, so the two routes share no code beyond the mode
+metadata. The `reference_*` functions are the plain or former forms of
+package computations, kept to compare the current ones against.
 """
 
 from __future__ import annotations
@@ -70,6 +72,25 @@ def conv_nonlinear(basis, coeffs, dense=None) -> np.ndarray:
     if dense is None:
         dense = conv_coupling_dense(basis)
     return np.einsum("ijl,i,j->l", dense, coeffs, coeffs)
+
+
+def reference_nonlinear_advective(basis, coeffs) -> np.ndarray:
+    """B(u) as the projection of the advective form (u . grad) u.
+
+    The former package implementation: one gemm synthesizes u, d_x u and
+    d_y u on the collocation grid, (u . grad) u is formed pointwise and
+    projected back onto the modes.
+    """
+    c = np.asarray(coeffs, dtype=np.float64)
+    smat = basis.synthesis_matrix()
+    m = basis.m_grid
+    trio = np.stack((c, basis.deriv_coeffs(c, 0), basis.deriv_coeffs(c, 1)))
+    ug, adv, dv1 = (trio @ smat).reshape(trio.shape[:-1] + (m, m, 2))
+    adv *= ug[..., 0:1]
+    dv1 *= ug[..., 1:2]
+    adv += dv1
+    flat = adv.reshape(adv.shape[:-3] + (-1,))
+    return flat @ smat.T / m**2
 
 
 def embed(field, big_basis):

@@ -16,8 +16,8 @@ from oracles import (
 from snse.basis import SpectralField, get_basis, random_field
 from snse.errors import InadmissibleKernelError
 from snse.generators import generator_gap, jump_qv_matrix, matched_noise
-from snse.hypotheses import (brownian_l2_mass, jump_l2_diff, jump_l2_mass,
-                             jump_l4_mass, jump_v2_mass)
+from snse.hypotheses import (_DIFF_BLOCK, brownian_l2_mass, jump_l2_diff,
+                             jump_l2_mass, jump_l4_mass, jump_v2_mass)
 from snse.kernels import (
     HKernel, build_h, build_jump_kernel, build_theta, compensator_drift,
     constant_field, diagonal_map, eval_sigma_eps, h_norm_check, make_channel,
@@ -253,6 +253,10 @@ class TestRowStability:
                    lambda x: jump_qv_matrix(kern, x),
                    lambda x: generator_gap(kern, noise, x)):
             assert np.array_equal(fn(rows), np.stack([fn(x) for x in rows]))
+        n_pairs = 43  # several full jump_l2_diff blocks and a partial one
+        assert n_pairs > _DIFF_BLOCK and n_pairs % _DIFF_BLOCK
+        rows = (rng.standard_normal((n_pairs, basis2.dim))
+                * np.geomspace(0.05, 20.0, n_pairs)[:, None])
         near = rows + 1e-3 * rng.standard_normal(rows.shape)
         assert np.array_equal(jump_l2_diff(kern, rows, near),
                               np.stack([jump_l2_diff(kern, u, v)

@@ -9,7 +9,8 @@ from snse.nonlinear import (
     nonlinear_term_batch, verify_b_estimates,
 )
 
-from oracles import conv_b_modes, conv_coupling_dense, conv_nonlinear, embed
+from oracles import (conv_b_modes, conv_coupling_dense, conv_nonlinear, embed,
+                     reference_nonlinear_advective)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,39 @@ class TestIdentities:
         u = random_field(basis4, rng, decay=0.5)
         bu = nonlinear_term(u)
         assert abs(bu.dot(u)) <= 1e-10 * max(1.0, u.norm_h * u.norm_v**2)
+
+
+class TestStressForm:
+    """B(u) in stress-divergence form against the advective projection."""
+
+    @pytest.mark.parametrize("n_rows", [None, 7, 128], ids=["1d", "7", "128"])
+    @pytest.mark.parametrize("n_max", [1, 2, 4, 8])
+    def test_matches_advective_form(self, n_max, n_rows):
+        basis = get_basis(n_max)
+        rng = np.random.default_rng(100 * n_max + (n_rows or 1))
+        rows = 1 if n_rows is None else n_rows
+        decay = rng.uniform(0.0, 1.2, size=(rows, 1))
+        c = (rng.standard_normal((rows, basis.dim))
+             * basis.eigenvalues ** -decay
+             * np.geomspace(0.1, 10.0, rows)[:, None])
+        if n_rows is None:
+            c = c[0]
+        got = nonlinear_term_batch(basis, c)
+        ref = reference_nonlinear_advective(basis, c)
+        assert got.shape == c.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        c2, got2 = np.atleast_2d(c), np.atleast_2d(got)
+        energy = np.abs(np.sum(got2 * c2, axis=1))
+        norm_h = np.linalg.norm(c2, axis=1)
+        norm_v2 = c2**2 @ basis.eigenvalues
+        assert np.all(energy <= 1e-13 * norm_h * norm_v2)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 4, 8])
+    def test_zero_batch_gives_exact_zeros(self, n_max):
+        basis = get_basis(n_max)
+        for shape in ((basis.dim,), (7, basis.dim)):
+            got = nonlinear_term_batch(basis, np.zeros(shape))
+            assert np.array_equal(got, np.zeros(shape))
 
 
 class TestAgainstConvolutionOracle:
