@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .basis import BasisSpec, SpectralField, get_basis, norms, stokes_eigenvalue
 from .config import LoadedRun, load_config
-from .errors import (CertificationError, ConfigError, InadmissibleKernelError,
-                     QuadratureError)
+from .errors import CertificationError, ConfigError, InadmissibleKernelError
 from .harness import (ExperimentConfig, ExperimentResult, persist,
                       run_arm, run_experiment)
 from .hypotheses import (certify_kernels, check_growth_lipschitz,
@@ -16,8 +15,7 @@ from .integrate import (BrownianNoiseSpec, PathBatch, SolverConfig,
                         simulate_brownian_batch, simulate_jump_batch)
 from .kernels import (build_h, build_jump_kernel, build_theta, constant_field,
                       h_norm_check, saturating, scaled_identity, zero_map)
-from .measures import (alpha_stable_measure, annulus_mass, custom_measure,
-                       power_law_measure)
+from .measures import alpha_stable_measure, annulus_mass, power_law_measure
 from .nonlinear import (bilinear_b, coupling_tensor, nonlinear_term,
                         verify_b_estimates)
 from .sampling import derive_stream, sample_prm, stream_key
@@ -26,8 +24,7 @@ from .stats import compare_laws, ks_statistic, ks_threshold, summarize
 __all__ = [
     "BasisSpec", "SpectralField", "get_basis", "norms", "stokes_eigenvalue",
     "LoadedRun", "load_config",
-    "CertificationError", "ConfigError",
-    "InadmissibleKernelError", "QuadratureError",
+    "CertificationError", "ConfigError", "InadmissibleKernelError",
     "ExperimentConfig", "ExperimentResult", "persist", "run_arm",
     "run_experiment",
     "certify_kernels", "check_growth_lipschitz", "check_jump_size_decay",
@@ -37,8 +34,7 @@ __all__ = [
     "simulate_brownian_batch", "simulate_jump_batch",
     "build_h", "build_jump_kernel", "build_theta", "constant_field",
     "h_norm_check", "saturating", "scaled_identity", "zero_map",
-    "alpha_stable_measure", "annulus_mass", "custom_measure",
-    "power_law_measure",
+    "alpha_stable_measure", "annulus_mass", "power_law_measure",
     "bilinear_b", "coupling_tensor", "nonlinear_term", "verify_b_estimates",
     "derive_stream", "sample_prm", "stream_key",
     "compare_laws", "ks_statistic", "ks_threshold", "summarize",

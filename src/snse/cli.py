@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .basis import get_basis
 from .config import load_config
-from .errors import CertificationError, ConfigError, QuadratureError
+from .errors import CertificationError, ConfigError
 from .harness import (BLOWUP_BUDGET, functional_samples, path_dump_lines,
                       persist, run_arm, run_experiment)
 from .hypotheses import certify_kernels
@@ -249,9 +249,6 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1
-    except QuadratureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

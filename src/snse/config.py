@@ -207,9 +207,13 @@ def load_config(path, seed: int | None = None,
     exp = sec["experiment"]
     functionals = tuple(tok.strip() for tok in
                         exp.get("functionals", "normH2").split(","))
-    track = sorted(set(_functional_modes(functionals))
-                   | ({int(t) for t in exp.get("track").split(",")}
-                      if exp.get("track") else set()))
+    try:
+        track = sorted(set(_functional_modes(functionals))
+                       | ({int(t) for t in exp.get("track").split(",")}
+                          if exp.get("track") else set()))
+    except ValueError:
+        raise ConfigError("[experiment] track must be a comma list of "
+                          "integers") from None
     bad = [k for k in track if not 0 <= k < dim]
     if bad:
         raise ConfigError(f"tracked mode {bad[0]} out of range")
@@ -235,6 +239,8 @@ def load_config(path, seed: int | None = None,
     bm = sec["brownian"]
     sigma_spec = bm.require("sigma")
     channels = bm.get_int("channels", 1)
+    if channels < 1:
+        raise ConfigError("[brownian] channels must be at least 1")
     sigma = parse_map_spec(sigma_spec, dim)
     noise = BrownianNoiseSpec((sigma,) * channels)
 
@@ -253,7 +259,7 @@ def load_config(path, seed: int | None = None,
             raise ConfigError("[jump] epsilon must be a comma list of floats") from None
         cutoff = jmp.get("cutoff_delta", "auto")
         if cutoff != "auto":
-            cutoff = float(cutoff)
+            cutoff = jmp.get_float("cutoff_delta")
         family_h = jmp.require("family_h")
         family_theta = jmp.get("family_theta", "one")
         measure = jmp.require("measure")

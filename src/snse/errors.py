@@ -13,10 +13,6 @@ class InfiniteMassError(ValueError):
     """Raised when a Levy-measure integral diverges on the requested region."""
 
 
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature fails to converge within budget."""
-
-
 class InadmissibleKernelError(ValueError):
     """Raised when a jump-kernel family cannot be normalized."""
 

@@ -13,11 +13,14 @@ exactly 1. Built-in h families:
     outer_linear  z / sqrt(second moment over {1 <= |z| <= 1/eps})
     inner_linear  z / sqrt(second moment over {0 < |z| <= eps})
 
-Each channel carries one frozen Gauss-Legendre table over the full h support
-(24 log-spaced panels of 10 nodes, both signs) holding the density-weighted
-rule weights and the h and theta values at the nodes. The compensator, the
-certification masses and the jump quadratic variation all integrate against
-this table, so the kernel's callables are evaluated there once.
+The Levy measure is a power law, so the normalizers, the activity, the
+cutoff and the integral of h have closed forms. Each channel carries one
+frozen Gauss-Legendre table over the full h support (24 log-spaced panels of
+10 nodes, both signs) holding the density-weighted rule weights and the h and
+theta values at the nodes. The compensator, the certification masses and the
+jump quadratic variation all integrate against this table, so the kernel's
+callables are evaluated there once. A channel whose table misses more of the
+h^2 mass than the qv budget is refused.
 
 Every state map declares a scalar gain with sigma(t u) = gain(t, |u|_H) sigma(u).
 A nu-integral of sigma(theta(z) u) h(z) therefore needs sigma(u) once and the
@@ -41,9 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleKernelError
-from .measures import (
-    LevyMeasure, annulus_mass, moment_mass, power_primitive, radial_integral,
-)
+from .measures import LevyMeasure, annulus_mass, moment_mass, power_primitive
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +138,9 @@ def build_h(family: str, epsilon: float, measure: LevyMeasure) -> HKernel:
 
 
 def h_norm_check(h: HKernel, measure: LevyMeasure) -> float:
-    """Quadrature value of the h^2 integral; must be 1 to 1e-8."""
-    return radial_integral(measure, lambda z: float(h.fn(z)) ** 2, *h.support)
+    """The h^2 integral on a channel's node rule; 1 up to the rule's error."""
+    z, w = _node_rule(h, measure)
+    return float(np.sum(w * h.fn(z) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +250,12 @@ class JumpChannel:
     activity: float
     h_integral: float
     discarded_qv_fraction: float
-    p_negative: float
     table: NodeTable
 
 
-def _node_table(theta: ThetaKernel, h: HKernel, measure: LevyMeasure) -> NodeTable:
+def _node_rule(h: HKernel, measure: LevyMeasure):
+    """Marks (2, Q) of the composite rule over the h support, and the rule
+    weights times the Levy density at them."""
     lo, hi = h.support
     x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
     edges = np.geomspace(max(lo, 1e-14 * hi), hi, _PANELS + 1)
@@ -260,32 +263,15 @@ def _node_table(theta: ThetaKernel, h: HKernel, measure: LevyMeasure) -> NodeTab
     nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
     weights = (half * w).ravel()
     z = np.stack([nodes, -nodes])
-    table = NodeTable(z, np.stack([weights, weights]) * measure.density(z),
-                      h.fn(z), theta.fn(z))
+    return z, np.stack([weights, weights]) * measure.density(z)
+
+
+def _node_table(theta: ThetaKernel, h: HKernel, measure: LevyMeasure) -> NodeTable:
+    z, w = _node_rule(h, measure)
+    table = NodeTable(z, w, h.fn(z), theta.fn(z))
     for arr in (table.z, table.w, table.h, table.theta):
         arr.setflags(write=False)
     return table
-
-
-def _auto_cutoff(h: HKernel, measure: LevyMeasure, budget: float) -> float:
-    """Largest delta whose discarded h^2 mass stays within budget."""
-    lo, hi = h.support
-    if measure.power is not None:
-        expo = measure.power + 3.0
-        return hi * budget ** (1.0 / expo)
-    target = budget
-    a, b = 1e-12 * hi, hi
-
-    def discarded(d):
-        return radial_integral(measure, lambda z: float(h.fn(z)) ** 2, lo, d)
-
-    for _ in range(80):
-        mid = math.sqrt(a * b)
-        if discarded(mid) > target:
-            b = mid
-        else:
-            a = mid
-    return a
 
 
 def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
@@ -295,7 +281,9 @@ def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
     if lo > 0.0:
         delta = 0.0
     elif cutoff_delta == "auto" or cutoff_delta is None:
-        delta = _auto_cutoff(h, measure, qv_budget)
+        # h^2 rho = c |z|^(power + 2) below eps: the largest delta whose
+        # discarded share (delta / eps)^(power + 3) stays within budget
+        delta = hi * qv_budget ** (1.0 / (measure.power + 3.0))
     else:
         delta = float(cutoff_delta)
         if not 0.0 < delta < hi:
@@ -305,26 +293,23 @@ def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
     if not np.isfinite(activity):
         raise InadmissibleKernelError("sampled support has infinite mass")
     if delta > 0.0:
-        if measure.power is not None:
-            discarded = (2.0 * power_primitive(measure.power + 2, lo, delta)
-                         / h.scale**2)
-        else:
-            discarded = radial_integral(measure, lambda z: float(h.fn(z)) ** 2,
-                                        lo, delta)
+        discarded = (2.0 * power_primitive(measure.power + 2, lo, delta)
+                     / h.scale**2)
         if discarded > qv_budget * 1.0001:
             raise InadmissibleKernelError(
                 f"cutoff {delta:g} discards qv fraction {discarded:.3e}")
     else:
         discarded = 0.0
-    h_integral = radial_integral(measure, lambda z: float(h.fn(z)), lo, hi)
-    if measure.power is not None:
-        p_neg = 0.5
-    else:
-        pos = radial_integral(measure, lambda z: 1.0 if z > 0 else 0.0,
-                              sample_lo, hi)
-        p_neg = 1.0 - pos / activity
+    # every nu-integral runs on the node table, so it must hold the h^2 mass
+    qv = h_norm_check(h, measure)
+    if abs(qv - 1.0) > qv_budget:
+        raise InadmissibleKernelError(
+            f"node rule holds h^2 mass {qv:.10g} on {measure.label()}, "
+            f"off by more than qv_budget {qv_budget:g}")
+    # h is flat on the annulus and odd elsewhere
+    h_integral = activity / h.scale if h.family == "annulus" else 0.0
     return JumpChannel(sigma, theta, h, measure, delta, (sample_lo, hi),
-                       activity, h_integral, discarded, p_neg,
+                       activity, h_integral, discarded,
                        _node_table(theta, h, measure))
 
 

@@ -1,11 +1,9 @@
 """Levy measures on the punctured real line.
 
-A measure is described by a density rho(z) >= 0 and a support given as up to
-two symmetric annuli {lo <= |z| <= hi}. Built-ins are power laws, for which
-every annulus moment has a closed form; the adaptive-quadrature route is kept
-alongside as the independent cross-check and as the only route for custom
-densities. Quadrature runs at relative tolerance 1e-10 under a hard budget of
-1e6 evaluations per request.
+A measure is a symmetric power law: density rho(z) = |z|^power on a support
+of up to two symmetric annuli {lo <= |z| <= hi}. Every annulus moment has a
+closed form, and the magnitude law of a sampled annulus has a closed-form
+inverse CDF.
 """
 
 from __future__ import annotations
@@ -15,23 +13,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import InfiniteMassError, QuadratureError
-
-_EPSREL = 1e-10
-_EPSABS = 1e-13
-_QUAD_LIMIT = 400
-_EVAL_BUDGET = 1_000_000
+from .errors import InfiniteMassError
 
 
 @dataclass(frozen=True)
 class LevyMeasure:
-    """Density plus support; power is set when rho(z) = |z|^power on it."""
+    """Density plus support, with rho(z) = |z|^power on the support."""
 
     density: Callable
     support: tuple[tuple[float, float], ...]
-    power: float | None = None
+    power: float
     alpha: float | None = None
 
     def __post_init__(self):
@@ -45,20 +37,11 @@ class LevyMeasure:
                 raise ValueError("support annuli must be disjoint and sorted")
             last = hi
 
-    def contains(self, z):
-        r = np.abs(z)
-        inside = np.zeros(np.shape(r), dtype=bool)
-        for lo, hi in self.support:
-            inside |= (r >= lo) & (r <= hi)
-        return inside
-
     def label(self) -> str:
         if self.alpha is not None:
             return f"stable:{self.alpha:g}"
-        if self.power is not None:
-            parts = ",".join(f"{lo:g}:{hi:g}" for lo, hi in self.support)
-            return f"power:{self.power:g}@{parts}"
-        return "custom"
+        parts = ",".join(f"{lo:g}:{hi:g}" for lo, hi in self.support)
+        return f"power:{self.power:g}@{parts}"
 
 
 def alpha_stable_measure(alpha: float) -> LevyMeasure:
@@ -81,10 +64,6 @@ def power_law_measure(power: float, lo: float = 0.0, hi: float = math.inf) -> Le
                         np.abs(z) ** power, 0.0)
 
     return LevyMeasure(dens, ((lo, hi),), power=power)
-
-
-def custom_measure(density: Callable, support) -> LevyMeasure:
-    return LevyMeasure(density, tuple(tuple(s) for s in support))
 
 
 def power_primitive(p: float, a: float, b: float) -> float:
@@ -114,64 +93,17 @@ def _clip_pieces(measure: LevyMeasure, a: float, b: float):
     return pieces
 
 
-def _quad_piece(fold, lo, hi, budget):
-    """Adaptive quadrature of a folded integrand over magnitudes [lo, hi]."""
-    if hi == math.inf:
-        # map the tail onto a finite interval via r = lo + t/(1-t)
-        base, lo0 = fold, lo
-
-        def fold(t):
-            r = lo0 + t / (1.0 - t)
-            return base(r) / (1.0 - t) ** 2
-
-        lo, hi = 0.0, 1.0
-    val, err, info = quad(fold, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL,
-                          limit=_QUAD_LIMIT, full_output=True)[:3]
-    neval = info["neval"]
-    if neval > budget:
-        raise QuadratureError(f"quadrature budget exceeded ({neval} evals)")
-    return val, err, neval
-
-
-def radial_integral(measure: LevyMeasure, fn: Callable, a: float, b: float) -> float:
-    """Integral of fn(z) rho(z) over {a <= |z| <= b} intersected with support.
-
-    The two signed half-lines are folded into one magnitude integral, so odd
-    integrands cancel pointwise and come out exactly zero.
-    """
-    rho = measure.density
-    total = 0.0
-    budget = _EVAL_BUDGET
-    for lo, hi in _clip_pieces(measure, a, b):
-        def fold(r):
-            return fn(r) * rho(r) + fn(-r) * rho(-r)
-        val, _, neval = _quad_piece(fold, lo, hi, budget)
-        budget -= neval
-        total += val
-    return total
-
-
 def moment_mass(measure: LevyMeasure, a: float, b: float, k: int = 0) -> float:
-    """Integral of |z|^k over {a <= |z| <= b}; closed form for power laws."""
+    """Integral of |z|^k over {a <= |z| <= b}, in closed form."""
     if not 0.0 <= a < b:
         raise ValueError("need 0 <= a < b")
-    pieces = _clip_pieces(measure, a, b)
-    if measure.power is not None:
-        return sum(2.0 * power_primitive(measure.power + k, lo, hi)
-                   for lo, hi in pieces)
-    if k == 0:
-        return radial_integral(measure, lambda z: 1.0, a, b)
-    return radial_integral(measure, lambda z: np.abs(z) ** k, a, b)
+    return sum(2.0 * power_primitive(measure.power + k, lo, hi)
+               for lo, hi in _clip_pieces(measure, a, b))
 
 
 def annulus_mass(measure: LevyMeasure, a: float, b: float) -> float:
     """Measure of the annulus {a <= |z| <= b}."""
     return moment_mass(measure, a, b, k=0)
-
-
-def annulus_mass_quad(measure: LevyMeasure, a: float, b: float) -> float:
-    """Quadrature-only annulus mass, the cross-check route for power laws."""
-    return radial_integral(measure, lambda z: 1.0, a, b)
 
 
 def power_magnitude_ppf(p: float, a: float, b: float, u):

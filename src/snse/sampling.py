@@ -5,7 +5,8 @@ path-index), so a path's random draws do not depend on how paths are grouped
 into batches.
 
 Event draw order per channel is fixed and documented: count, then times, then
-magnitudes, then signs. Changing it would silently change every jump-arm
+magnitudes (the power law's closed-form inverse CDF), then signs (fair, the
+measures being symmetric). Changing it would silently change every jump-arm
 trajectory, so the order is pinned by tests.  A path's atoms come back as
 struct-of-arrays (``Atoms``), stably sorted by (time, channel).
 """
@@ -22,7 +23,6 @@ from .measures import power_magnitude_ppf
 ARM_CODES = {"brownian": 1, "jump": 2, "diagnostic": 3}
 
 _MASK64 = (1 << 64) - 1
-_ENVELOPE_CELLS = 64   # rejection-envelope cells over the sampled range
 
 
 def stream_key(seed: int, arm: str, eps_index: int, path_index: int) -> int:
@@ -51,55 +51,14 @@ class Atoms:
         return self.times.size
 
 
-def _sample_magnitudes(ch: JumpChannel, n: int, rng: np.random.Generator) -> np.ndarray:
-    lo, hi = ch.sample_range
-    if ch.measure.power is not None:
-        return power_magnitude_ppf(ch.measure.power, lo, hi, rng.random(n))
-    return _rejection_magnitudes(ch, n, rng)
-
-
-def _rejection_magnitudes(ch: JumpChannel, n: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Piecewise-constant-envelope rejection sampler for custom densities.
-
-    The envelope is the per-cell max of the density on a refinement grid,
-    padded by 5 percent; adequate for the piecewise-smooth densities this
-    package targets, not for wildly oscillatory ones.
-    """
-    lo, hi = ch.sample_range
-    cells = _ENVELOPE_CELLS
-    edges = np.geomspace(lo, hi, cells + 1) if lo > 0 else np.linspace(lo, hi, cells + 1)
-    dens = ch.measure.density
-
-    def radial(r):
-        return np.asarray(dens(r)) + np.asarray(dens(-r))
-
-    tops = np.empty(cells)
-    for i in range(cells):
-        fine = np.linspace(edges[i], edges[i + 1], 33)
-        tops[i] = 1.05 * float(np.max(radial(fine)))
-    cell_mass = tops * np.diff(edges)
-    cdf = np.cumsum(cell_mass) / np.sum(cell_mass)
-    out = np.empty(n)
-    got = 0
-    while got < n:
-        m = max(64, 2 * (n - got))
-        cells_drawn = np.searchsorted(cdf, rng.random(m))
-        r = edges[cells_drawn] + rng.random(m) * np.diff(edges)[cells_drawn]
-        accept = rng.random(m) * tops[cells_drawn] <= radial(r)
-        r = r[accept][: n - got]
-        out[got:got + r.size] = r
-        got += r.size
-    return out
-
-
 def _sample_channel(ch: JumpChannel, horizon: float,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(sorted times, signed marks) of one channel, in the pinned draw order."""
     count = int(rng.poisson(ch.activity * horizon))
     times = np.sort(rng.random(count)) * horizon
-    mags = _sample_magnitudes(ch, count, rng)
-    signs = np.where(rng.random(count) < ch.p_negative, -1.0, 1.0)
+    mags = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
+                               rng.random(count))
+    signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
     return times, signs * mags
 
 

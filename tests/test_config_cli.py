@@ -154,6 +154,21 @@ class TestLoader:
         with pytest.raises(ConfigError, match="not a boolean"):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("paths = 120", "paths = 120\ntrack = x", "track"),
+        ("measure = stable:1.0", "measure = stable:1.0\ncutoff_delta = abc",
+         "cutoff_delta"),
+        ("sigma = constant:0.5@0\n\n[experiment]",
+         "sigma = constant:0.5@0\nchannels = 0\n\n[experiment]", "channels"),
+    ], ids=["track", "cutoff_delta", "channels"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, old, new, match):
+        assert old in WITH_JUMP
+        path = _write(tmp_path, WITH_JUMP.replace(old, new))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert main(["check", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")
@@ -383,6 +398,18 @@ class TestShippedConfigs:
         for name in names:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes()), name
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test dependency only; the package must not pull it in
+        src = str(Path(snse.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, snse; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script_installed(self):
         proc = subprocess.run(["snse", "tensor-dump", "--nmax", "1"],

@@ -301,6 +301,34 @@ class TestChannels:
         assert np.allclose(drift[1:], 0.0)
         assert kern.channels[0].h_integral == pytest.approx(14.071247279470288, rel=1e-9)
 
+    def test_h_integral_closed_form(self):
+        # flat annulus profile: the integral of h against nu by direct
+        # quadrature; odd profiles integrate to exactly zero
+        for alpha in (0.5, 1.0, 1.5):
+            nu = alpha_stable_measure(alpha)
+            for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
+                ch = build_jump_kernel(scaled_identity(), "annulus", "one",
+                                       eps, nu).channels[0]
+                ref = 2.0 * quad(lambda r: float(ch.h.fn(r)) * r**nu.power,
+                                 eps, 1.0, epsabs=0.0, epsrel=1e-13,
+                                 limit=200)[0]
+                assert ch.h_integral == pytest.approx(ref, rel=1e-12)
+                for family in ("inner_linear", "outer_linear"):
+                    odd = build_jump_kernel(scaled_identity(), family, "one",
+                                            eps, nu).channels[0]
+                    assert odd.h_integral == 0.0
+
+    def test_node_table_must_hold_h2_mass(self):
+        # the table starts at 1e-14 eps, which drops a (1e-14)^(2 - alpha)
+        # share of inner_linear's h^2 mass: 1.6e-3 at alpha 1.8
+        with pytest.raises(InadmissibleKernelError, match="h\\^2 mass"):
+            build_jump_kernel(scaled_identity(), "inner_linear", "one", 0.1,
+                              alpha_stable_measure(1.8))
+        kern = build_jump_kernel(scaled_identity(), "inner_linear", "one",
+                                 0.1, alpha_stable_measure(1.5))
+        h = kern.channels[0].h
+        assert abs(h_norm_check(h, alpha_stable_measure(1.5)) - 1.0) <= 1e-4
+
     def test_compensator_zero_for_odd_profiles(self, basis2, rng):
         u = random_field(basis2, rng)
         for family in ("outer_linear", "inner_linear"):
