@@ -23,8 +23,8 @@ from pathlib import Path
 from .basis import get_basis
 from .config import load_config
 from .errors import CertificationError, ConfigError
-from .harness import (BLOWUP_BUDGET, functional_samples, path_dump_lines,
-                      persist, run_arm, run_experiment)
+from .harness import (BLOWUP_BUDGET, csv_cell, functional_samples,
+                      path_dump_lines, persist, run_arm, run_experiment)
 from .hypotheses import certify_kernels
 from .nonlinear import coupling_tensor
 from .stats import summarize
@@ -89,14 +89,6 @@ def _require_config(args) -> str:
     return args.config
 
 
-def _fmt_cell(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def cmd_check(args) -> int:
     run = load_config(_require_config(args), seed=_resolve_seed(args))
     cfg = run.experiment
@@ -113,7 +105,7 @@ def cmd_check(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         lines = ["check,epsilon,value,witness,pass"]
-        lines += [",".join(_fmt_cell(v) for v in row)
+        lines += [",".join(csv_cell(v) for v in row)
                   for row in report.csv_rows()]
         (out / "check_report.csv").write_text("\n".join(lines) + "\n")
     return 0 if report.passed else 1

@@ -42,18 +42,24 @@ BLOWUP_BUDGET = 0.01
 _KNOWN_FUNCTIONALS = ("normH2", "normV2", "sup_normH2")
 
 
+def functional_mode(name: str) -> int | None:
+    """k for a `mode:k` functional name, None for any other name."""
+    if not name.startswith("mode:"):
+        return None
+    try:
+        return int(name[5:])
+    except ValueError:
+        raise ConfigError(f"bad functional {name!r}") from None
+
+
 def _check_functional(name: str, dim: int) -> None:
     if name in _KNOWN_FUNCTIONALS:
         return
-    if name.startswith("mode:"):
-        try:
-            k = int(name[5:])
-        except ValueError:
-            raise ConfigError(f"bad functional {name!r}") from None
-        if not 0 <= k < dim:
-            raise ConfigError(f"functional {name!r}: mode index out of range")
-        return
-    raise ConfigError(f"unknown functional {name!r}")
+    k = functional_mode(name)
+    if k is None:
+        raise ConfigError(f"unknown functional {name!r}")
+    if not 0 <= k < dim:
+        raise ConfigError(f"functional {name!r}: mode index out of range")
 
 
 def functional_samples(batch: PathBatch, name: str) -> np.ndarray:
@@ -65,8 +71,8 @@ def functional_samples(batch: PathBatch, name: str) -> np.ndarray:
         vals = batch.norm_v2[:, -1]
     elif name == "sup_normH2":
         vals = np.sqrt(batch.sup_h4)
-    elif name.startswith("mode:"):
-        vals = batch.terminal[:, int(name[5:])]
+    elif (k := functional_mode(name)) is not None:
+        vals = batch.terminal[:, k]
     else:
         raise ConfigError(f"unknown functional {name!r}")
     return vals[valid]
@@ -358,7 +364,8 @@ def _moments_of(batch: PathBatch) -> tuple[float, float, float, float]:
 # persistence
 
 
-def _fmt(x) -> str:
+def csv_cell(x) -> str:
+    """One CSV field: empty for None, lowercase booleans, repr floats."""
     if x is None:
         return ""
     if isinstance(x, (bool, np.bool_)):
@@ -378,7 +385,7 @@ def summary_lines(result: ExperimentResult) -> list[str]:
     header = "arm,epsilon,functional,mean,se,gap_vs_bm,joint_se,ks_stat,ks_pass"
     out = [header]
     for r in result.rows:
-        out.append(",".join(_fmt(v) for v in (
+        out.append(",".join(csv_cell(v) for v in (
             r.arm, r.epsilon, r.functional, r.mean, r.se,
             r.gap_vs_bm, r.joint_se, r.ks_stat, r.ks_pass)))
     return out
@@ -388,7 +395,7 @@ def moment_lines(result: ExperimentResult) -> list[str]:
     header = "arm,epsilon,supH4,supH4_se,intV2sq,intV2sq_se,uniformity_flag"
     out = [header]
     for m in result.moments:
-        out.append(",".join(_fmt(v) for v in (
+        out.append(",".join(csv_cell(v) for v in (
             m.arm, m.epsilon, m.sup_h4, m.sup_h4_se,
             m.int_v2_sq, m.int_v2_sq_se, m.uniform)))
     return out
@@ -408,7 +415,7 @@ def manifest_lines(result: ExperimentResult) -> list[str]:
         "functionals: " + ",".join(cfg.functionals),
         "certification: " + ("UNCERTIFIED (forced)" if result.forced
                              else "passed" if result.certified else "failed"),
-        f"invalid: {_fmt(result.invalid)}",
+        f"invalid: {csv_cell(result.invalid)}",
         f"blowup_bm: {result.blowup_bm!r}",
     ]
     for eps, frac in zip(cfg.epsilons, result.blowup_jump):

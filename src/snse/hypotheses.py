@@ -45,14 +45,14 @@ _DIFF_BLOCK = 2         # row pairs per jump_l2_diff block; bounds its temporari
 # kernel grids and node-quadrature mass helpers
 
 def kernel_grid(base_sigma: FieldMap, family_h: str, family_theta: str,
-                eps_grid, measure: LevyMeasure, channels: int = 1,
-                cutoff_delta="auto", qv_budget: float = 1e-4) -> list[JumpKernel]:
+                eps_grid, measure: LevyMeasure,
+                channels: int = 1) -> list[JumpKernel]:
     """One kernel per epsilon, epsilons strictly decreasing."""
     eps_grid = [float(e) for e in eps_grid]
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
     return [build_jump_kernel(base_sigma, family_h, family_theta, e, measure,
-                              channels, cutoff_delta, qv_budget)
+                              channels)
             for e in eps_grid]
 
 

@@ -20,7 +20,7 @@ frozen Gauss-Legendre table over the full h support (24 log-spaced panels of
 theta values at the nodes. The compensator, the certification masses and the
 jump quadratic variation all integrate against this table, so the kernel's
 callables are evaluated there once. A channel whose table misses more of the
-h^2 mass than the qv budget is refused.
+h^2 mass than the fixed qv budget _QV_BUDGET = 1e-4 is refused.
 
 Every state map declares a scalar gain with sigma(t u) = gain(t, |u|_H) sigma(u).
 A nu-integral of sigma(theta(z) u) h(z) therefore needs sigma(u) once and the
@@ -29,8 +29,8 @@ the nodes.
 
 The inner_linear family has infinite activity. The cutoff applies to path
 sampling only: marks are drawn from {delta <= |z| <= eps} with delta chosen
-so the discarded share of the quadratic variation stays below a configured
-budget (default 1e-4). Every nu-integral, the compensator included, still
+so the discarded share of the quadratic variation equals the same fixed
+budget _QV_BUDGET. Every nu-integral, the compensator included, still
 spans the full support; for the built-in odd profiles the below-cutoff part
 of the compensator cancels by symmetry.
 """
@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleKernelError
-from .measures import LevyMeasure, annulus_mass, moment_mass, power_primitive
+from .measures import LevyMeasure, annulus_mass, moment_mass
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,7 @@ def zero_map() -> FieldMap:
 _PANELS = 24
 _GL_ORDER = 10
 _SUP_GRID = 4097   # marks per sign in the sup_jump_size grid
+_QV_BUDGET = 1e-4  # share of the h^2 mass the cutoff and node table may miss
 
 
 @dataclass(frozen=True)
@@ -275,37 +276,25 @@ def _node_table(theta: ThetaKernel, h: HKernel, measure: LevyMeasure) -> NodeTab
 
 
 def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
-                 measure: LevyMeasure, cutoff_delta="auto",
-                 qv_budget: float = 1e-4) -> JumpChannel:
+                 measure: LevyMeasure) -> JumpChannel:
     lo, hi = h.support
     if lo > 0.0:
-        delta = 0.0
-    elif cutoff_delta == "auto" or cutoff_delta is None:
+        delta = discarded = 0.0
+    else:
         # h^2 rho = c |z|^(power + 2) below eps: the largest delta whose
         # discarded share (delta / eps)^(power + 3) stays within budget
-        delta = hi * qv_budget ** (1.0 / (measure.power + 3.0))
-    else:
-        delta = float(cutoff_delta)
-        if not 0.0 < delta < hi:
-            raise ValueError("cutoff_delta must lie inside the h support")
+        delta = hi * _QV_BUDGET ** (1.0 / (measure.power + 3.0))
+        discarded = moment_mass(measure, lo, delta, k=2) / h.scale**2
     sample_lo = max(lo, delta)
     activity = annulus_mass(measure, sample_lo, hi)
     if not np.isfinite(activity):
         raise InadmissibleKernelError("sampled support has infinite mass")
-    if delta > 0.0:
-        discarded = (2.0 * power_primitive(measure.power + 2, lo, delta)
-                     / h.scale**2)
-        if discarded > qv_budget * 1.0001:
-            raise InadmissibleKernelError(
-                f"cutoff {delta:g} discards qv fraction {discarded:.3e}")
-    else:
-        discarded = 0.0
     # every nu-integral runs on the node table, so it must hold the h^2 mass
     qv = h_norm_check(h, measure)
-    if abs(qv - 1.0) > qv_budget:
+    if abs(qv - 1.0) > _QV_BUDGET:
         raise InadmissibleKernelError(
             f"node rule holds h^2 mass {qv:.10g} on {measure.label()}, "
-            f"off by more than qv_budget {qv_budget:g}")
+            f"off by more than the qv budget {_QV_BUDGET:g}")
     # h is flat on the annulus and odd elsewhere
     h_integral = activity / h.scale if h.family == "annulus" else 0.0
     return JumpChannel(sigma, theta, h, measure, delta, (sample_lo, hi),
@@ -320,14 +309,13 @@ class JumpKernel:
 
 
 def build_jump_kernel(base_sigma: FieldMap, family_h: str, family_theta: str,
-                      epsilon: float, measure: LevyMeasure, channels: int = 1,
-                      cutoff_delta="auto", qv_budget: float = 1e-4) -> JumpKernel:
+                      epsilon: float, measure: LevyMeasure,
+                      channels: int = 1) -> JumpKernel:
+    """A kernel of `channels` identical channels (independent noises)."""
     theta = build_theta(family_theta, epsilon)
     h = build_h(family_h, epsilon, measure)
-    chan = tuple(make_channel(base_sigma, theta, h, measure, cutoff_delta,
-                              qv_budget)
-                 for _ in range(channels))
-    return JumpKernel(epsilon, chan)
+    return JumpKernel(epsilon, (make_channel(base_sigma, theta, h, measure),)
+                      * channels)
 
 
 def eval_sigma_eps(channel: JumpChannel, coeffs, z):

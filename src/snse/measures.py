@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -19,9 +18,8 @@ from .errors import InfiniteMassError
 
 @dataclass(frozen=True)
 class LevyMeasure:
-    """Density plus support, with rho(z) = |z|^power on the support."""
+    """Support plus exponent, with density rho(z) = |z|^power on the support."""
 
-    density: Callable
     support: tuple[tuple[float, float], ...]
     power: float
     alpha: float | None = None
@@ -37,6 +35,13 @@ class LevyMeasure:
                 raise ValueError("support annuli must be disjoint and sorted")
             last = hi
 
+    def density(self, z):
+        """rho(z): |z|^power on the support, 0 off it."""
+        r = np.abs(z)
+        inside = np.any([(r >= lo) & (r <= hi) for lo, hi in self.support],
+                        axis=0)
+        return np.where(inside, r ** self.power, 0.0)
+
     def label(self) -> str:
         if self.alpha is not None:
             return f"stable:{self.alpha:g}"
@@ -48,22 +53,12 @@ def alpha_stable_measure(alpha: float) -> LevyMeasure:
     """The symmetric measure with density |z|^(-1-alpha), alpha in (0, 2)."""
     if not 0.0 < alpha < 2.0:
         raise ValueError("stability index must lie in (0, 2)")
-    p = -1.0 - alpha
-
-    def dens(z):
-        return np.abs(z) ** p
-
-    return LevyMeasure(dens, ((0.0, math.inf),), power=p, alpha=alpha)
+    return LevyMeasure(((0.0, math.inf),), power=-1.0 - alpha, alpha=alpha)
 
 
 def power_law_measure(power: float, lo: float = 0.0, hi: float = math.inf) -> LevyMeasure:
     """Density |z|^power restricted to the annulus {lo <= |z| <= hi}."""
-
-    def dens(z):
-        return np.where((np.abs(z) >= lo) & (np.abs(z) <= hi),
-                        np.abs(z) ** power, 0.0)
-
-    return LevyMeasure(dens, ((lo, hi),), power=power)
+    return LevyMeasure(((lo, hi),), power=power)
 
 
 def power_primitive(p: float, a: float, b: float) -> float:

@@ -124,10 +124,6 @@ class CouplingTensor:
         w = self.vals * coeffs[self.i] * coeffs[self.j]
         return np.bincount(self.l, weights=w, minlength=self.dim)
 
-    def rows(self):
-        for a, b, c, v in zip(self.i, self.j, self.l, self.vals):
-            yield int(a), int(b), int(c), float(v)
-
 
 def coupling_tensor(basis: BasisSpec) -> CouplingTensor:
     """All nonzero entries b(e_i, e_j, e_l), computed mode pair by mode pair.

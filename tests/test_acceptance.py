@@ -6,8 +6,7 @@ testbed and the desk-scale nonlinear run) are module fixtures shared by the
 tests that grade them, so each simulation happens once per suite run.
 
 Budgets are generous for a laptop-class single core; the whole gate took
-7 min 25 s and 8 min 22 s in two runs on a 2-vCPU host (Python 3.11,
-numpy 2.4, OpenBLAS 0.3.31).
+2 min 16 s on a 2-vCPU host (Python 3.11, numpy 2.4, OpenBLAS 0.3.31).
 """
 
 import time

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 
 import snse
 from snse.cli import main
-from snse.config import (load_config, parse_coeff_list, parse_map_spec,
-                         parse_measure_spec)
+from snse.config import (_SCHEMA, load_config, parse_coeff_list,
+                         parse_map_spec, parse_measure_spec)
 from snse.errors import ConfigError
 from snse.harness import run_arm
 from snse.integrate import SolverConfig
@@ -154,13 +155,23 @@ class TestLoader:
         with pytest.raises(ConfigError, match="not a boolean"):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("yes", True), ("on", True), ("1", True),
+        ("false", False), ("no", False), ("off", False), ("0", False),
+        ("Off", False)])
+    def test_nonlinearity_words(self, tmp_path, word, value):
+        text = MINIMAL.replace("dt = 1e-3", f"dt = 1e-3\nnonlinearity = {word}")
+        cfg = load_config(_write(tmp_path, text)).experiment
+        assert cfg.solver.include_nonlinearity is value
+
     @pytest.mark.parametrize("old, new, match", [
         ("paths = 120", "paths = 120\ntrack = x", "track"),
         ("measure = stable:1.0", "measure = stable:1.0\ncutoff_delta = abc",
          "cutoff_delta"),
         ("sigma = constant:0.5@0\n\n[experiment]",
          "sigma = constant:0.5@0\nchannels = 0\n\n[experiment]", "channels"),
-    ], ids=["track", "cutoff_delta", "channels"])
+        ("n_max = 1", "n_max = 0", "n_max"),
+    ], ids=["track", "cutoff_delta", "channels", "n_max"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, old, new, match):
         assert old in WITH_JUMP
         path = _write(tmp_path, WITH_JUMP.replace(old, new))
@@ -168,6 +179,15 @@ class TestLoader:
             load_config(path)
         assert main(["check", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_readme_lists_every_key(self):
+        # the README "Run file" table is the only user-facing key list
+        text = (EXAMPLES.parent / "README.md").read_text()
+        table = text.split("\n## Run file\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", table, re.M)
+        assert sorted(rows) == sorted((section, key)
+                                      for section, keys in _SCHEMA.items()
+                                      for key in keys)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -345,6 +365,21 @@ persist(run_experiment(cfg), sys.argv[2], dump_paths=True)
 
 
 class TestShippedConfigs:
+    @pytest.mark.parametrize("path, digest", [
+        ("examples/desk_convergence.cfg", "79530e16b07d3753"),
+        ("examples/family_i.cfg", "3806f4edd055bf2d"),
+        ("examples/family_ii_alt.cfg", "2077145aaeba2665"),
+        ("examples/family_ii_stable.cfg", "47181f524ee767f7"),
+        ("examples/ou_linear.cfg", "d348f890140507c5"),
+        ("perfbench/workloads/cert_cosine.cfg", "45e510c7a7a8af14"),
+        ("perfbench/workloads/desk_nonlinear.cfg", "c2bd9015f8d3c336"),
+        ("perfbench/workloads/ou_linear.cfg", "6698791d8aedc30e"),
+    ])
+    def test_config_hash_pinned(self, path, digest):
+        # the hash names every persisted run; a loader change must keep it
+        run = load_config(EXAMPLES.parent / path)
+        assert run.experiment.config_hash() == digest
+
     def test_family_i_certifies(self, capsys):
         assert main(["check", "--config",
                      str(EXAMPLES / "family_i.cfg")]) == 0

@@ -282,12 +282,6 @@ class TestChannels:
         assert ch.discarded_qv_fraction <= 1e-4 * 1.0001
         assert ch.sample_range[0] == pytest.approx(1e-5, rel=1e-9)
 
-    def test_explicit_cutoff_validated(self):
-        h = build_h("inner_linear", 0.1, NU1)
-        with pytest.raises(InadmissibleKernelError):
-            make_channel(scaled_identity(), build_theta("one", 0.1), h, NU1,
-                         cutoff_delta=0.05)  # discards far too much
-
     def test_activity_value(self):
         kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.1, NU1)
         assert kern.channels[0].activity == pytest.approx(18.0, rel=1e-12)
