@@ -38,7 +38,7 @@ from .measures import LevyMeasure
 _QV_TOL = 0.05          # largest qv_gap allowed at the smallest epsilon
 _QV_TREND_SLACK = 1.05  # relative rise of qv_gap tolerated along the grid
 _GAP_FLOOR = 1e-12      # generator-gap panel max treated as numerical zero
-_DIFF_BLOCK = 2         # row pairs per jump_l2_diff block; bounds its temporaries
+_DIFF_BLOCK = 4         # row pairs per jump_l2_diff block; bounds its temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +80,11 @@ def jump_l2_diff(kernel: JumpKernel, u, v):
     """sum_channels integral of |sigma_eps(u, z) - sigma_eps(v, z)|_H^2 d(nu).
 
     One value per row pair. The difference is formed node by node: three
-    gain moments would cancel catastrophically for nearby u and v. Row
+    gain moments would cancel catastrophically for nearby u and v. It is
+    formed on the +z half of the table only and its sum added twice. Row
     pairs go through in blocks of _DIFF_BLOCK, so the two (rows, Q, dim)
-    temporaries stay small; each row's sums do not depend on its block.
+    temporaries stay small (Q nodes of one sign); each row's sums do not
+    depend on its block.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -99,12 +101,14 @@ def _l2_diff_rows(kernel: JumpKernel, u, v):
     total = 0.0
     for ch in kernel.channels:
         su, sv = ch.sigma.fn(u)[..., None, :], ch.sigma.fn(v)[..., None, :]
-        for (w, hv, gu), (_, _, gv) in zip(node_values(ch, u),
-                                           node_values(ch, v)):
-            du = gu[..., None] * su
-            du -= gv[..., None] * sv
-            du *= du
-            total = total + row_dot(np.sum(du, axis=-1), w * hv * hv)
+        w, hv, gu = node_values(ch, u)
+        _, _, gv = node_values(ch, v)
+        du = gu[..., None] * su
+        du -= gv[..., None] * sv
+        du *= du
+        # the -z half repeats these bits: theta and h^2 are even
+        part = row_dot(np.sum(du, axis=-1), w * hv * hv)
+        total = total + part + part
     return total
 
 

@@ -16,11 +16,20 @@ exactly 1. Built-in h families:
 The Levy measure is a power law, so the normalizers, the activity, the
 cutoff and the integral of h have closed forms. Each channel carries one
 frozen Gauss-Legendre table over the full h support (24 log-spaced panels of
-10 nodes, both signs) holding the density-weighted rule weights and the h and
-theta values at the nodes. The compensator, the certification masses and the
-jump quadratic variation all integrate against this table, so the kernel's
-callables are evaluated there once. A channel whose table misses more of the
-h^2 mass than the fixed qv budget _QV_BUDGET = 1e-4 is refused.
+10 nodes, split further at any support edge of the measure inside it)
+holding the density-weighted rule weights and the h and theta values at the
+nodes. The table stores the +z half only. The -z half is implied by the
+table's parity: theta and the density are even, and h(-z) = parity * h(z)
+with parity +1 for the annulus and -1 for the linear families. A channel
+whose kernel breaks this symmetry on the table's nodes is refused. Every
+nu-integral sums the half once and adds the sum to itself (or subtracts it,
+for an odd power of an odd h), which has the bits of the two-sign sum in
+sign order wherever the powers of h at -z mirror those at +z bit for bit
+(h and h^2 always; numpy's SIMD pow need not be exactly odd or even). The
+compensator, the certification masses and the jump quadratic variation all
+integrate against this table, so the kernel's callables are evaluated there
+once. A channel whose table misses more of the h^2 mass than the fixed qv
+budget _QV_BUDGET = 1e-4 is refused.
 
 Every state map declares a scalar gain with sigma(t u) = gain(t, |u|_H) sigma(u).
 A nu-integral of sigma(theta(z) u) h(z) therefore needs sigma(u) once and the
@@ -37,6 +46,7 @@ of the compensator cancels by symmetry.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -140,7 +150,7 @@ def build_h(family: str, epsilon: float, measure: LevyMeasure) -> HKernel:
 def h_norm_check(h: HKernel, measure: LevyMeasure) -> float:
     """The h^2 integral on a channel's node rule; 1 up to the rule's error."""
     z, w = _node_rule(h, measure)
-    return float(np.sum(w * h.fn(z) ** 2))
+    return _h2_mass(w * measure.density(z), h.fn(z))
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +230,27 @@ def zero_map() -> FieldMap:
 
 _PANELS = 24
 _GL_ORDER = 10
-_SUP_GRID = 4097   # marks per sign in the sup_jump_size grid
+_SUP_GRID = 4097   # marks on the +z half of the sup_jump_size grid
 _QV_BUDGET = 1e-4  # share of the h^2 mass the cutoff and node table may miss
 
 
 @dataclass(frozen=True)
 class NodeTable:
-    """Gauss-Legendre rule over the full h support, frozen at construction.
+    """Gauss-Legendre rule over the +z half of the h support, frozen at
+    construction.
 
-    Row 0 holds the marks +z, row 1 the marks -z; each row is the composite
-    rule on log-spaced panels. w is the rule weight times the Levy density,
-    h and theta the kernel values at the same marks. Every nu-integral of a
-    channel reads these arrays instead of calling the kernel's callables.
+    The marks z > 0 form the composite rule on log-spaced panels. w is the
+    rule weight times the Levy density, h and theta the kernel values at the
+    same marks. The -z half is implied: w and theta are even, and h at -z is
+    parity * h. Every nu-integral of a channel reads these arrays instead of
+    calling the kernel's callables.
     """
 
-    z: np.ndarray       # (2, Q)
-    w: np.ndarray       # (2, Q)
-    h: np.ndarray       # (2, Q)
-    theta: np.ndarray   # (2, Q)
+    z: np.ndarray       # (Q,)
+    w: np.ndarray       # (Q,)
+    h: np.ndarray       # (Q,)
+    theta: np.ndarray   # (Q,)
+    parity: float       # +1.0 for an even h, -1.0 for an odd one
 
 
 @dataclass
@@ -254,22 +267,47 @@ class JumpChannel:
     table: NodeTable
 
 
+@functools.cache
+def _gauss_legendre():
+    """The _GL_ORDER-point rule on [-1, 1], built once per process on first
+    use, so importing the package does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
+
+
 def _node_rule(h: HKernel, measure: LevyMeasure):
-    """Marks (2, Q) of the composite rule over the h support, and the rule
-    weights times the Levy density at them."""
+    """Marks z > 0 of the composite rule over the h support, and its weights.
+
+    Panels are log-spaced and split at every support edge of the measure
+    that lies inside them, so the density is smooth on each panel.
+    """
     lo, hi = h.support
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.geomspace(max(lo, 1e-14 * hi), hi, _PANELS + 1)
+    start = max(lo, 1e-14 * hi)
+    edges = np.geomspace(start, hi, _PANELS + 1).tolist()
+    edges += [e for pair in measure.support for e in pair if start < e < hi]
+    edges = np.array(sorted(set(edges)))
+    x, w = _gauss_legendre()
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
-    weights = (half * w).ravel()
-    z = np.stack([nodes, -nodes])
-    return z, np.stack([weights, weights]) * measure.density(z)
+    return nodes, (half * w).ravel()
 
 
-def _node_table(theta: ThetaKernel, h: HKernel, measure: LevyMeasure) -> NodeTable:
-    z, w = _node_rule(h, measure)
-    table = NodeTable(z, w, h.fn(z), theta.fn(z))
+def _h2_mass(w: np.ndarray, hv: np.ndarray) -> float:
+    """sum of w h^2 over both signs, from the +z half."""
+    return 2.0 * float(np.sum(w * hv**2))
+
+
+def _node_table(theta: ThetaKernel, h: HKernel, measure: LevyMeasure,
+                parity: float) -> NodeTable:
+    z, rule = _node_rule(h, measure)
+    rho, hv, tv = measure.density(z), h.fn(z), theta.fn(z)
+    # the one-sign sums are exact only if the -z half repeats these bits
+    if not (np.array_equal(measure.density(-z), rho)
+            and np.array_equal(h.fn(-z), parity * hv)
+            and np.array_equal(theta.fn(-z), tv)):
+        raise InadmissibleKernelError(
+            f"theta {theta.family!r} and h {h.family!r} are not symmetric "
+            f"in the mark on {measure.label()}")
+    table = NodeTable(z, rule * rho, hv, tv, parity)
     for arr in (table.z, table.w, table.h, table.theta):
         arr.setflags(write=False)
     return table
@@ -289,17 +327,18 @@ def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
     activity = annulus_mass(measure, sample_lo, hi)
     if not np.isfinite(activity):
         raise InadmissibleKernelError("sampled support has infinite mass")
+    # h is flat on the annulus and odd elsewhere
+    parity = 1.0 if h.family == "annulus" else -1.0
+    table = _node_table(theta, h, measure, parity)
     # every nu-integral runs on the node table, so it must hold the h^2 mass
-    qv = h_norm_check(h, measure)
+    qv = _h2_mass(table.w, table.h)
     if abs(qv - 1.0) > _QV_BUDGET:
         raise InadmissibleKernelError(
             f"node rule holds h^2 mass {qv:.10g} on {measure.label()}, "
             f"off by more than the qv budget {_QV_BUDGET:g}")
-    # h is flat on the annulus and odd elsewhere
-    h_integral = activity / h.scale if h.family == "annulus" else 0.0
+    h_integral = activity / h.scale if parity > 0.0 else 0.0
     return JumpChannel(sigma, theta, h, measure, delta, (sample_lo, hi),
-                       activity, h_integral, discarded,
-                       _node_table(theta, h, measure))
+                       activity, h_integral, discarded, table)
 
 
 @dataclass
@@ -344,31 +383,29 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def node_values(channel: JumpChannel, coeffs):
-    """Per sign: table weights w, h and the gains gain(theta(z), |u|_H).
+    """Table weights w, h and the gains gain(theta(z), |u|_H) on the +z half.
 
     coeffs may carry leading row axes; the gains have shape (..., Q), so
-    sigma(theta(z) u) is gain[..., q] * sigma(u) at node q.
+    sigma(theta(z) u) is gain[..., q] * sigma(u) at node q, and at its
+    mirror mark -z as well, since theta is even.
     """
     t = channel.table
     r = np.linalg.norm(coeffs, axis=-1, keepdims=True)
-    shape = r.shape[:-1] + t.theta.shape[1:]
-    for s in (0, 1):
-        g = channel.sigma.gain(t.theta[s], r)
-        yield t.w[s], t.h[s], np.broadcast_to(g, shape)
+    g = channel.sigma.gain(t.theta, r)
+    return t.w, t.h, np.broadcast_to(g, r.shape[:-1] + t.theta.shape)
 
 
 def gain_moment(channel: JumpChannel, coeffs, k: int):
-    """sum_z w h^k gain(theta(z), |u|_H)^k over the table, one value per row.
+    """sum_z w h^k gain(theta(z), |u|_H)^k over both signs, one value per row.
 
     With it, the nu-integral of |sigma_eps(u, z)|^k is |sigma(u)|^k times
-    this moment (and for k = 1 the integral of sigma_eps itself). The signs
-    are summed as separate partial sums in sign order, so the two halves of
-    an odd profile under an even theta cancel exactly.
+    this moment (and for k = 1 the integral of sigma_eps itself). The +z
+    half is summed once and the -z half is parity^k times that sum, added
+    in sign order, so an odd power of an odd profile cancels exactly.
     """
-    total = 0.0
-    for w, hv, g in node_values(channel, coeffs):
-        total = total + row_dot(g**k, w * hv**k)
-    return total
+    w, hv, g = node_values(channel, coeffs)
+    half = row_dot(g**k, w * hv**k)
+    return 0.0 + half + channel.table.parity**k * half
 
 
 def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
@@ -396,12 +433,8 @@ def sup_jump_size(channel: JumpChannel, radius: float) -> float:
     the support endpoints, where the built-in profiles attain their sup.
     """
     lo, hi = channel.h.support
-    r = np.linspace(max(lo, 1e-12 * hi), hi, _SUP_GRID)
-    best = 0.0
-    for sgn in (1.0, -1.0):
-        z = sgn * r
-        hv = np.abs(np.asarray(channel.h.fn(z)))
-        tv = np.abs(np.asarray(channel.theta.fn(z)))
-        vals = hv * channel.sigma.ball_sup(tv * radius)
-        best = max(best, float(vals.max()))
-    return best
+    z = np.linspace(max(lo, 1e-12 * hi), hi, _SUP_GRID)
+    # |h| and |theta| are even, so the +z half holds the sup
+    hv = np.abs(np.asarray(channel.h.fn(z)))
+    tv = np.abs(np.asarray(channel.theta.fn(z)))
+    return float((hv * channel.sigma.ball_sup(tv * radius)).max())

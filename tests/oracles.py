@@ -190,14 +190,20 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
 # nu-integrals with sigma evaluated at every node of the channel's table
 
 def reference_node_values(channel, coeffs):
-    """Per sign: table weights w, h and sigma(theta(z) u) at every node.
+    """Per sign: rule weights times the density, h and sigma(theta(z) u).
 
-    coeffs may carry leading row axes; the node axis sits before the last.
+    Both signs come from the kernel's callables at the rule's nodes +z and
+    at their mirrors -z, never from the channel's one-sign table, so the
+    comparisons check the table's symmetry instead of assuming it. coeffs
+    may carry leading row axes; the node axis sits before the last.
     """
-    t = channel.table
-    for s in (0, 1):
-        scaled = t.theta[s, :, None] * coeffs[..., None, :]
-        yield t.w[s], t.h[s], channel.sigma.fn(scaled)
+    from snse.kernels import _node_rule
+
+    z, rule = _node_rule(channel.h, channel.measure)
+    for marks in (z, -z):
+        scaled = channel.theta.fn(marks)[:, None] * coeffs[..., None, :]
+        yield (rule * channel.measure.density(marks), channel.h.fn(marks),
+               channel.sigma.fn(scaled))
 
 
 def reference_compensator(kernel, coeffs):

@@ -6,7 +6,8 @@ testbed and the desk-scale nonlinear run) are module fixtures shared by the
 tests that grade them, so each simulation happens once per suite run.
 
 Budgets are generous for a laptop-class single core; the whole gate took
-2 min 16 s on a 2-vCPU host (Python 3.11, numpy 2.4, OpenBLAS 0.3.31).
+4 min 48 s on a shared 2-vCPU host (Python 3.11, numpy 2.4, OpenBLAS
+0.3.31), where the same gate has read between about 2 and 5 minutes.
 """
 
 import time

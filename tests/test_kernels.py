@@ -19,9 +19,10 @@ from snse.generators import generator_gap, jump_qv_matrix, matched_noise
 from snse.hypotheses import (_DIFF_BLOCK, brownian_l2_mass, jump_l2_diff,
                              jump_l2_mass, jump_l4_mass, jump_v2_mass)
 from snse.kernels import (
-    HKernel, build_h, build_jump_kernel, build_theta, compensator_drift,
-    constant_field, diagonal_map, eval_sigma_eps, h_norm_check, make_channel,
-    row_dot, saturating, scaled_identity, sup_jump_size, zero_map,
+    HKernel, ThetaKernel, _node_rule, build_h, build_jump_kernel, build_theta,
+    compensator_drift, constant_field, diagonal_map, eval_sigma_eps,
+    gain_moment, h_norm_check, make_channel, row_dot, saturating,
+    scaled_identity, sup_jump_size, zero_map,
 )
 from snse.measures import alpha_stable_measure, power_law_measure
 
@@ -195,6 +196,38 @@ class TestGainMoments:
                                  NU1, channels=2)
         self._check(kern, basis2, odd=False)
 
+    @pytest.mark.parametrize("eps", [0.1, 0.02])
+    @pytest.mark.parametrize("theta", ["one", "cosine", "gaussian_dip"])
+    @pytest.mark.parametrize("family", ["annulus", "inner_linear",
+                                        "outer_linear"])
+    def test_half_table_is_the_two_sign_sum(self, family, theta, eps):
+        # the two-sign sum in sign order, (0 + S+) + S-, with every value at
+        # +z and -z taken from the kernel's callables
+        ch = build_jump_kernel(saturating(0.5), family, theta, eps,
+                               NU1).channels[0]
+        rng = np.random.default_rng(17)
+        rows = (rng.standard_normal((9, GAIN_DIM))
+                * np.geomspace(0.05, 20.0, 9)[:, None])
+        r = np.linalg.norm(rows, axis=-1, keepdims=True)
+        z, rule = _node_rule(ch.h, ch.measure)
+        (wp, hp, gp), (wm, hm, gm) = (
+            (rule * NU1.density(x), ch.h.fn(x),
+             ch.sigma.gain(ch.theta.fn(x), r)) for x in (z, -z))
+        odd = family != "annulus"
+        for k in (1, 2, 3, 4):
+            plus = row_dot(gp**k, wp * hp**k)
+            value = gain_moment(ch, rows, k)
+            # numpy's vectorized pow need not be exactly odd or even in its
+            # base beyond the square, so from k = 3 the mirror's power is
+            # the +z power times parity^k, and the sum with numpy's powers
+            # at -z is checked to the last bits only
+            hmk = hm**k if k <= 2 else (-1.0 if odd else 1.0) ** k * hp**k
+            assert np.array_equal(value, (0.0 + plus) + row_dot(gm**k, wm * hmk))
+            two_sign = (0.0 + plus) + row_dot(gm**k, wm * hm**k)
+            assert np.all(np.abs(value - two_sign) <= 1e-14 * np.abs(plus))
+            if odd and k % 2:
+                assert np.all(value == 0.0) and not np.signbit(value).any()
+
     @staticmethod
     def _check(kern, basis, odd):
         rng = np.random.default_rng(31)
@@ -235,8 +268,9 @@ class TestRowStability:
         one = row_dot(a[0], vec)
         assert one.shape == () and one == a[0] @ vec
 
-    @pytest.mark.parametrize("theta", ["one", "cosine"])
-    @pytest.mark.parametrize("family", ["annulus", "inner_linear"])
+    @pytest.mark.parametrize("theta", ["one", "cosine", "gaussian_dip"])
+    @pytest.mark.parametrize("family", ["annulus", "inner_linear",
+                                        "outer_linear"])
     @pytest.mark.parametrize("sigma", [scaled_identity(0.7), saturating(0.5)],
                              ids=["identity", "saturating"])
     def test_stack_equals_row_calls(self, basis2, sigma, family, theta):
@@ -322,6 +356,35 @@ class TestChannels:
                                  0.1, alpha_stable_measure(1.5))
         h = kern.channels[0].h
         assert abs(h_norm_check(h, alpha_stable_measure(1.5)) - 1.0) <= 1e-4
+
+    def test_node_table_holds_the_plus_half(self):
+        for family, parity in (("annulus", 1.0), ("inner_linear", -1.0),
+                               ("outer_linear", -1.0)):
+            t = build_jump_kernel(scaled_identity(), family, "cosine", 0.1,
+                                  NU1).channels[0].table
+            assert t.parity == parity
+            for arr in (t.z, t.w, t.h, t.theta):
+                assert arr.shape == (240,) and not arr.flags.writeable
+            assert np.all(t.z > 0.0)
+
+    def test_asymmetric_theta_refused(self):
+        # the one-sign sums need theta(-z) == theta(z) at every node
+        eps = 0.1
+        odd = ThetaKernel("sine", eps, lambda z: 1.0 + eps * np.sin(z),
+                          eps, 1.0 + eps)
+        h = build_h("annulus", eps, NU1)
+        with pytest.raises(InadmissibleKernelError, match="not symmetric"):
+            make_channel(scaled_identity(), odd, h, NU1)
+
+    def test_measure_edge_inside_h_support_splits_a_panel(self):
+        # the measure's support starts at 0.001, inside inner_linear's
+        # support (0, 0.1): a panel edge there keeps the density smooth on
+        # every panel, so the table holds the h^2 mass to rounding
+        nu = power_law_measure(-1.5, 0.001, 10.0)
+        ch = build_jump_kernel(scaled_identity(), "inner_linear", "one", 0.1,
+                               nu).channels[0]
+        assert ch.table.z.shape == (250,)
+        assert abs(h_norm_check(ch.h, nu) - 1.0) <= 1e-11
 
     def test_compensator_zero_for_odd_profiles(self, basis2, rng):
         u = random_field(basis2, rng)
