@@ -3,7 +3,7 @@ Navier-Stokes dynamics driven by Brownian motion or small-jump Levy noise."""
 
 __version__ = "0.1.0"
 
-from .basis import BasisSpec, SpectralField, get_basis, norms, stokes_eigenvalue
+from .basis import BasisSpec, get_basis, stokes_eigenvalue
 from .config import LoadedRun, load_config
 from .errors import CertificationError, ConfigError, InadmissibleKernelError
 from .harness import (ExperimentConfig, ExperimentResult, persist,
@@ -16,13 +16,12 @@ from .integrate import (BrownianNoiseSpec, PathBatch, SolverConfig,
 from .kernels import (build_h, build_jump_kernel, build_theta, constant_field,
                       h_norm_check, saturating, scaled_identity, zero_map)
 from .measures import alpha_stable_measure, annulus_mass, power_law_measure
-from .nonlinear import (bilinear_b, coupling_tensor, nonlinear_term,
-                        verify_b_estimates)
+from .nonlinear import coupling_tensor, verify_b_estimates
 from .sampling import derive_stream, sample_prm, stream_key
 from .stats import compare_laws, ks_statistic, ks_threshold, summarize
 
 __all__ = [
-    "BasisSpec", "SpectralField", "get_basis", "norms", "stokes_eigenvalue",
+    "BasisSpec", "get_basis", "stokes_eigenvalue",
     "LoadedRun", "load_config",
     "CertificationError", "ConfigError", "InadmissibleKernelError",
     "ExperimentConfig", "ExperimentResult", "persist", "run_arm",
@@ -35,7 +34,7 @@ __all__ = [
     "build_h", "build_jump_kernel", "build_theta", "constant_field",
     "h_norm_check", "saturating", "scaled_identity", "zero_map",
     "alpha_stable_measure", "annulus_mass", "power_law_measure",
-    "bilinear_b", "coupling_tensor", "nonlinear_term", "verify_b_estimates",
+    "coupling_tensor", "verify_b_estimates",
     "derive_stream", "sample_prm", "stream_key",
     "compare_laws", "ks_statistic", "ks_threshold", "summarize",
     "__version__",

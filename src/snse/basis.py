@@ -9,6 +9,9 @@ representative kept per {k, -k} pair (the one with kx > 0, or kx == 0 and
 ky > 0). The zero mode is excluded, so the Stokes operator is strictly
 positive on the span.
 
+A field is its coefficient row c of shape (dim,); a batch of fields is an
+array of shape (..., dim).
+
 Inner products use the normalized measure dx / (2 pi)^2. Under it the modes
 are orthonormal, so a field with coefficient vector c has |u|_H^2 = sum c_i^2
 while the plain Lebesgue integral of |u|^2 equals (2 pi)^2 * sum c_i^2. The
@@ -24,12 +27,12 @@ appear in configs and CSV dumps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BasisMismatchError, ZeroModeError
+from .errors import ZeroModeError
 
 TWO_PI = 2.0 * np.pi
 
@@ -164,92 +167,3 @@ class BasisSpec:
 def get_basis(n_max: int) -> BasisSpec:
     """Shared BasisSpec instances so cached grids are built once per n_max."""
     return BasisSpec(n_max)
-
-
-@dataclass
-class SpectralField:
-    """A divergence-free velocity field as a coefficient vector on a basis."""
-
-    basis: BasisSpec
-    coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.size == 0:
-            self.coeffs = np.zeros(self.basis.dim)
-        if self.coeffs.shape != (self.basis.dim,):
-            raise BasisMismatchError(
-                f"expected {self.basis.dim} coefficients, got {self.coeffs.shape}")
-
-    @classmethod
-    def zero(cls, basis: BasisSpec) -> "SpectralField":
-        return cls(basis, np.zeros(basis.dim))
-
-    @classmethod
-    def from_modes(cls, basis: BasisSpec, amplitudes: dict[int, float]) -> "SpectralField":
-        c = np.zeros(basis.dim)
-        for idx, amp in amplitudes.items():
-            c[idx] = amp
-        return cls(basis, c)
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.basis, self.coeffs.copy())
-
-    def dot(self, other: "SpectralField") -> float:
-        _check_same(self, other)
-        return float(self.coeffs @ other.coeffs)
-
-    @property
-    def norm_h(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    @property
-    def norm_v(self) -> float:
-        return float(np.sqrt(self.coeffs**2 @ self.basis.eigenvalues))
-
-    @property
-    def norm_dom(self) -> float:
-        """Norm |A u|_H of the Stokes operator applied to the field."""
-        return float(np.sqrt(self.coeffs**2 @ self.basis.eigenvalues**2))
-
-    def synthesize(self) -> np.ndarray:
-        """Point values on the collocation grid, shape (M, M, 2)."""
-        b = self.basis
-        return (self.coeffs @ b.synthesis_matrix()).reshape(b.m_grid, b.m_grid, 2)
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same(self, other)
-        return SpectralField(self.basis, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same(self, other)
-        return SpectralField(self.basis, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.basis, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def _check_same(a: SpectralField, b: SpectralField):
-    if a.basis != b.basis:
-        raise BasisMismatchError("fields live on different bases")
-
-
-def norms(u: SpectralField) -> tuple[float, float, float]:
-    """(|u|_H, |u|_V, |A u|_H) for a spectral field."""
-    return (u.norm_h, u.norm_v, u.norm_dom)
-
-
-def random_field(basis: BasisSpec, rng: np.random.Generator,
-                 decay: float = 1.0, norm_h: float | None = None) -> SpectralField:
-    """Gaussian random field with per-mode standard deviation lam^(-decay).
-
-    With decay >= 1 the draws are comfortably inside the domain of the Stokes
-    operator; decay 0 gives white noise across modes. If norm_h is given the
-    field is rescaled to that H norm.
-    """
-    c = rng.standard_normal(basis.dim) * basis.eigenvalues ** (-decay)
-    if norm_h is not None:
-        c *= norm_h / np.linalg.norm(c)
-    return SpectralField(basis, c)

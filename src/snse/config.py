@@ -75,6 +75,7 @@ def parse_measure_spec(spec: str) -> LevyMeasure:
 def parse_coeff_list(spec: str, dim: int, sep: str = ",") -> np.ndarray:
     """amp@index list like 0.3@0, 0.3@2 into a coefficient vector."""
     out = np.zeros(dim)
+    seen = set()
     for item in spec.split(sep):
         amp, _, idx = item.partition("@")
         try:
@@ -84,6 +85,11 @@ def parse_coeff_list(spec: str, dim: int, sep: str = ",") -> np.ndarray:
             raise ConfigError(f"bad coefficient entry {item.strip()!r}") from None
         if not 0 <= k < dim:
             raise ConfigError(f"coefficient index {k} out of range")
+        if k in seen:
+            raise ConfigError(f"coefficient index {k} given twice")
+        if not np.isfinite(val):
+            raise ConfigError(f"coefficient {item.strip()!r} is not finite")
+        seen.add(k)
         out[k] = val
     return out
 

@@ -5,10 +5,6 @@ class ZeroModeError(ValueError):
     """Raised when the constant (zero) wave vector is used."""
 
 
-class BasisMismatchError(ValueError):
-    """Raised when fields built on different bases are combined."""
-
-
 class InfiniteMassError(ValueError):
     """Raised when a Levy-measure integral diverges on the requested region."""
 

@@ -43,13 +43,13 @@ _KNOWN_FUNCTIONALS = ("normH2", "normV2", "sup_normH2")
 
 
 def functional_mode(name: str) -> int | None:
-    """k for a `mode:k` functional name, None for any other name."""
+    """k for a plainly written `mode:k` functional, None for any other name."""
     if not name.startswith("mode:"):
         return None
-    try:
-        return int(name[5:])
-    except ValueError:
-        raise ConfigError(f"bad functional {name!r}") from None
+    k = name[5:]
+    if not k.isdecimal() or k != str(int(k)):
+        raise ConfigError(f"bad functional {name!r}")
+    return int(k)
 
 
 def _check_functional(name: str, dim: int) -> None:
@@ -108,8 +108,10 @@ class ExperimentConfig:
             raise ConfigError("chunk_size must be positive")
         if not self.functionals:
             raise ConfigError("at least one functional required")
-        for name in self.functionals:
+        for i, name in enumerate(self.functionals):
             _check_functional(name, self.basis.dim)
+            if name in self.functionals[:i]:
+                raise ConfigError(f"functional {name!r} listed twice")
         eps = [k.epsilon for k in self.kernels]
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("kernel grid must have strictly decreasing epsilon")

@@ -55,13 +55,15 @@ class SolverConfig:
     blowup_norm: float = 1e6
 
     def __post_init__(self):
-        if self.t_end <= 0.0 or self.dt <= 0.0:
-            raise ValueError("t_end and dt must be positive")
+        if not (0.0 < self.t_end < np.inf and 0.0 < self.dt < np.inf):
+            raise ValueError("t_end and dt must be finite and positive")
         n = round(self.t_end / self.dt)
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError("t_end must be an integer multiple of dt")
         if self.record_stride < 1 or n % self.record_stride:
             raise ValueError("record_stride must divide the step count")
+        if not 0.0 < self.blowup_norm < np.inf:
+            raise ValueError("blowup_norm must be finite and positive")
 
     @property
     def n_steps(self) -> int:
@@ -318,14 +320,3 @@ def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
                 np.bincount(path[here], minlength=n_paths))
 
     return _integrate(basis, cfg, u, forcing, advance)
-
-
-def exit_time_index(batch: PathBatch, level: float) -> np.ndarray:
-    """First recorded index where |u|_H^2 or the running V-integral exceeds level.
-
-    Returns n_recorded for paths that never exit; a blown-up path exits at
-    its first NaN record at the latest.
-    """
-    h2 = batch.norm_h2
-    bad = (h2 > level) | (batch.int_v2 > level) | ~np.isfinite(h2)
-    return np.where(bad.any(axis=1), bad.argmax(axis=1), batch.n_recorded)

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisSpec, SpectralField, TWO_PI
+from .basis import BasisSpec
 
 _TENSOR_TOL = 1e-12   # coupling entries at or below this are dropped as zero
 _B_BATCH = 2000       # random triples per verify_b_estimates batch
@@ -63,11 +63,6 @@ def bilinear_b_batch(basis: BasisSpec, cu, cv, cw) -> np.ndarray:
     adv += dv1
     wg = _synth(basis, cw)
     return np.einsum("...xyc,...xyc->...", adv, wg) / basis.m_grid**2
-
-
-def bilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:
-    """Convection form b(u, v, w) = <(u . grad) v, w>."""
-    return float(bilinear_b_batch(u.basis, u.coeffs, v.coeffs, w.coeffs))
 
 
 @lru_cache(maxsize=8)
@@ -101,11 +96,6 @@ def nonlinear_term_batch(basis: BasisSpec, coeffs) -> np.ndarray:
     ux *= 0.5
     uy[...] = uxy
     return d @ _stress_table(basis)
-
-
-def nonlinear_term(u: SpectralField) -> SpectralField:
-    """B(u), the projected convection term of the field with itself."""
-    return SpectralField(u.basis, nonlinear_term_batch(u.basis, u.coeffs))
 
 
 @dataclass
@@ -195,24 +185,3 @@ def verify_b_estimates(basis: BasisSpec, n_samples: int = 1000,
         dom_max = max(dom_max, float(np.max(b_uuv / denom)))
         done += n
     return BEstimateReport(n_samples, seed, hv_max, dom_max)
-
-
-def max_divergence(u: SpectralField) -> float:
-    """Max pointwise divergence of the synthesized field, via an FFT route.
-
-    Independent of the mode-derivative tables; used as a consistency check
-    that every synthesized field is divergence free to round-off.
-    """
-    grid = u.synthesize()
-    m = u.basis.m_grid
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    f0 = np.fft.fft2(grid[:, :, 0])
-    f1 = np.fft.fft2(grid[:, :, 1])
-    div_hat = 1j * (k[:, None] * f0 + k[None, :] * f1)
-    return float(np.abs(np.fft.ifft2(div_hat).real).max())
-
-
-def grid_l2_integral(u: SpectralField) -> float:
-    """Lebesgue integral of |u|^2 over the torus by grid quadrature."""
-    grid = u.synthesize()
-    return float(TWO_PI**2 * np.sum(grid**2) / u.basis.m_grid**2)

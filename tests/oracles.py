@@ -6,6 +6,8 @@ into complex exponentials and applying the exact resonance condition
 s1*k + s2*l + s3*m = 0, so the two routes share no code beyond the mode
 metadata. The `reference_*` functions are the plain or former forms of
 package computations, kept to compare the current ones against.
+`random_field` draws test fields as coefficient rows, and the grid helpers
+(`max_divergence`, `grid_l2_integral`, `embed`) check a row's synthesis.
 """
 
 from __future__ import annotations
@@ -93,14 +95,52 @@ def reference_nonlinear_advective(basis, coeffs) -> np.ndarray:
     return flat @ smat.T / m**2
 
 
-def embed(field, big_basis):
-    """Copy a field's coefficients into a finer basis (same mode labels)."""
-    from snse.basis import SpectralField
+def random_field(basis, rng, decay=1.0, norm_h=None) -> np.ndarray:
+    """Gaussian coefficient row with per-mode standard deviation lam^(-decay).
 
+    With decay >= 1 the draws are comfortably inside the domain of the Stokes
+    operator; decay 0 gives white noise across modes. If norm_h is given the
+    row is rescaled to that H norm.
+    """
+    c = rng.standard_normal(basis.dim) * basis.eigenvalues ** (-decay)
+    if norm_h is not None:
+        c *= norm_h / np.linalg.norm(c)
+    return c
+
+
+def synthesize(basis, coeffs) -> np.ndarray:
+    """Point values of a coefficient row on the collocation grid, (M, M, 2)."""
+    return (coeffs @ basis.synthesis_matrix()).reshape(basis.m_grid,
+                                                       basis.m_grid, 2)
+
+
+def max_divergence(basis, coeffs) -> float:
+    """Max pointwise divergence of the synthesized field, via an FFT route.
+
+    Independent of the mode-derivative tables; used as a consistency check
+    that every synthesized field is divergence free to round-off.
+    """
+    grid = synthesize(basis, coeffs)
+    m = basis.m_grid
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    f0 = np.fft.fft2(grid[:, :, 0])
+    f1 = np.fft.fft2(grid[:, :, 1])
+    div_hat = 1j * (k[:, None] * f0 + k[None, :] * f1)
+    return float(np.abs(np.fft.ifft2(div_hat).real).max())
+
+
+def grid_l2_integral(basis, coeffs) -> float:
+    """Lebesgue integral of |u|^2 over the torus by grid quadrature."""
+    grid = synthesize(basis, coeffs)
+    return float((2.0 * np.pi)**2 * np.sum(grid**2) / basis.m_grid**2)
+
+
+def embed(basis, coeffs, big_basis) -> np.ndarray:
+    """Copy a coefficient row into a finer basis (same mode labels)."""
     c = np.zeros(big_basis.dim)
-    for m, a in zip(field.basis.modes, field.coeffs):
+    for m, a in zip(basis.modes, coeffs):
         c[big_basis.mode_index(m.kx, m.ky, m.parity)] = a
-    return SpectralField(big_basis, c)
+    return c
 
 
 def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):

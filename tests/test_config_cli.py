@@ -85,6 +85,13 @@ class TestMapAndMeasureSpecs:
             parse_coeff_list("0.3@9", 8)
         with pytest.raises(ConfigError):
             parse_coeff_list("x@0", 8)
+        for spec, match in (("0.3@0, 0.4@0", "given twice"),
+                            ("nan@0", "not finite"),
+                            ("0.3@0, inf@1", "not finite")):
+            with pytest.raises(ConfigError, match=match):
+                parse_coeff_list(spec, 8)
+            with pytest.raises(ConfigError, match=match):
+                parse_map_spec("constant:" + spec.replace(",", ";"), 8)
 
 
 class TestLoader:
@@ -171,7 +178,17 @@ class TestLoader:
         ("sigma = constant:0.5@0\n\n[experiment]",
          "sigma = constant:0.5@0\nchannels = 0\n\n[experiment]", "channels"),
         ("n_max = 1", "n_max = 0", "n_max"),
-    ], ids=["track", "cutoff_delta", "channels", "n_max"])
+        ("t_end = 0.2", "t_end = inf", "finite"),
+        ("dt = 1e-3", "dt = nan", "finite"),
+        ("dt = 1e-3", "dt = 1e-3\nblowup_norm = nan", "blowup_norm"),
+        ("dt = 1e-3", "dt = 1e-3\nblowup_norm = -1", "blowup_norm"),
+        ("paths = 120", "paths = 120\ninitial = 0.3@0, 0.4@0", "twice"),
+        ("paths = 120", "paths = 120\ninitial = nan@0", "finite"),
+        ("paths = 120", "paths = 120\nfunctionals = normH2, normH2",
+         "listed twice"),
+    ], ids=["track", "cutoff_delta", "channels", "n_max", "t_end_inf",
+            "dt_nan", "blowup_nan", "blowup_negative", "initial_repeat",
+            "initial_nan", "functional_repeat"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, old, new, match):
         assert old in WITH_JUMP
         path = _write(tmp_path, WITH_JUMP.replace(old, new))
@@ -445,6 +462,12 @@ class TestShippedConfigs:
              "if m == 'scipy' or m.startswith('scipy.')))"],
             env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_public_names_resolve(self):
+        # every exported name exists on the package, and none is listed twice
+        assert len(snse.__all__) == len(set(snse.__all__))
+        missing = [name for name in snse.__all__ if not hasattr(snse, name)]
+        assert missing == []
 
     def test_console_script_installed(self):
         proc = subprocess.run(["snse", "tensor-dump", "--nmax", "1"],

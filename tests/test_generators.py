@@ -3,7 +3,6 @@
 import numpy as np
 from scipy.integrate import quad
 
-from snse.basis import random_field
 from snse.generators import (diffusion_qv_matrix, generator_gap,
                              jump_qv_matrix, matched_noise)
 from snse.integrate import BrownianNoiseSpec
@@ -11,12 +10,14 @@ from snse.kernels import (build_jump_kernel, constant_field, saturating,
                           scaled_identity)
 from snse.measures import alpha_stable_measure
 
+from oracles import random_field
+
 NU1 = alpha_stable_measure(1.0)
 
 
 def test_diffusion_qv_closed_form(basis2):
     rng = np.random.default_rng(4)
-    x = random_field(basis2, rng, norm_h=1.2).coeffs
+    x = random_field(basis2, rng, norm_h=1.2)
     g1 = rng.standard_normal(basis2.dim)
     g2 = rng.standard_normal(basis2.dim)
     noise = BrownianNoiseSpec((constant_field(g1), constant_field(g2)))
@@ -27,7 +28,7 @@ def test_diffusion_qv_closed_form(basis2):
 def test_jump_qv_identity_sigma(basis2):
     # theta == 1: the integral collapses to |h|^2-mass times the outer square
     rng = np.random.default_rng(6)
-    x = random_field(basis2, rng, norm_h=0.9).coeffs
+    x = random_field(basis2, rng, norm_h=0.9)
     kern = build_jump_kernel(scaled_identity(0.7), "annulus", "one", 0.1, NU1)
     q = jump_qv_matrix(kern, x)
     assert np.allclose(q, 0.49 * np.outer(x, x), rtol=1e-8)
@@ -35,7 +36,7 @@ def test_jump_qv_identity_sigma(basis2):
 
 def test_jump_qv_cosine_theta_scalar_weight(basis2):
     rng = np.random.default_rng(7)
-    x = random_field(basis2, rng, norm_h=0.9).coeffs
+    x = random_field(basis2, rng, norm_h=0.9)
     eps = 0.2
     kern = build_jump_kernel(scaled_identity(1.0), "annulus", "cosine", eps,
                              NU1)
@@ -54,7 +55,7 @@ def test_jump_qv_cosine_theta_scalar_weight(basis2):
 
 def test_jump_qv_saturating_entrywise_quadrature(basis2):
     rng = np.random.default_rng(9)
-    x = random_field(basis2, rng, norm_h=1.5).coeffs
+    x = random_field(basis2, rng, norm_h=1.5)
     eps = 0.1
     kern = build_jump_kernel(saturating(0.8), "annulus", "cosine", eps, NU1)
     ch = kern.channels[0]
@@ -76,7 +77,7 @@ def test_jump_qv_saturating_entrywise_quadrature(basis2):
 
 def test_gap_vanishes_for_flat_theta(basis2):
     rng = np.random.default_rng(10)
-    x = random_field(basis2, rng, norm_h=2.0).coeffs
+    x = random_field(basis2, rng, norm_h=2.0)
     kern = build_jump_kernel(saturating(0.9), "annulus", "one", 0.05, NU1)
     gap = generator_gap(kern, matched_noise(kern), x)
     assert gap < 1e-6
@@ -84,7 +85,7 @@ def test_gap_vanishes_for_flat_theta(basis2):
 
 def test_gap_decreases_with_epsilon(basis2):
     rng = np.random.default_rng(11)
-    x = random_field(basis2, rng, norm_h=1.0).coeffs
+    x = random_field(basis2, rng, norm_h=1.0)
     gaps = []
     for eps in (0.2, 0.1, 0.05):
         kern = build_jump_kernel(scaled_identity(1.0), "annulus", "cosine",

@@ -57,6 +57,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             _config(basis1, functionals=("energy",))
 
+    def test_repeated_functional(self, basis1):
+        with pytest.raises(ConfigError, match="listed twice"):
+            _config(basis1, functionals=("normH2", "normH2"))
+        # one mode has one name, so mode:0 cannot come back as mode:00
+        for alias in ("mode:00", "mode: 0", "mode:+0"):
+            with pytest.raises(ConfigError, match="bad functional"):
+                _config(basis1, functionals=("mode:0", alias))
+
     def test_mode_index_out_of_range(self, basis1):
         with pytest.raises(ConfigError):
             _config(basis1, functionals=("mode:99",))

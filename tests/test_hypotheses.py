@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from snse.basis import get_basis, random_field
+from snse.basis import get_basis
 from snse.hypotheses import (_max_witness, certify_kernels,
                              check_growth_lipschitz,
                              check_jump_size_decay, check_qv_limit_v_growth,
@@ -19,8 +19,8 @@ from snse.kernels import (FieldMap, build_jump_kernel, constant_field,
 from snse.measures import alpha_stable_measure, power_law_measure
 from snse.sampling import derive_stream
 
-from oracles import (reference_growth_lipschitz, reference_max_witness,
-                     reference_qv_limit_v_growth)
+from oracles import (random_field, reference_growth_lipschitz,
+                     reference_max_witness, reference_qv_limit_v_growth)
 
 NU1 = alpha_stable_measure(1.0)
 GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
@@ -33,7 +33,7 @@ class TestMassHelpers:
 
     def test_identity_flat_theta_masses(self, basis2):
         rng = np.random.default_rng(2)
-        u = random_field(basis2, rng, norm_h=1.7).coeffs
+        u = random_field(basis2, rng, norm_h=1.7)
         kern = build_jump_kernel(scaled_identity(1.0), "annulus", "one", 0.1,
                                  NU1)
         h2 = float(np.sum(u * u))
@@ -42,7 +42,7 @@ class TestMassHelpers:
         assert abs(jump_v2_mass(kern, u, basis2.eigenvalues) - v2) < 1e-8 * v2
         # flat profile: the |h|^4 mass is 1/(annulus mass) = 1/18
         assert abs(jump_l4_mass(kern, u) - h2 * h2 / 18.0) < 1e-8 * h2 * h2
-        v = random_field(basis2, rng, norm_h=0.4).coeffs
+        v = random_field(basis2, rng, norm_h=0.4)
         duv = float(np.sum((u - v) ** 2))
         assert abs(jump_l2_diff(kern, u, v) - duv) < 1e-8 * duv
 
@@ -50,7 +50,7 @@ class TestMassHelpers:
         # sampling drops {|z| < delta}, about 1e-4 of the QV; the masses
         # must still integrate the whole h support
         rng = np.random.default_rng(5)
-        u = random_field(basis2, rng, norm_h=1.3).coeffs
+        u = random_field(basis2, rng, norm_h=1.3)
         kern = build_jump_kernel(scaled_identity(1.0), "inner_linear", "one",
                                  0.05, NU1)
         ch = kern.channels[0]
@@ -61,7 +61,7 @@ class TestMassHelpers:
 
     def test_saturating_cosine_dense_quadrature_oracle(self, basis2):
         rng = np.random.default_rng(3)
-        u = random_field(basis2, rng, norm_h=1.1).coeffs
+        u = random_field(basis2, rng, norm_h=1.1)
         eps = 0.05
         kern = build_jump_kernel(saturating(0.8), "annulus", "cosine", eps,
                                  NU1)
@@ -273,7 +273,7 @@ class TestMartingale:
 
     def test_deterministic_paths_have_small_defect(self, basis2):
         rng = np.random.default_rng(9)
-        u0 = random_field(basis2, rng, norm_h=0.8).coeffs
+        u0 = random_field(basis2, rng, norm_h=0.8)
         cfg = SolverConfig(t_end=0.2, dt=1e-3, track_modes=(0,))
         streams = [derive_stream(0, "diagnostic", 0, p) for p in range(100)]
         batch = simulate_brownian_batch(basis2, cfg, u0, streams)

@@ -10,10 +10,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from oracles import (
-    reference_compensator, reference_l2_diff, reference_l2_mass,
+    random_field, reference_compensator, reference_l2_diff, reference_l2_mass,
     reference_l4_mass, reference_qv_matrix, reference_v2_mass,
 )
-from snse.basis import SpectralField, get_basis, random_field
+from snse.basis import get_basis
 from snse.errors import InadmissibleKernelError
 from snse.generators import generator_gap, jump_qv_matrix, matched_noise
 from snse.hypotheses import (_DIFF_BLOCK, brownian_l2_mass, jump_l2_diff,
@@ -323,8 +323,9 @@ class TestChannels:
     def test_compensator_annulus_identity(self, basis2):
         # int h dnu = sqrt(mass); with identity sigma the drift is sqrt(198) u
         kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.01, NU1)
-        u = SpectralField.from_modes(basis2, {0: 1.0})
-        drift = compensator_drift(kern, u.coeffs)
+        u = np.zeros(basis2.dim)
+        u[0] = 1.0
+        drift = compensator_drift(kern, u)
         assert drift[0] == pytest.approx(math.sqrt(198.0), rel=1e-9)
         assert np.allclose(drift[1:], 0.0)
         assert kern.channels[0].h_integral == pytest.approx(14.071247279470288, rel=1e-9)
@@ -391,15 +392,16 @@ class TestChannels:
         for family in ("outer_linear", "inner_linear"):
             for theta in ("one", "cosine"):
                 kern = build_jump_kernel(scaled_identity(), family, theta, 0.1, NU1)
-                drift = compensator_drift(kern, u.coeffs)
+                drift = compensator_drift(kern, u)
                 assert np.max(np.abs(drift)) < 1e-14
 
     def test_compensator_quad_path_vs_reference(self, basis2):
         # cosine theta forces the node-quadrature path; check one coefficient
         # against direct adaptive quadrature of the full composition
         kern = build_jump_kernel(scaled_identity(0.7), "annulus", "cosine", 0.2, NU1)
-        u = SpectralField.from_modes(basis2, {2: 1.3})
-        drift = compensator_drift(kern, u.coeffs)
+        u = np.zeros(basis2.dim)
+        u[2] = 1.3
+        drift = compensator_drift(kern, u)
         ch = kern.channels[0]
 
         def integrand(r):
@@ -417,8 +419,8 @@ class TestChannels:
         kern = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
                                  alpha_stable_measure(1.0))
         ch = kern.channels[0]
-        u = random_field(basis2, rng).coeffs
-        rows = np.stack([random_field(basis2, rng).coeffs for _ in range(3)])
+        u = random_field(basis2, rng)
+        rows = np.stack([random_field(basis2, rng) for _ in range(3)])
 
         def values():
             return (compensator_drift(kern, u), compensator_drift(kern, rows),
@@ -439,20 +441,20 @@ class TestChannels:
         kern = build_jump_kernel(saturating(), "annulus", "cosine", 0.2, NU1)
         ch = kern.channels[0]
         u = random_field(basis2, rng)
-        out = eval_sigma_eps(ch, u.coeffs, 0.5)
+        out = eval_sigma_eps(ch, u, 0.5)
         tval = 1.0 + 0.2 * math.cos(0.5)
-        expect = ch.sigma.fn(tval * u.coeffs) * float(ch.h.fn(0.5))
+        expect = ch.sigma.fn(tval * u) * float(ch.h.fn(0.5))
         assert np.allclose(out, expect)
-        assert np.all(eval_sigma_eps(ch, u.coeffs, 5.0) == 0.0)
+        assert np.all(eval_sigma_eps(ch, u, 5.0) == 0.0)
         with pytest.raises(ValueError):
-            eval_sigma_eps(ch, u.coeffs, 0.0)
+            eval_sigma_eps(ch, u, 0.0)
 
     def test_eval_sigma_eps_rows(self, basis2, rng):
         # one mark per row, each row equal to its one-mark value; the last
         # mark lies off the h support
         kern = build_jump_kernel(saturating(), "annulus", "cosine", 0.2, NU1)
         ch = kern.channels[0]
-        rows = np.stack([random_field(basis2, rng).coeffs for _ in range(4)])
+        rows = np.stack([random_field(basis2, rng) for _ in range(4)])
         marks = np.array([0.5, -0.3, 0.9, 5.0])
         out = eval_sigma_eps(ch, rows, marks)
         assert out.shape == rows.shape
