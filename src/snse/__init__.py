@@ -12,7 +12,8 @@ from .hypotheses import (certify_kernels, check_growth_lipschitz,
                          check_jump_size_decay, check_qv_limit_v_growth,
                          gap_panel, kernel_grid, martingale_diagnostic)
 from .integrate import (BrownianNoiseSpec, PathBatch, SolverConfig,
-                        simulate_brownian_batch, simulate_jump_batch)
+                        simulate_arms, simulate_brownian_batch,
+                        simulate_jump_batch)
 from .kernels import (build_h, build_jump_kernel, build_theta, constant_field,
                       h_norm_check, saturating, scaled_identity, zero_map)
 from .measures import alpha_stable_measure, annulus_mass, power_law_measure
@@ -29,7 +30,7 @@ __all__ = [
     "certify_kernels", "check_growth_lipschitz", "check_jump_size_decay",
     "check_qv_limit_v_growth", "gap_panel", "kernel_grid",
     "martingale_diagnostic",
-    "BrownianNoiseSpec", "PathBatch", "SolverConfig",
+    "BrownianNoiseSpec", "PathBatch", "SolverConfig", "simulate_arms",
     "simulate_brownian_batch", "simulate_jump_batch",
     "build_h", "build_jump_kernel", "build_theta", "constant_field",
     "h_norm_check", "saturating", "scaled_identity", "zero_map",

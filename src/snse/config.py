@@ -42,6 +42,14 @@ _SCHEMA = {
 _REQUIRED_SECTIONS = ("basis", "solver", "brownian", "experiment")
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing nan and infinities."""
+    val = float(text)
+    if not np.isfinite(val):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return val
+
+
 def parse_map_spec(spec: str, dim: int) -> FieldMap:
     """Coefficient map from a compact config string."""
     head, _, rest = spec.strip().partition(":")
@@ -49,9 +57,9 @@ def parse_map_spec(spec: str, dim: int) -> FieldMap:
         if head == "zero":
             return zero_map()
         if head == "identity":
-            return scaled_identity(float(rest or 1.0))
+            return scaled_identity(_finite(rest or "1"))
         if head == "saturating":
-            return saturating(float(rest or 1.0))
+            return saturating(_finite(rest or "1"))
         if head == "constant":
             return constant_field(parse_coeff_list(rest, dim, sep=";"))
     except (ValueError, TypeError) as exc:
@@ -63,10 +71,11 @@ def parse_measure_spec(spec: str) -> LevyMeasure:
     head, _, rest = spec.strip().partition(":")
     try:
         if head == "stable":
-            return alpha_stable_measure(float(rest))
+            return alpha_stable_measure(_finite(rest))
         if head == "power":
+            # hi may be inf; the support check refuses a nan or -inf one
             power, lo, hi = (tok.strip() for tok in rest.split(","))
-            return power_law_measure(float(power), float(lo), float(hi))
+            return power_law_measure(_finite(power), _finite(lo), float(hi))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad measure spec {spec!r}: {exc}") from None
     raise ConfigError(f"unknown measure spec {spec!r}")

@@ -6,12 +6,17 @@ functionals on every path, and compares each jump law against the Brownian
 reference (mean gap with joint standard error, and a two-sample KS test).
 
 Reproducibility contract: every path owns a counter-based stream keyed by
-(seed, arm, eps-index, path-index); an arm runs its `chunk_size` chunks (the
-size is in the config hash) serially in path order.  (config, seed) fix every
-output byte for a given numpy/BLAS build and BLAS thread setting; persisted
-files carry no timestamps.  Linear runs are also byte-stable across BLAS
-thread counts (tested); nonlinear runs are not: B(u) at P = 512, n_max = 4
-differs in 30,317 of 40,960 entries (<= 6.6e-16 relative) at 1 and 2 threads.
+(seed, arm, eps-index, path-index); the paths run in chunks of `chunk_size`
+per arm (the size is in the config hash) serially in path order, and a chunk
+advances those paths of every arm together as one stacked batch, so its
+working memory scales with 1 + the number of epsilons.  (config, seed) fix
+every output byte for a given numpy/BLAS build and BLAS thread setting;
+persisted files carry no timestamps.  Linear runs are also byte-stable
+across BLAS thread counts (tested), and each linear arm has the bits of its
+one-arm run (tested); nonlinear runs are not: B(u) on P = 512 random rows
+at n_max = 4 differs in 30,318 of 40,960 entries (<= 5.2e-16 of the largest)
+at 1 and 2 threads, and in the atom rounds of a stack its gemm sees another
+batch shape, so a nonlinear arm can move in the last bits.
 
 Before simulating, the harness re-derives the linear-growth / Lipschitz and
 jump-size-decay certificates for the supplied kernel grid and refuses to run
@@ -31,8 +36,10 @@ from . import __version__
 from .basis import BasisSpec
 from .errors import CertificationError, ConfigError
 from .hypotheses import check_growth_lipschitz, check_jump_size_decay
-from .integrate import (BrownianNoiseSpec, PathBatch, SolverConfig,
-                        simulate_brownian_batch, simulate_jump_batch)
+from .integrate import (ArmTraces, BrownianNoiseSpec, PathBatch,
+                        SolverConfig, simulate_arms)
+# bound here, though unused, because perfbench/tracing.py wraps these names
+from .integrate import simulate_brownian_batch, simulate_jump_batch  # noqa: F401
 from .kernels import FieldMap, JumpKernel
 from .sampling import derive_stream, stream_key
 from .stats import compare_laws, summarize
@@ -165,44 +172,43 @@ def _chunk_bounds(n: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _merge_batches(parts: list[PathBatch]) -> PathBatch:
-    if len(parts) == 1:
-        return parts[0]
-
-    def cat(name):
-        return np.concatenate([getattr(p, name) for p in parts], axis=0)
-
-    return PathBatch(parts[0].times, cat("norm_h2"), cat("norm_v2"),
-                     cat("int_v2"), cat("mode_traces"), cat("drift_traces"),
-                     cat("jump_counts"), cat("sup_h4"), cat("blowup_time"),
-                     cat("terminal"))
+def _arm_list(config: ExperimentConfig, arm: str,
+              eps_index: int) -> list[tuple[str, int]]:
+    if arm == "all":
+        return [("brownian", 0)] + [("jump", j)
+                                    for j in range(len(config.kernels))]
+    return [(arm, eps_index)]
 
 
 def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0,
-            n_paths: int | None = None) -> PathBatch:
-    """One full arm, its chunks run in path order and merged."""
+            n_paths: int | None = None):
+    """One full arm as a PathBatch, or every arm as a list for arm="all".
+
+    arm is "brownian", "jump" (the kernel at eps_index) or "all": the
+    Brownian arm, then one jump arm per epsilon.  Paths run in chunks of
+    chunk_size in path order, and a chunk advances those paths of every
+    requested arm as one stacked batch, written straight into each arm's
+    preallocated traces.
+    """
+    arms = _arm_list(config, arm, eps_index)
     n = config.n_paths if n_paths is None else n_paths
-    parts = []
+    traces = ArmTraces(config.solver, len(arms), n, config.basis.dim)
     for lo, hi in _chunk_bounds(n, config.chunk_size):
-        streams = [derive_stream(config.seed, arm, eps_index, p)
-                   for p in range(lo, hi)]
-        if arm == "brownian":
-            parts.append(simulate_brownian_batch(
-                config.basis, config.solver, config.initial, streams,
-                config.noise, config.forcing))
-        else:
-            parts.append(simulate_jump_batch(
-                config.basis, config.solver, config.initial, streams,
-                config.kernels[eps_index], config.forcing))
-    return _merge_batches(parts)
+        chunk = [(None if name == "brownian" else config.kernels[j],
+                  [derive_stream(config.seed, name, j, p)
+                   for p in range(lo, hi)])
+                 for name, j in arms]
+        simulate_arms(config.basis, config.solver, config.initial, chunk,
+                      config.noise, config.forcing, traces.window(lo, hi))
+    batches = traces.batches()
+    return batches if arm == "all" else batches[0]
 
 
 def _audit_streams(config: ExperimentConfig) -> None:
     # collision audit: every (arm, eps-index, path) key must be distinct
     keys = set()
     total = 0
-    plans = [("brownian", 0)] + [("jump", j) for j in range(len(config.kernels))]
-    for arm, j in plans:
+    for arm, j in _arm_list(config, "all", 0):
         for p in range(config.n_paths):
             keys.add(stream_key(config.seed, arm, j, p))
             total += 1
@@ -314,9 +320,7 @@ def run_experiment(config: ExperimentConfig, force: bool = False,
         if not certified and not force:
             raise CertificationError("; ".join(notes))
 
-    bm_batch = run_arm(config, "brownian", 0)
-    jump_batches = [run_arm(config, "jump", j)
-                    for j in range(len(config.kernels))]
+    bm_batch, *jump_batches = run_arm(config, "all")
 
     samples_bm = {f: functional_samples(bm_batch, f)
                   for f in config.functionals}

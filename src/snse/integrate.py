@@ -2,15 +2,21 @@
 
 The Stokes part is integrated exactly through the semigroup factor
 exp(-lambda*dt); the bilinear term, forcing and noise enter through an
-explicit step evaluated at the left endpoint.  Two drivers share one step
-loop (records, blow-up masking, running integrals) and differ only in how
-a step moves the batch: a Brownian one, and a pure-jump one whose atoms
-come from a sampled Poisson random measure and whose drift carries the
-subtracted compensator.  Steps that contain atoms are split at the atom
-times, with the jump applied to the left limit; all paths with a k-th atom
-in a step take their k-th substep together, so the kernel and drift
-evaluations per step scale with the largest atom count of any path, not
-with the number of atoms.
+explicit step evaluated at the left endpoint.  One step loop (records,
+blow-up masking, running integrals) drives a stack of arms: the same paths
+of a Brownian arm and of any number of pure-jump arms form one (rows, dim)
+state, so a step takes one B(u) call and one record for all of them.  A
+Brownian block adds its Wiener increments; a jump block subtracts its own
+kernel's compensator from the drift and takes the atoms of its sampled
+Poisson random measure.  Steps that contain atoms are split at the atom
+times, with the jump applied to the left limit.  The atoms of every jump
+block are planned once before the loop, and all rows with a k-th atom in a
+step take their k-th substep together, so the kernel and drift evaluations
+per step scale with the largest atom count of any row, not with the number
+of atoms or of arms.  BLAS products run block by block, one arm's rows at
+a time, so every operation on a row has the bits it has when that arm
+runs alone, except B(u) in the atom rounds, where the rows of all jump
+arms meet and the gemm's rows can move in the last bits.
 
 Per-path randomness contract (pinned by tests, do not reorder):
   * Brownian arm: one standard_normal((n_steps, n_channels)) call per path.
@@ -23,6 +29,7 @@ and the rest of the batch keeps going.  A single path is a batch of one.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,10 +131,15 @@ def _tile_initial(u0, n_paths: int, dim: int) -> np.ndarray:
 
 
 def _explicit_drift(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
-                    forcing: FieldMap | None) -> np.ndarray:
-    """-B(u) + F(u) on (P, dim) rows; the Stokes part lives in the semigroup."""
+                    forcing: FieldMap | None,
+                    block: int | None = None) -> np.ndarray:
+    """-B(u) + F(u) on (P, dim) rows; the Stokes part lives in the semigroup.
+
+    B(u) runs in blocks of at most block rows.
+    """
     if cfg.include_nonlinearity:
-        out = -nonlinear_term_batch(basis, u)
+        out = nonlinear_term_batch(basis, u, block)
+        np.negative(out, out=out)
     else:
         out = np.zeros_like(u)
     if forcing is not None:
@@ -135,83 +147,306 @@ def _explicit_drift(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
     return out
 
 
-class _Recorder:
-    def __init__(self, cfg: SolverConfig, n_paths: int, dim: int):
-        n_rec = cfg.n_recorded
+# the PathBatch traces, in field order
+_TRACES = ("norm_h2", "norm_v2", "int_v2", "mode_traces", "drift_traces",
+           "jump_counts", "sup_h4", "blowup_time", "terminal")
+
+
+class ArmTraces:
+    """Preallocated traces of n_arms arms of n_paths paths each.
+
+    Every array has the PathBatch layout behind a leading arm axis, so a
+    record writes the stacked rows of all arms with one assignment per
+    trace, and arm a's PathBatch is a view of slot a.  window(lo, hi) is
+    the same store cut to paths lo..hi-1 of every arm, for one chunk.
+    """
+
+    def __init__(self, cfg: SolverConfig, n_arms: int, n_paths: int,
+                 dim: int):
         self.track = np.asarray(cfg.track_modes, dtype=np.intp)
-        if self.track.size and (self.track.min() < 0 or self.track.max() >= dim):
+        if self.track.size and (self.track.min() < 0
+                                or self.track.max() >= dim):
             raise ValueError("track_modes index out of range")
-        k = self.track.size
+        rows = (n_arms, n_paths)
+        recs = rows + (cfg.n_recorded,)
         self.times = cfg.recorded_times()
-        self.norm_h2 = np.empty((n_paths, n_rec))
-        self.norm_v2 = np.empty((n_paths, n_rec))
-        self.int_v2 = np.empty((n_paths, n_rec))
-        self.mode_traces = np.empty((n_paths, n_rec, k))
-        self.drift_traces = np.empty((n_paths, n_rec, k))
-        self.jump_counts = np.zeros((n_paths, n_rec), dtype=np.int64)
+        self.norm_h2 = np.empty(recs)
+        self.norm_v2 = np.empty(recs)
+        self.int_v2 = np.empty(recs)
+        self.mode_traces = np.empty(recs + (self.track.size,))
+        self.drift_traces = np.empty(recs + (self.track.size,))
+        self.jump_counts = np.zeros(recs, dtype=np.int64)
+        self.sup_h4 = np.empty(rows)
+        self.blowup_time = np.empty(rows)
+        self.terminal = np.empty(rows + (dim,))
 
-    def record(self, r: int, u, drift, eigs, iv2, counts):
-        self.norm_h2[:, r] = np.sum(u * u, axis=1)
-        self.norm_v2[:, r] = (u * u) @ eigs
-        self.int_v2[:, r] = iv2
-        self.jump_counts[:, r] = counts
+    def window(self, lo: int, hi: int) -> ArmTraces:
+        view = copy.copy(self)
+        for name in _TRACES:
+            setattr(view, name, getattr(self, name)[:, lo:hi])
+        return view
+
+    def batches(self) -> list[PathBatch]:
+        return [PathBatch(self.times, *(getattr(self, name)[a]
+                                        for name in _TRACES))
+                for a in range(self.norm_h2.shape[0])]
+
+    def record(self, r: int, u, h2, v2, drift, eigs, iv2, counts):
+        """Record r of the stacked rows u, arm by arm."""
+        rows = self.norm_h2.shape[:2]
+        self.norm_h2[:, :, r] = h2.reshape(rows)
+        self.norm_v2[:, :, r] = v2.reshape(rows)
+        self.int_v2[:, :, r] = iv2.reshape(rows)
+        self.jump_counts[:, :, r] = counts.reshape(rows)
         if self.track.size:
-            self.mode_traces[:, r, :] = u[:, self.track]
-            self.drift_traces[:, r, :] = (-eigs * u + drift)[:, self.track]
+            k = self.track
+            modes = rows + (k.size,)
+            self.mode_traces[:, :, r] = u[:, k].reshape(modes)
+            self.drift_traces[:, :, r] = (-eigs[k] * u[:, k]
+                                          + drift[:, k]).reshape(modes)
 
-    def finish(self, u, sup4, blow_t) -> PathBatch:
-        return PathBatch(self.times, self.norm_h2, self.norm_v2, self.int_v2,
-                         self.mode_traces, self.drift_traces, self.jump_counts,
-                         sup4, blow_t, u)
+    def finish(self, u, sup4, blow_t) -> None:
+        rows = self.norm_h2.shape[:2]
+        self.sup_h4[...] = sup4.reshape(rows)
+        self.blowup_time[...] = blow_t.reshape(rows)
+        self.terminal[...] = u.reshape(rows + u.shape[1:])
 
 
 def _integrate(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
-               forcing: FieldMap | None, advance) -> PathBatch:
-    """The step loop both arms share: records, blow-up masking, integrals.
+               explicit, norms, advance, out: ArmTraces) -> None:
+    """The step loop: records, blow-up masking, running integrals.
 
-    advance(n, u, expl, active) moves every path across step n, given the
-    explicit drift expl at u and the mask of paths not yet blown up. It
-    returns (end states, integral of |u|_V^2 over the step, sup of |u|_H^2
-    over the states visited inside the step with -inf where none, atoms
-    applied per path); the last two are None when nothing happens inside
-    the step.
+    explicit(u) is the explicit drift -B(u) + F(u) of rows u, and norms(u)
+    their (|u|_H^2, |u|_V^2), taken once per state.  advance(n, u, expl,
+    iv2_step) moves every row across step n, given the explicit drift expl
+    at u, which it may overwrite, and dt |u|_V^2 per row.  It returns (end
+    states, integral of |u|_V^2 over the step, sup of |u|_H^2 over the
+    states visited inside the step with -inf where none, atoms met per
+    row); the last two are None when nothing happens inside the step.  A
+    row's atoms count while it is not blown up.
     """
-    n_paths = u.shape[0]
+    n_rows = u.shape[0]
     eigs = basis.eigenvalues
-    rec = _Recorder(cfg, n_paths, basis.dim)
-    active = np.ones(n_paths, dtype=bool)
-    blow_t = np.full(n_paths, np.nan)
-    iv2 = np.zeros(n_paths)
-    counts = np.zeros(n_paths, dtype=np.int64)
-    sup4 = np.sum(u * u, axis=1) ** 2
+    active = np.ones(n_rows, dtype=bool)
+    blow_t = np.full(n_rows, np.nan)
+    iv2 = np.zeros(n_rows)
+    counts = np.zeros(n_rows, dtype=np.int64)
+    h2, v2 = norms(u)
+    sup4 = h2 ** 2
     cap2 = cfg.blowup_norm**2
 
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(cfg.n_steps):
-            expl = _explicit_drift(basis, cfg, u, forcing)
+            expl = explicit(u)
             if n % cfg.record_stride == 0:
-                rec.record(n // cfg.record_stride, u, expl, eigs, iv2, counts)
-            u_new, iv2_step, sup2, applied = advance(n, u, expl, active)
+                out.record(n // cfg.record_stride, u, h2, v2, expl, eigs,
+                           iv2, counts)
+            u_new, iv2_step, sup2, applied = advance(n, u, expl, cfg.dt * v2)
             if applied is not None:
-                counts += applied
+                np.add(counts, applied, out=counts, where=active)
 
-            h2 = np.sum(u_new * u_new, axis=1)
-            was_active = active.copy()
+            h2, v2 = norms(u_new)
+            was_active = active
             bad = active & (~np.isfinite(h2) | (h2 > cap2))
             if bad.any():
                 blow_t[bad] = (n + 1) * cfg.dt
                 active = active & ~bad
                 u_new[bad] = np.nan
-            iv2_step[~np.isfinite(iv2_step)] = 0.0
-            iv2[was_active] += iv2_step[was_active]
+                h2[bad] = np.nan
+                v2[bad] = np.nan
+            np.add(iv2, iv2_step, out=iv2,
+                   where=was_active & np.isfinite(iv2_step))
             np.maximum(sup4, np.where(active, h2 * h2, -np.inf), out=sup4)
             if sup2 is not None:
-                seen = active & np.isfinite(sup2)
-                sup4[seen] = np.maximum(sup4[seen], sup2[seen] * sup2[seen])
+                np.maximum(sup4, sup2 * sup2, out=sup4,
+                           where=active & np.isfinite(sup2))
             u = u_new
-        expl = _explicit_drift(basis, cfg, u, forcing)
-        rec.record(cfg.n_recorded - 1, u, expl, eigs, iv2, counts)
-    return rec.finish(u, sup4, blow_t)
+        out.record(cfg.n_recorded - 1, u, h2, v2, explicit(u), eigs, iv2,
+                   counts)
+    out.finish(u, sup4, blow_t)
+
+
+class _AtomPlan:
+    """The atoms of every jump block of a stack, ordered once for the loop.
+
+    Atoms sit sorted by (step, rank, row), rank being an atom's place among
+    its row's atoms in the same step.  For step n, atoms bounds[n] to
+    bounds[n+1] - 1 fall in it, rows[n] holds its rows with atoms
+    (ascending), and rounds[n] its rank rounds as [lo, hi, groups], groups
+    listing (lo, hi, kernel) for the atoms of one jump block.  at is each
+    atom's place in its step's rows.
+    """
+
+    def __init__(self, cfg: SolverConfig, jumpy):
+        n_steps = cfg.n_steps
+        row, atoms = [], []
+        for block, kernel, streams in jumpy:
+            for p, g in enumerate(streams):
+                atoms.append(sample_prm(kernel, cfg.t_end, g))
+                row.append(block.start + p)
+        row = np.repeat(row, [len(a) for a in atoms])
+        times = np.concatenate([a.times for a in atoms])
+        step = np.minimum((times / cfg.dt).astype(int), n_steps - 1)
+        # a row's atoms are in time order, so each (row, step) is one run
+        key = row * n_steps + step
+        fresh = np.ones(key.size, dtype=bool)
+        fresh[1:] = key[1:] != key[:-1]
+        first = np.flatnonzero(fresh)[np.cumsum(fresh) - 1]
+        rank = np.arange(key.size) - first
+        order = np.lexsort((row, rank, step))
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        self.bounds = np.zeros(n_steps + 1, dtype=np.intp)
+        np.cumsum(np.bincount(step, minlength=n_steps), out=self.bounds[1:])
+        self.at = (place[first] - self.bounds[step])[order]
+        self.row = row[order]
+        self.times = times[order]
+        self.marks = np.concatenate([a.marks for a in atoms])[order]
+        self.chans = np.concatenate([a.channels for a in atoms])[order]
+        rank, step = rank[order], step[order]
+
+        n_rows = np.bincount(step[rank == 0], minlength=n_steps)
+        self.rows = [self.row[lo:lo + k]
+                     for lo, k in zip(self.bounds[:-1].tolist(),
+                                      n_rows.tolist())]
+        starts = np.array([block.start for block, _, _ in jumpy])
+        arm = np.searchsorted(starts, self.row, side="right") - 1
+        new_round = np.ones(key.size, dtype=bool)
+        new_round[1:] = (step[1:] != step[:-1]) | (rank[1:] != rank[:-1])
+        new_group = new_round.copy()
+        new_group[1:] |= arm[1:] != arm[:-1]
+        lo = np.flatnonzero(new_group)
+        hi = np.append(lo[1:], key.size)
+        self.rounds = [[] for _ in range(n_steps)]
+        for g_lo, g_hi, opens, n, b in zip(
+                lo.tolist(), hi.tolist(), new_round[lo].tolist(),
+                step[lo].tolist(), arm[lo].tolist()):
+            if opens:
+                rnd = [g_lo, g_hi, []]
+                self.rounds[n].append(rnd)
+            rnd[1] = g_hi
+            rnd[2].append((g_lo, g_hi, jumpy[b][1]))
+
+
+def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
+                  noise: BrownianNoiseSpec | None = None,
+                  forcing: FieldMap | None = None,
+                  out: ArmTraces | None = None) -> list[PathBatch]:
+    """Drive the same paths of several arms as one stacked batch.
+
+    arms is a sequence of (kernel, streams) pairs with one numpy Generator
+    per path and as many paths in every arm.  kernel None makes a Brownian
+    arm driven by the channels of noise (noise=None integrates the
+    deterministic system); a JumpKernel makes a compensated pure-jump arm.
+    u0 is one (dim,) row or one row per path, shared by every arm.  The
+    traces go to out, an ArmTraces (or window of one) of exactly these arms
+    and paths, or to a new one; returns one PathBatch per arm.
+
+    A step with atoms is split at the atom times: between atoms the state
+    moves by the exponential Euler step with the compensated drift of the
+    last substate, and each atom adds sigma_eps to the left limit.  Round k
+    of a step advances, as one batch, every row of every jump arm that has
+    a k-th atom in that step.
+    """
+    n_paths = len(arms[0][1])
+    if any(len(streams) != n_paths for _, streams in arms):
+        raise ValueError("every arm needs the same number of paths")
+    u = np.tile(_tile_initial(u0, n_paths, basis.dim), (len(arms), 1))
+    if out is None:
+        out = ArmTraces(cfg, len(arms), n_paths, basis.dim)
+    blocks = [slice(a * n_paths, (a + 1) * n_paths) for a in range(len(arms))]
+
+    channels = noise.channels if noise is not None else ()
+    root = np.sqrt(cfg.dt)
+    wiener = []   # (block, increments) of each Brownian arm
+    jumpy = []    # (block, kernel, streams) of each jump arm
+    for block, (kernel, streams) in zip(blocks, arms):
+        if kernel is not None:
+            jumpy.append((block, kernel, streams))
+        elif channels:
+            dw = np.zeros((n_paths, cfg.n_steps, len(channels)))
+            for p, g in enumerate(streams):
+                dw[p] = g.standard_normal((cfg.n_steps, len(channels))) * root
+            wiener.append((block, dw))
+    plan = _AtomPlan(cfg, jumpy) if jumpy else None
+
+    eigs = basis.eigenvalues
+    efac = np.exp(-eigs * cfg.dt)
+
+    # BLAS products run in blocks of one arm's paths, as in a one-arm run:
+    # a gemv's or gemm's rows depend on the batch shape, and B(u)'s grid
+    # temporaries grow with it
+    def explicit(u):
+        return _explicit_drift(basis, cfg, u, forcing, n_paths)
+
+    def norms(u):
+        uu = u * u
+        v2 = np.empty(uu.shape[0])
+        for block in blocks:
+            np.matmul(uu[block], eigs, out=v2[block])
+        return np.sum(uu, axis=1), v2
+
+    def advance(n, u, expl, iv2_step):
+        # expl becomes the compensated drift, then u_new, in place
+        for block, kernel, _ in jumpy:
+            expl[block] -= compensator_drift(kernel, u[block])
+        atoms = plan is not None and plan.bounds[n] < plan.bounds[n + 1]
+        if atoms:
+            rows = plan.rows[n]
+            u_cur, drift = u[rows], expl[rows]
+        u_new = expl
+        u_new *= cfg.dt
+        u_new += u
+        for block, dw in wiener:
+            for i, channel in enumerate(channels):
+                u_new[block] += channel.fn(u[block]) * dw[:, n, i, None]
+        u_new *= efac
+        if not atoms:
+            return u_new, iv2_step, None, None
+
+        t = np.full(rows.size, n * cfg.dt)
+        piece = np.zeros(rows.size)
+        sup2 = np.full(rows.size, -np.inf)   # fmax below skips NaN substates
+        for lo, hi, groups in plan.rounds[n]:
+            at = plan.at[lo:hi]
+            delta = plan.times[lo:hi] - t[at]
+            go = delta > 0.0
+            if go.any():
+                a, d = at[go], delta[go, None]
+                v = u_cur[a]
+                piece[a] += d[:, 0] * row_dot(v * v, eigs)
+                v = np.exp(-eigs * d) * (v + d * drift[a])
+                u_cur[a] = v
+                sup2[a] = np.fmax(sup2[a], np.sum(v * v, axis=1))
+            for g_lo, g_hi, kernel in groups:
+                g_at, g_chans = plan.at[g_lo:g_hi], plan.chans[g_lo:g_hi]
+                for c, channel in enumerate(kernel.channels):
+                    on = g_chans == c
+                    if on.any():
+                        a = g_at[on]
+                        u_cur[a] += eval_sigma_eps(
+                            channel, u_cur[a], plan.marks[g_lo:g_hi][on])
+            v = u_cur[at]
+            sup2[at] = np.fmax(sup2[at], np.sum(v * v, axis=1))
+            t[at] = plan.times[lo:hi]
+            dv = explicit(v)
+            for g_lo, g_hi, kernel in groups:
+                g = slice(g_lo - lo, g_hi - lo)
+                dv[g] -= compensator_drift(kernel, v[g])
+            drift[at] = dv
+        delta = (n * cfg.dt + cfg.dt) - t
+        piece += delta * row_dot(u_cur * u_cur, eigs)
+        u_new[rows] = np.exp(-eigs * delta[:, None]) * (u_cur
+                                                        + delta[:, None] * drift)
+        iv2_step[rows] = piece
+        sup2_all = np.full(u.shape[0], -np.inf)
+        sup2_all[rows] = sup2
+        met = plan.row[plan.bounds[n]:plan.bounds[n + 1]]
+        return u_new, iv2_step, sup2_all, np.bincount(met,
+                                                      minlength=u.shape[0])
+
+    _integrate(basis, cfg, u, explicit, norms, advance, out)
+    return out.batches()
 
 
 def simulate_brownian_batch(basis: BasisSpec, cfg: SolverConfig, u0,
@@ -222,101 +457,13 @@ def simulate_brownian_batch(basis: BasisSpec, cfg: SolverConfig, u0,
     streams is one numpy Generator per path; noise=None integrates the
     deterministic system.
     """
-    n_paths = len(streams)
-    u = _tile_initial(u0, n_paths, basis.dim)
-    n_ch = noise.n_channels if noise is not None else 0
-    dw = np.zeros((n_paths, cfg.n_steps, n_ch))
-    if n_ch:
-        root = np.sqrt(cfg.dt)
-        for p, g in enumerate(streams):
-            dw[p] = g.standard_normal((cfg.n_steps, n_ch)) * root
-
-    eigs = basis.eigenvalues
-    efac = np.exp(-eigs * cfg.dt)
-
-    def advance(n, u, drift, active):
-        step = u + cfg.dt * drift
-        for i in range(n_ch):
-            step = step + noise.channels[i].fn(u) * dw[:, n, i, None]
-        return efac * step, cfg.dt * ((u * u) @ eigs), None, None
-
-    return _integrate(basis, cfg, u, forcing, advance)
+    return simulate_arms(basis, cfg, u0, [(None, streams)], noise,
+                         forcing)[0]
 
 
 def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
                         streams, kernel: JumpKernel,
                         forcing: FieldMap | None = None) -> PathBatch:
-    """Drive a batch of paths with the compensated pure-jump noise.
-
-    A step with atoms is split at the atom times: between atoms the state
-    moves by the exponential Euler step with the compensated drift of the
-    last substate, and each atom adds sigma_eps to the left limit. Round k
-    of a step advances, as one batch, every path that has a k-th atom in
-    that step.
-    """
-    n_paths = len(streams)
-    u = _tile_initial(u0, n_paths, basis.dim)
-    prms = [sample_prm(kernel, cfg.t_end, g) for g in streams]
-    path = np.repeat(np.arange(n_paths), [len(a) for a in prms])
-    times = np.concatenate([a.times for a in prms])
-    marks = np.concatenate([a.marks for a in prms])
-    chans = np.concatenate([a.channels for a in prms])
-    step = np.minimum((times / cfg.dt).astype(int), cfg.n_steps - 1)
-    # rank of each atom among its path's atoms in the same step
-    _, first, group = np.unique(path * cfg.n_steps + step, return_index=True,
-                                return_inverse=True)
-    rank = np.arange(times.size) - first[group]
-    order = np.lexsort((path, rank, step))
-    path, times, marks, chans, rank = (a[order] for a in
-                                       (path, times, marks, chans, rank))
-    bounds = np.searchsorted(step[order], np.arange(cfg.n_steps + 1))
-
-    eigs = basis.eigenvalues
-    efac = np.exp(-eigs * cfg.dt)
-
-    def advance(n, u, expl, active):
-        driftc = expl - compensator_drift(kernel, u)
-        u_new = efac * (u + cfg.dt * driftc)
-        iv2_step = cfg.dt * ((u * u) @ eigs)
-        here = np.arange(bounds[n], bounds[n + 1])
-        here = here[active[path[here]]]
-        if not here.size:
-            return u_new, iv2_step, None, None
-        rows = path[here[rank[here] == 0]]
-        u_cur, drift = u[rows], driftc[rows]
-        t = np.full(rows.size, n * cfg.dt)
-        piece = np.zeros(rows.size)
-        sup2 = np.full(rows.size, -np.inf)   # fmax below skips NaN substates
-        for k_atoms in np.split(here, np.flatnonzero(np.diff(rank[here])) + 1):
-            at = np.searchsorted(rows, path[k_atoms])
-            delta = times[k_atoms] - t[at]
-            go = delta > 0.0
-            if go.any():
-                a, d = at[go], delta[go, None]
-                v = u_cur[a]
-                piece[a] += d[:, 0] * row_dot(v * v, eigs)
-                v = np.exp(-eigs * d) * (v + d * drift[a])
-                u_cur[a] = v
-                sup2[a] = np.fmax(sup2[a], np.sum(v * v, axis=1))
-            for c, channel in enumerate(kernel.channels):
-                on = chans[k_atoms] == c
-                if on.any():
-                    a = at[on]
-                    u_cur[a] += eval_sigma_eps(channel, u_cur[a],
-                                               marks[k_atoms[on]])
-            v = u_cur[at]
-            sup2[at] = np.fmax(sup2[at], np.sum(v * v, axis=1))
-            t[at] = times[k_atoms]
-            drift[at] = (_explicit_drift(basis, cfg, v, forcing)
-                         - compensator_drift(kernel, v))
-        delta = (n * cfg.dt + cfg.dt) - t
-        piece += delta * row_dot(u_cur * u_cur, eigs)
-        u_new[rows] = np.exp(-eigs * delta[:, None]) * (u_cur
-                                                        + delta[:, None] * drift)
-        iv2_step[rows] = piece
-        sup2_all = np.full(n_paths, -np.inf)
-        sup2_all[rows] = sup2
-        return (u_new, iv2_step, sup2_all,
-                np.bincount(path[here], minlength=n_paths))
-
-    return _integrate(basis, cfg, u, forcing, advance)
+    """Drive a batch of paths with the compensated pure-jump noise."""
+    return simulate_arms(basis, cfg, u0, [(kernel, streams)], None,
+                         forcing)[0]

@@ -82,13 +82,27 @@ def _stress_table(basis: BasisSpec) -> np.ndarray:
     return np.ascontiguousarray(g.reshape(basis.dim, -1).T)
 
 
-def nonlinear_term_batch(basis: BasisSpec, coeffs) -> np.ndarray:
+def nonlinear_term_batch(basis: BasisSpec, coeffs,
+                         block: int | None = None) -> np.ndarray:
     """Galerkin projection of (u . grad) u for a coefficient batch.
 
     Stress-divergence form: synthesize u, overwrite its grid values with the
-    traceless stress (a, b), project with the cached gradient table.
+    traceless stress (a, b), project with the cached gradient table.  With
+    block, a (P, dim) batch goes through in runs of at most block rows, so
+    its grid temporaries and gemm shapes are those of a block-row batch.
     """
-    d = np.asarray(coeffs, dtype=np.float64) @ basis.synthesis_matrix()
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if block is None or coeffs.ndim != 2 or coeffs.shape[0] <= block:
+        return _stress_divergence(basis, coeffs)
+    out = np.empty_like(coeffs)
+    for lo in range(0, coeffs.shape[0], block):
+        out[lo:lo + block] = _stress_divergence(basis,
+                                                coeffs[lo:lo + block])
+    return out
+
+
+def _stress_divergence(basis: BasisSpec, coeffs: np.ndarray) -> np.ndarray:
+    d = coeffs @ basis.synthesis_matrix()
     ux, uy = d[..., 0::2], d[..., 1::2]  # grid components are interleaved
     uxy = ux * uy
     d *= d

@@ -55,10 +55,12 @@ def _sample_channel(ch: JumpChannel, horizon: float,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(sorted times, signed marks) of one channel, in the pinned draw order."""
     count = int(rng.poisson(ch.activity * horizon))
-    times = np.sort(rng.random(count)) * horizon
+    # one call gives the same doubles as three calls of count each
+    draws = rng.random(3 * count)
+    times = np.sort(draws[:count]) * horizon
     mags = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
-                               rng.random(count))
-    signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
+                               draws[count:2 * count])
+    signs = np.where(draws[2 * count:] < 0.5, -1.0, 1.0)
     return times, signs * mags
 
 
@@ -66,6 +68,9 @@ def sample_prm(kernel: JumpKernel, horizon: float,
                rng: np.random.Generator) -> Atoms:
     """All atoms of every channel on [0, horizon], sorted by (time, channel)."""
     drawn = [_sample_channel(ch, horizon, rng) for ch in kernel.channels]
+    if len(drawn) == 1:
+        times, marks = drawn[0]
+        return Atoms(times, marks, np.zeros(times.size, dtype=np.intp))
     times = np.concatenate([t for t, _ in drawn])
     marks = np.concatenate([m for _, m in drawn])
     channels = np.repeat(np.arange(len(drawn)), [t.size for t, _ in drawn])

@@ -152,7 +152,7 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
     and adding sigma_eps at each atom.  Bookkeeping (blow-up masking, the
     V-integral, the H-norm supremum, records) is spelled out inline.
     """
-    from snse.integrate import _explicit_drift, _Recorder, _tile_initial
+    from snse.integrate import ArmTraces, _explicit_drift, _tile_initial
     from snse.kernels import compensator_drift, eval_sigma_eps
     from snse.sampling import sample_prm
 
@@ -161,7 +161,7 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
     atoms = [sample_prm(kernel, cfg.t_end, g) for g in streams]
     eigs = basis.eigenvalues
     efac = np.exp(-eigs * cfg.dt)
-    rec = _Recorder(cfg, n_paths, basis.dim)
+    rec = ArmTraces(cfg, 1, n_paths, basis.dim)
     active = np.ones(n_paths, dtype=bool)
     blow_t = np.full(n_paths, np.nan)
     iv2 = np.zeros(n_paths)
@@ -193,7 +193,8 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
         for n in range(cfg.n_steps):
             expl = _explicit_drift(basis, cfg, u, forcing)
             if n % cfg.record_stride == 0:
-                rec.record(n // cfg.record_stride, u, expl, eigs, iv2, counts)
+                rec.record(n // cfg.record_stride, u, np.sum(u * u, axis=1),
+                           (u * u) @ eigs, expl, eigs, iv2, counts)
             driftc = expl - compensator_drift(kernel, u)
             u_new = efac * (u + cfg.dt * driftc)
             iv2_step = cfg.dt * ((u * u) @ eigs)
@@ -222,8 +223,10 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
                     sup4[p] = max(sup4[p], sup2 * sup2)
             u = u_new
         expl = _explicit_drift(basis, cfg, u, forcing)
-        rec.record(cfg.n_recorded - 1, u, expl, eigs, iv2, counts)
-    return rec.finish(u, sup4, blow_t)
+        rec.record(cfg.n_recorded - 1, u, np.sum(u * u, axis=1),
+                   (u * u) @ eigs, expl, eigs, iv2, counts)
+    rec.finish(u, sup4, blow_t)
+    return rec.batches()[0]
 
 
 # ---------------------------------------------------------------------------

@@ -186,9 +186,18 @@ class TestLoader:
         ("paths = 120", "paths = 120\ninitial = nan@0", "finite"),
         ("paths = 120", "paths = 120\nfunctionals = normH2, normH2",
          "listed twice"),
+        ("constant:0.5@0", "identity:nan", "not finite"),
+        ("constant:0.5@0", "saturating:inf", "not finite"),
+        ("constant:0.5@0", "identity:-inf", "not finite"),
+        ("measure = stable:1.0", "measure = power:nan,0.1,1", "not finite"),
+        ("measure = stable:1.0", "measure = power:-1.5,nan,1", "not finite"),
+        ("measure = stable:1.0", "measure = power:-1.5,0.1,nan", "support"),
+        ("measure = stable:1.0", "measure = stable:inf", "not finite"),
     ], ids=["track", "cutoff_delta", "channels", "n_max", "t_end_inf",
             "dt_nan", "blowup_nan", "blowup_negative", "initial_repeat",
-            "initial_nan", "functional_repeat"])
+            "initial_nan", "functional_repeat", "identity_nan",
+            "saturating_inf", "identity_minus_inf", "power_nan",
+            "power_lo_nan", "power_hi_nan", "stable_inf"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, old, new, match):
         assert old in WITH_JUMP
         path = _write(tmp_path, WITH_JUMP.replace(old, new))

@@ -9,7 +9,8 @@ from snse.harness import (ExperimentConfig, functional_samples, manifest_lines,
                           persist, run_arm, run_experiment)
 from snse.hypotheses import kernel_grid
 from snse.integrate import BrownianNoiseSpec, SolverConfig
-from snse.kernels import constant_field, scaled_identity, zero_map
+from snse.kernels import (constant_field, saturating, scaled_identity,
+                          zero_map)
 from snse.measures import alpha_stable_measure
 from snse.stats import compare_laws
 
@@ -107,6 +108,55 @@ class TestRunArm:
         cfg = _config(basis1, n_paths=120)
         batch = run_arm(cfg, "brownian", 0, n_paths=3)
         assert batch.n_paths == 3
+
+
+_FIELDS = ("norm_h2", "norm_v2", "int_v2", "mode_traces", "drift_traces",
+           "jump_counts", "sup_h4", "blowup_time", "terminal")
+
+
+class TestStackedArms:
+    """run_experiment advances every arm of a chunk together; run_arm one."""
+
+    @staticmethod
+    def _pairs(cfg):
+        res = run_experiment(cfg)
+        yield res.bm_batch, run_arm(cfg, "brownian", 0)
+        for j, batch in enumerate(res.jump_batches):
+            yield batch, run_arm(cfg, "jump", j)
+
+    def test_linear_arms_bit_identical(self, basis1):
+        # chunks of 30, 30, 30 and 10 paths: the V-norm gemv is taken arm
+        # by arm, because its rows depend on the batch shape
+        cfg = _config(basis1, n_paths=100, chunk_size=30)
+        for stacked, alone in self._pairs(cfg):
+            for name in _FIELDS:
+                np.testing.assert_array_equal(getattr(stacked, name),
+                                              getattr(alone, name),
+                                              err_msg=name)
+
+    def test_nonlinear_arms_agree(self, basis2):
+        # only the B(u) gemm sees another batch shape when arms are stacked
+        from oracles import random_field
+
+        sigma = saturating(0.5)
+        kernels = kernel_grid(sigma, "annulus", "cosine", (0.2, 0.1),
+                              alpha_stable_measure(1.0))
+        solver = SolverConfig(0.2, 0.01, record_stride=5)
+        cfg = ExperimentConfig(
+            basis=basis2, solver=solver,
+            initial=random_field(basis2, np.random.default_rng(3), norm_h=0.6),
+            noise=BrownianNoiseSpec((sigma,)), kernels=tuple(kernels),
+            n_paths=100, seed=5, chunk_size=40)
+        for stacked, alone in self._pairs(cfg):
+            for name in ("terminal", "norm_h2", "int_v2", "sup_h4"):
+                ref = getattr(alone, name)
+                np.testing.assert_allclose(
+                    getattr(stacked, name), ref, rtol=1e-13,
+                    atol=1e-13 * np.max(np.abs(ref)), err_msg=name)
+            np.testing.assert_array_equal(stacked.jump_counts,
+                                          alone.jump_counts)
+            np.testing.assert_array_equal(stacked.blowup_time,
+                                          alone.blowup_time)
 
 
 class TestFunctionalSamples:

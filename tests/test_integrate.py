@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from snse.basis import get_basis
-from snse.integrate import (BrownianNoiseSpec, SolverConfig,
+from snse.integrate import (BrownianNoiseSpec, SolverConfig, simulate_arms,
                             simulate_brownian_batch, simulate_jump_batch)
 from snse.kernels import (build_jump_kernel, constant_field, saturating,
                           scaled_identity)
@@ -328,6 +328,51 @@ class TestJumpOracle:
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(ref, name), err_msg=name)
+
+
+class TestStackedArms:
+    def test_blowup_inside_atom_steps(self, basis2):
+        # the outer_linear oracle config, stacked behind a Brownian arm
+        # and next to a second jump arm: each arm keeps its single-arm bits
+        g = np.zeros(basis2.dim)
+        g[0] = 20.0
+        sigma = constant_field(g)
+        kernels = [build_jump_kernel(sigma, "outer_linear", "one", eps, NU1)
+                   for eps in (0.2, 0.1)]
+        cfg = SolverConfig(t_end=4.0, dt=0.05, record_stride=4,
+                           include_nonlinearity=False, blowup_norm=3.0,
+                           track_modes=(0, 1))
+        u0 = unit_vector(basis2, 1, amp=0.5)
+        noise = BrownianNoiseSpec((sigma,))
+
+        def streams(arm, j):
+            return [derive_stream(41, arm, j, p) for p in range(16)]
+
+        stacked = simulate_arms(basis2, cfg, u0,
+                                [(None, streams("brownian", 0)),
+                                 (kernels[0], streams("jump", 0)),
+                                 (kernels[1], streams("jump", 1))], noise)
+        alone = [simulate_brownian_batch(basis2, cfg, u0,
+                                         streams("brownian", 0), noise)]
+        alone += [simulate_jump_batch(basis2, cfg, u0, streams("jump", j), k)
+                  for j, k in enumerate(kernels)]
+        fields = ("norm_h2", "norm_v2", "int_v2", "mode_traces",
+                  "drift_traces", "jump_counts", "sup_h4", "blowup_time",
+                  "terminal")
+        for got, ref in zip(stacked, alone):
+            for name in fields:
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(ref, name),
+                                              err_msg=name)
+        for j, batch in enumerate(stacked[1:]):
+            assert np.isfinite(batch.blowup_time).any()
+            for p, t_blow in enumerate(batch.blowup_time):
+                times = sample_prm(kernels[j], cfg.t_end,
+                                   derive_stream(41, "jump", j, p)).times
+                if np.isfinite(t_blow):
+                    # atoms after the blow-up step are never counted
+                    times = times[times < t_blow]
+                assert batch.jump_counts[p, -1] == times.size
 
 
 class TestBlowUpAndExit:

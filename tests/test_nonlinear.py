@@ -163,3 +163,15 @@ class TestBatchShapes:
         for p in range(5):
             one = nonlinear_term_batch(basis2, c[p])
             assert np.allclose(batch[p], one, atol=1e-13)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_blocks_match_one_call(self, basis2, rng, block):
+        # 7 rows in runs of block rows: each run is its own batch
+        c = rng.standard_normal((7, basis2.dim))
+        whole = nonlinear_term_batch(basis2, c)
+        blocked = nonlinear_term_batch(basis2, c, block)
+        assert np.allclose(blocked, whole, atol=1e-13)
+        for lo in range(0, 7, block):
+            assert np.array_equal(blocked[lo:lo + block],
+                                  nonlinear_term_batch(basis2,
+                                                       c[lo:lo + block]))
