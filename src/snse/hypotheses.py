@@ -38,7 +38,6 @@ from .measures import LevyMeasure
 _QV_TOL = 0.05          # largest qv_gap allowed at the smallest epsilon
 _QV_TREND_SLACK = 1.05  # relative rise of qv_gap tolerated along the grid
 _GAP_FLOOR = 1e-12      # generator-gap panel max treated as numerical zero
-_DIFF_BLOCK = 4         # row pairs per jump_l2_diff block; bounds its temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -79,35 +78,32 @@ def jump_l4_mass(kernel: JumpKernel, u):
 def jump_l2_diff(kernel: JumpKernel, u, v):
     """sum_channels integral of |sigma_eps(u, z) - sigma_eps(v, z)|_H^2 d(nu).
 
-    One value per row pair. The difference is formed node by node: three
-    gain moments would cancel catastrophically for nearby u and v. It is
-    formed on the +z half of the table only and its sum added twice. Row
-    pairs go through in blocks of _DIFF_BLOCK, so the two (rows, Q, dim)
-    temporaries stay small (Q nodes of one sign); each row's sums do not
-    depend on its block.
+    One value per row pair. With s_u = sigma(u), s_v = sigma(v), d = s_u - s_v
+    and, at each node, the gains g_u, g_v and D = g_u - g_v, the integrand is
+
+        |g_u s_u - g_v s_v|^2 = g_u^2 |d|^2 + 2 g_u D (d . s_v) + D^2 |s_v|^2,
+
+    so each row needs three dot products and then node arithmetic only. It
+    is stable for nearby u and v: d and D are differences taken before
+    anything is squared, so every term is already of the size of the result,
+    where three gain moments of u, v and the cross term would cancel
+    catastrophically. The sum runs on the +z half of the table and is added
+    twice.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.ndim == 1:
-        return _l2_diff_rows(kernel, u, v)
-    out = np.empty(len(u))
-    for i in range(0, len(u), _DIFF_BLOCK):
-        out[i:i + _DIFF_BLOCK] = _l2_diff_rows(kernel, u[i:i + _DIFF_BLOCK],
-                                               v[i:i + _DIFF_BLOCK])
-    return out
-
-
-def _l2_diff_rows(kernel: JumpKernel, u, v):
     total = 0.0
     for ch in kernel.channels:
-        su, sv = ch.sigma.fn(u)[..., None, :], ch.sigma.fn(v)[..., None, :]
+        sv = ch.sigma.fn(v)
+        d = ch.sigma.fn(u) - sv
+        dd, ds, ss = (x[..., None] for x in (row_dot(d, d), row_dot(d, sv),
+                                            row_dot(sv, sv)))
         w, hv, gu = node_values(ch, u)
         _, _, gv = node_values(ch, v)
-        du = gu[..., None] * su
-        du -= gv[..., None] * sv
-        du *= du
+        dg = gu - gv
+        node = gu * gu * dd + 2.0 * gu * dg * ds + dg * dg * ss
         # the -z half repeats these bits: theta and h^2 are even
-        part = row_dot(np.sum(du, axis=-1), w * hv * hv)
+        part = row_dot(node, w * hv * hv)
         total = total + part + part
     return total
 

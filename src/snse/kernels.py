@@ -164,7 +164,12 @@ class FieldMap:
     used by the closed-form jump-size bound; it acts elementwise on an array
     of radii. gain(t, r) is the scalar with fn(t u) = gain(t, |u|_H) fn(u)
     for every real t; it broadcasts t against r, and the jump-channel
-    nu-integrals rely on it in place of evaluating fn at every mark.
+    nu-integrals rely on it in place of evaluating fn at every mark. A gain
+    may return a fresh array or t itself (the table's read-only theta, for
+    the linear maps), so callers never write into it. It has at least t's
+    shape, even where it is constant in t: the first gain moment sums the
+    gains as returned, and a scalar broadcast along the node axis would sum
+    in a different order than a real array.
     """
 
     name: str
@@ -188,7 +193,12 @@ def saturating(c: float = 1.0) -> FieldMap:
         return c * u / (1.0 + n)
 
     def gain(t, r):
-        return t * (1.0 + r) / (1.0 + np.abs(t) * r)
+        # t * (1 + r) / (1 + |t| r) in place: two full-size arrays, not four
+        out = t * (1.0 + r)
+        den = np.abs(t) * r
+        den += 1.0
+        out /= den
+        return out
 
     return FieldMap(f"saturating:{c:g}", fn, abs(c), True,
                     lambda r: abs(c) * r / (1.0 + r), gain)
@@ -210,7 +220,8 @@ def constant_field(coeffs, name: str | None = None) -> FieldMap:
             return g_ro
         return np.broadcast_to(g, u.shape).copy()
 
-    return FieldMap(name, fn, 0.0, True, lambda r: gnorm, lambda t, r: 1.0)
+    return FieldMap(name, fn, 0.0, True, lambda r: gnorm,
+                    lambda t, r: np.ones_like(t))
 
 
 def diagonal_map(diag, name: str | None = None) -> FieldMap:
@@ -222,7 +233,7 @@ def diagonal_map(diag, name: str | None = None) -> FieldMap:
 
 def zero_map() -> FieldMap:
     return FieldMap("zero", lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-                    0.0, True, lambda r: 0.0, lambda t, r: 1.0)
+                    0.0, True, lambda r: 0.0, lambda t, r: np.ones_like(t))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +403,10 @@ def node_values(channel: JumpChannel, coeffs):
     t = channel.table
     r = np.linalg.norm(coeffs, axis=-1, keepdims=True)
     g = channel.sigma.gain(t.theta, r)
-    return t.w, t.h, np.broadcast_to(g, r.shape[:-1] + t.theta.shape)
+    shape = r.shape[:-1] + t.theta.shape
+    if np.shape(g) != shape:
+        g = np.broadcast_to(g, shape)
+    return t.w, t.h, g
 
 
 def gain_moment(channel: JumpChannel, coeffs, k: int):
@@ -404,7 +418,7 @@ def gain_moment(channel: JumpChannel, coeffs, k: int):
     in sign order, so an odd power of an odd profile cancels exactly.
     """
     w, hv, g = node_values(channel, coeffs)
-    half = row_dot(g**k, w * hv**k)
+    half = row_dot(g if k == 1 else g**k, w * hv**k)
     return 0.0 + half + channel.table.parity**k * half
 
 

@@ -16,8 +16,8 @@ from oracles import (
 from snse.basis import get_basis
 from snse.errors import InadmissibleKernelError
 from snse.generators import generator_gap, jump_qv_matrix, matched_noise
-from snse.hypotheses import (_DIFF_BLOCK, brownian_l2_mass, jump_l2_diff,
-                             jump_l2_mass, jump_l4_mass, jump_v2_mass)
+from snse.hypotheses import (brownian_l2_mass, jump_l2_diff, jump_l2_mass,
+                             jump_l4_mass, jump_v2_mass)
 from snse.kernels import (
     HKernel, ThetaKernel, _node_rule, build_h, build_jump_kernel, build_theta,
     compensator_drift, constant_field, diagonal_map, eval_sigma_eps,
@@ -162,6 +162,19 @@ class TestFieldMaps:
             fm.fn(t * u), fm.gain(t, np.linalg.norm(u)) * fm.fn(u),
             rtol=1e-14, atol=1e-300)
 
+    def test_saturating_gain_is_the_closed_form(self, rng):
+        # the quotient is built in place; its bits are those of the formula
+        gain = saturating(0.5).gain
+        t = np.concatenate([[0.0, -0.0, -1.3, 1.0],
+                            rng.uniform(-2.0, 2.0, 236)])
+        r = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 127)])
+        for tt, rr in ((t, r[:, None]), (t, r[:1]), (t, r[5:6]),
+                       (t[t <= 0.0], r[:1]), (t[t <= 0.0], r[:, None])):
+            closed = tt * (1.0 + rr) / (1.0 + abs(tt) * rr)
+            value = gain(tt, rr)
+            assert value.shape == closed.shape
+            assert np.array_equal(value, closed)
+
 
 def _assert_matches_oracle(value, ref):
     # relative to the largest reference entry, tolerance fixed beforehand
@@ -228,13 +241,42 @@ class TestGainMoments:
             if odd and k % 2:
                 assert np.all(value == 0.0) and not np.signbit(value).any()
 
+    @pytest.mark.parametrize("theta", ["one", "cosine", "gaussian_dip"])
+    @pytest.mark.parametrize("family", ["annulus", "inner_linear",
+                                        "outer_linear"])
+    @pytest.mark.parametrize("sigma", [scaled_identity(0.7), saturating(0.5)],
+                             ids=["identity", "saturating"])
+    def test_l2_diff_near_pairs(self, basis2, sigma, family, theta):
+        # the three-scalar form keeps the accuracy of the node-by-node
+        # difference as v -> u: error within 1e-14 of |diff| * |sigma(u)|
+        kern = build_jump_kernel(sigma, family, theta, 0.05, NU1)
+        rng = np.random.default_rng(23)
+        rows = (rng.standard_normal((6, basis2.dim))
+                * np.geomspace(0.05, 20.0, 6)[:, None] / np.sqrt(basis2.dim))
+        for delta in (1e-2, 1e-4, 1e-6, 1e-8):
+            for u in rows:
+                v = u + delta * rng.standard_normal(basis2.dim)
+                ref = reference_l2_diff(kern, u, v)
+                assert ref > 0.0
+                err = abs(float(jump_l2_diff(kern, u, v)) - ref)
+                assert err <= 1e-14 * math.sqrt(ref * jump_l2_mass(kern, u))
+
     @staticmethod
     def _check(kern, basis, odd):
         rng = np.random.default_rng(31)
         rows = (rng.standard_normal((128, basis.dim))
                 * np.geomspace(0.05, 20.0, 128)[:, None] / np.sqrt(basis.dim))
         u, v = rows[5], rows[90]
+        ch, t = kern.channels[0], kern.channels[0].table
         for x in (u, rows[:1], rows[:7], rows):
+            # k = 1 sums the gains as the map returns them, with the bits of
+            # a sum over a full, contiguous array of gains
+            r = np.linalg.norm(x, axis=-1, keepdims=True)
+            g = np.broadcast_to(ch.sigma.gain(t.theta, r),
+                                r.shape[:-1] + t.theta.shape).copy()
+            half = row_dot(g, t.w * t.h)
+            assert np.array_equal(gain_moment(ch, x, 1),
+                                  0.0 + half + t.parity * half)
             drift = compensator_drift(kern, x)
             if odd:
                 # odd profile, even theta: the two signs cancel exactly
@@ -287,8 +329,7 @@ class TestRowStability:
                    lambda x: jump_qv_matrix(kern, x),
                    lambda x: generator_gap(kern, noise, x)):
             assert np.array_equal(fn(rows), np.stack([fn(x) for x in rows]))
-        n_pairs = 43  # several full jump_l2_diff blocks and a partial one
-        assert n_pairs > _DIFF_BLOCK and n_pairs % _DIFF_BLOCK
+        n_pairs = 43
         rows = (rng.standard_normal((n_pairs, basis2.dim))
                 * np.geomspace(0.05, 20.0, n_pairs)[:, None])
         near = rows + 1e-3 * rng.standard_normal(rows.shape)
