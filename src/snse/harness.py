@@ -6,7 +6,9 @@ functionals on every path, and compares each jump law against the Brownian
 reference (mean gap with joint standard error, and a two-sample KS test).
 
 Reproducibility contract: every path owns a counter-based stream keyed by
-(seed, arm, eps-index, path-index); the paths run in chunks of `chunk_size`
+(seed, arm, eps-index, path-index), served by one Philox generator per arm
+and chunk that is re-keyed to each path's key in turn (the same draws as a
+fresh generator per path); the paths run in chunks of `chunk_size`
 per arm (the size is in the config hash) serially in path order, and a chunk
 advances those paths of every arm together as one stacked batch, so its
 working memory scales with 1 + the number of epsilons.  (config, seed) fix
@@ -41,7 +43,8 @@ from .integrate import (ArmTraces, BrownianNoiseSpec, PathBatch,
 # bound here, though unused, because perfbench/tracing.py wraps these names
 from .integrate import simulate_brownian_batch, simulate_jump_batch  # noqa: F401
 from .kernels import FieldMap, JumpKernel
-from .sampling import derive_stream, stream_key
+# derive_stream too is bound only for perfbench/tracing.py
+from .sampling import PathStreams, derive_stream, stream_key  # noqa: F401
 from .stats import compare_laws, summarize
 
 BLOWUP_BUDGET = 0.01
@@ -188,15 +191,16 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0,
     Brownian arm, then one jump arm per epsilon.  Paths run in chunks of
     chunk_size in path order, and a chunk advances those paths of every
     requested arm as one stacked batch, written straight into each arm's
-    preallocated traces.
+    preallocated traces.  Each arm of a chunk draws from one Philox
+    generator, re-keyed to each path's stream in turn
+    (sampling.PathStreams).
     """
     arms = _arm_list(config, arm, eps_index)
     n = config.n_paths if n_paths is None else n_paths
     traces = ArmTraces(config.solver, len(arms), n, config.basis.dim)
     for lo, hi in _chunk_bounds(n, config.chunk_size):
         chunk = [(None if name == "brownian" else config.kernels[j],
-                  [derive_stream(config.seed, name, j, p)
-                   for p in range(lo, hi)])
+                  PathStreams(config.seed, name, j, range(lo, hi)))
                  for name, j in arms]
         simulate_arms(config.basis, config.solver, config.initial, chunk,
                       config.noise, config.forcing, traces.window(lo, hi))

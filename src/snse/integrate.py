@@ -10,17 +10,24 @@ Brownian block adds its Wiener increments; a jump block subtracts its own
 kernel's compensator from the drift and takes the atoms of its sampled
 Poisson random measure.  Steps that contain atoms are split at the atom
 times, with the jump applied to the left limit.  The atoms of every jump
-block are planned once before the loop, and all rows with a k-th atom in a
-step take their k-th substep together, so the kernel and drift evaluations
-per step scale with the largest atom count of any row, not with the number
-of atoms or of arms.  BLAS products run block by block, one arm's rows at
-a time, so every operation on a row has the bits it has when that arm
-runs alone, except B(u) in the atom rounds, where the rows of all jump
-arms meet and the gemm's rows can move in the last bits.
+block are sampled and planned once per stack, with the substep lengths and
+each atom's kernel factors h(z) and theta(z), and all rows with a k-th
+atom in a step take their k-th substep together, so the kernel and drift
+evaluations per step scale with the largest atom count of any row, not
+with the number of atoms or of arms.  Each sigma map is taken once per
+state, on the rows whose channels use it.  BLAS products run block by
+block, one arm's rows at a time, so every operation on a row has the bits
+it has when that arm runs alone, except B(u) in the atom rounds, where the
+rows of all jump arms meet and the gemm's rows can move in the last bits.
 
 Per-path randomness contract (pinned by tests, do not reorder):
   * Brownian arm: one standard_normal((n_steps, n_channels)) call per path.
-  * Jump arm: one sample_prm call per path, nothing else.
+  * Jump arm: per channel, one poisson count and then one random(3 * count)
+    call per path, nothing else (sampling.sample_prm_paths).
+Draws stay one pinned sequence per path, taken path after path.  So a
+chunk may serve every path's sequence from one re-keyed generator
+(sampling.PathStreams); the draws are the same as from one generator per
+path.
 
 Trajectories are never clamped.  Once a path leaves the configured norm
 ball it is marked blown up, its state traces turn NaN from that record on,
@@ -35,10 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec
-from .kernels import (FieldMap, JumpKernel, compensator_drift, eval_sigma_eps,
-                      row_dot)
+from .kernels import FieldMap, JumpKernel, gain_moment, row_dot
 from .nonlinear import nonlinear_term_batch
-from .sampling import sample_prm
+from .sampling import sample_prm_paths
+# bound here, though unused, because perfbench/tracing.py wraps these names
+from .kernels import compensator_drift, eval_sigma_eps  # noqa: F401
+from .sampling import sample_prm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -266,33 +275,196 @@ def _integrate(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
     out.finish(u, sup4, blow_t)
 
 
+class _Stack:
+    """The sigma maps of a stack and, row by row, what its channels need.
+
+    maps lists the distinct sigma maps of the Brownian channels and of
+    every jump channel, noise the map index of each Brownian channel and
+    jump those of the jump channels.  main holds, per map, the rows of the
+    stack that need it in a main step (the Brownian blocks for a noise map,
+    the blocks of every kernel with a channel on it) as sigma takes them.
+    The jump rows lie in span, and for channel position c of the kernel of
+    each row there, which[c] holds the map's index (-1 for a Brownian row
+    or a kernel with fewer channels), coef[c] the theta = one compensator
+    coefficient h_integral (0 where there is none: theta != one, an odd
+    profile or no channel), and gains[c] the (rows, channel) of every
+    theta != one channel, rows a slice of span, whose coefficient is a
+    gain moment of the state.
+    """
+
+    def __init__(self, blocks, arms, channels):
+        self.maps: list[FieldMap] = []
+        self.noise = [self.index(ch) for ch in channels]
+        uses = []   # (map index, block) of every channel of every arm
+        for block, (kernel, _) in zip(blocks, arms):
+            if kernel is None:
+                uses += [(m, block) for m in self.noise]
+            else:
+                uses += [(self.index(ch.sigma), block)
+                         for ch in kernel.channels]
+        on = np.zeros((len(self.maps), blocks[-1].stop), dtype=bool)
+        for m, block in uses:
+            on[m, block] = True
+        self.main = [_rows(rows) for rows in on]
+        kernels = [(block, kernel) for block, (kernel, _) in zip(blocks, arms)
+                   if kernel is not None]
+        if not kernels:
+            return
+        self.jump = sorted({self.index(ch.sigma) for _, kernel in kernels
+                            for ch in kernel.channels})
+        self.lone = ([True if m == self.jump[0] else None
+                      for m in range(len(self.maps))]
+                     if len(self.jump) == 1 else None)
+        self.span = slice(kernels[0][0].start, kernels[-1][0].stop)
+        n_pos = max(len(kernel.channels) for _, kernel in kernels)
+        n_rows = self.span.stop - self.span.start
+        self.which = np.full((n_pos, n_rows), -1, dtype=np.intp)
+        self.coef = np.zeros((n_pos, n_rows))
+        self.gains = [[] for _ in range(n_pos)]
+        for block, kernel in kernels:
+            rows = slice(block.start - self.span.start,
+                         block.stop - self.span.start)
+            for c, ch in enumerate(kernel.channels):
+                self.which[c, rows] = self.index(ch.sigma)
+                if ch.theta.family == "one":
+                    self.coef[c, rows] = ch.h_integral
+                else:
+                    self.gains[c].append((rows, ch))
+
+    def index(self, fmap: FieldMap) -> int:
+        for i, known in enumerate(self.maps):
+            if known is fmap:
+                return i
+        self.maps.append(fmap)
+        return len(self.maps) - 1
+
+    def need(self, which: np.ndarray) -> list:
+        """Per map, the rows of a round that need it, which holding each
+        row's jump map index (per row, or per channel position and row)."""
+        if self.lone is not None:
+            return self.lone
+        need = [None] * len(self.maps)
+        for m in self.jump:
+            on = which == m
+            need[m] = _rows(on.any(axis=0) if on.ndim > 1 else on)
+        return need
+
+    def sigma(self, x: np.ndarray, need: list) -> list:
+        """Map m at the rows of x that need[m] names, one call per map:
+        need[m] is True for every row, None for none (the value is then
+        None too) or a row mask (the other rows are 0)."""
+        out = []
+        for fmap, rows in zip(self.maps, need):
+            if rows is None:
+                out.append(None)
+            elif rows is True:
+                out.append(fmap.fn(x))
+            else:
+                s = np.zeros_like(x)
+                s[rows] = fmap.fn(x[rows])
+                out.append(s)
+        return out
+
+
+def _rows(on: np.ndarray):
+    """A row mask as _Stack.sigma takes it: True for all, None for none."""
+    if on.all():
+        return True
+    return on if on.any() else None
+
+
+def _pick(values: list, which: np.ndarray) -> np.ndarray:
+    """Row r of values[which[r]], 0 where which[r] is -1; the values of
+    the one map evaluated as they are."""
+    given = [(m, s) for m, s in enumerate(values) if s is not None]
+    if len(given) == 1:
+        return given[0][1]
+    out = np.zeros_like(given[0][1])
+    for m, s in given:
+        on = which == m
+        out[on] = s[on]
+    return out
+
+
+def _compensator(v, sv, which, coef, gains) -> np.ndarray:
+    """The compensator at rows v, given sv = _Stack.sigma(v, ...).
+
+    Channel position c adds coef[c] * sigma(v) on the rows whose
+    coefficient is nonzero, and sigma(v) times the first gain moment on
+    each (rows, channel) of gains[c], in the channel order of
+    kernels.compensator_drift, so each row has its bits.
+    """
+    total = np.zeros_like(v)
+    for c, (k, ch_gains) in enumerate(zip(coef, gains)):
+        s = _pick(sv, which[c])
+        on = k != 0.0
+        if on.all():
+            total += k[:, None] * s
+        elif on.any():
+            np.add(total, k[:, None] * s, out=total, where=on[:, None])
+        for rows, ch in ch_gains:
+            total[rows] += s[rows] * gain_moment(ch, v[rows], 1)[:, None]
+    return total
+
+
 class _AtomPlan:
     """The atoms of every jump block of a stack, ordered once for the loop.
 
     Atoms sit sorted by (step, rank, row), rank being an atom's place among
     its row's atoms in the same step.  For step n, atoms bounds[n] to
     bounds[n+1] - 1 fall in it, rows[n] holds its rows with atoms
-    (ascending), and rounds[n] its rank rounds as [lo, hi, groups], groups
-    listing (lo, hi, kernel) for the atoms of one jump block.  at is each
-    atom's place in its step's rows.
+    (ascending) and tails[n] the rest of the step after each row's last
+    atom, and rounds[n] its rank rounds as (lo, hi, s_lo, s_hi, gains):
+    atoms lo to hi - 1, the substeps s_lo to s_hi - 1 up to them, and
+    gains[c] listing (rows, channel) of the theta != one channels at
+    position c, rows being a slice of the round.  Per atom: at is its
+    place in its step's rows, h and theta the kernel values at its mark
+    (theta 1.0 for theta = one, where the product is exact), jump_map the
+    index of its channel's map, and which, coef its row's _Stack entries.
+    Per substep: sub_at is the place of its row and sub_delta its length,
+    from the step start or the row's previous atom up to the atom.  An
+    atom at its row's previous time, or at a step start that rounding put
+    after it, has no substep.
     """
 
-    def __init__(self, cfg: SolverConfig, jumpy):
-        n_steps = cfg.n_steps
+    def __init__(self, cfg: SolverConfig, jumpy, stack: _Stack):
+        n_steps, dt = cfg.n_steps, cfg.dt
         row, atoms = [], []
         for block, kernel, streams in jumpy:
-            for p, g in enumerate(streams):
-                atoms.append(sample_prm(kernel, cfg.t_end, g))
-                row.append(block.start + p)
-        row = np.repeat(row, [len(a) for a in atoms])
+            drawn, counts = sample_prm_paths(kernel, cfg.t_end, streams)
+            atoms.append(drawn)
+            row.append(np.repeat(np.arange(block.start, block.stop), counts))
+        row = np.concatenate(row)
         times = np.concatenate([a.times for a in atoms])
-        step = np.minimum((times / cfg.dt).astype(int), n_steps - 1)
+        marks = np.concatenate([a.marks for a in atoms])
+        hv, tv = np.empty(row.size), np.ones(row.size)
+        jump_map = np.empty(row.size, dtype=np.intp)
+        lo = 0
+        for (_, kernel, _), drawn in zip(jumpy, atoms):
+            part = slice(lo, lo + len(drawn))
+            lo = part.stop
+            for c, ch in enumerate(kernel.channels):
+                on = np.flatnonzero(drawn.channels == c) + part.start
+                hv[on] = ch.h.fn(marks[on])
+                if ch.theta.family != "one":
+                    tv[on] = ch.theta.fn(marks[on])
+                jump_map[on] = stack.index(ch.sigma)
+
+        step = np.minimum((times / dt).astype(int), n_steps - 1)
         # a row's atoms are in time order, so each (row, step) is one run
         key = row * n_steps + step
         fresh = np.ones(key.size, dtype=bool)
         fresh[1:] = key[1:] != key[:-1]
+        last = np.ones(key.size, dtype=bool)
+        last[:-1] = fresh[1:]
         first = np.flatnonzero(fresh)[np.cumsum(fresh) - 1]
         rank = np.arange(key.size) - first
+        prev = np.empty_like(times)
+        prev[1:] = times[:-1]
+        prev[fresh] = step[fresh] * dt
+        tail = np.zeros_like(times)
+        tail[fresh] = (step[last] * dt + dt) - times[last]
+
         order = np.lexsort((row, rank, step))
         place = np.empty_like(order)
         place[order] = np.arange(order.size)
@@ -300,32 +472,44 @@ class _AtomPlan:
         np.cumsum(np.bincount(step, minlength=n_steps), out=self.bounds[1:])
         self.at = (place[first] - self.bounds[step])[order]
         self.row = row[order]
-        self.times = times[order]
-        self.marks = np.concatenate([a.marks for a in atoms])[order]
-        self.chans = np.concatenate([a.channels for a in atoms])[order]
-        rank, step = rank[order], step[order]
+        delta = (times - prev)[order]
+        sub = np.flatnonzero(delta > 0.0)
+        self.sub_at, self.sub_delta = self.at[sub], delta[sub]
+        self.h = hv[order]
+        self.theta = tv[order]
+        self.jump_map = jump_map[order]
+        self.which = stack.which[:, self.row - stack.span.start]
+        self.coef = stack.coef[:, self.row - stack.span.start]
+        rank, step, tail = rank[order], step[order], tail[order]
 
         n_rows = np.bincount(step[rank == 0], minlength=n_steps)
-        self.rows = [self.row[lo:lo + k]
-                     for lo, k in zip(self.bounds[:-1].tolist(),
-                                      n_rows.tolist())]
-        starts = np.array([block.start for block, _, _ in jumpy])
-        arm = np.searchsorted(starts, self.row, side="right") - 1
+        heads = [slice(lo, lo + k) for lo, k in zip(self.bounds[:-1].tolist(),
+                                                     n_rows.tolist())]
+        self.rows = [self.row[h] for h in heads]
+        self.tails = [tail[h] for h in heads]
         new_round = np.ones(key.size, dtype=bool)
         new_round[1:] = (step[1:] != step[:-1]) | (rank[1:] != rank[:-1])
-        new_group = new_round.copy()
-        new_group[1:] |= arm[1:] != arm[:-1]
-        lo = np.flatnonzero(new_group)
+        lo = np.flatnonzero(new_round)
         hi = np.append(lo[1:], key.size)
         self.rounds = [[] for _ in range(n_steps)]
-        for g_lo, g_hi, opens, n, b in zip(
-                lo.tolist(), hi.tolist(), new_round[lo].tolist(),
-                step[lo].tolist(), arm[lo].tolist()):
-            if opens:
-                rnd = [g_lo, g_hi, []]
-                self.rounds[n].append(rnd)
-            rnd[1] = g_hi
-            rnd[2].append((g_lo, g_hi, jumpy[b][1]))
+        for r_lo, r_hi, s_lo, s_hi, n in zip(
+                lo.tolist(), hi.tolist(), np.searchsorted(sub, lo).tolist(),
+                np.searchsorted(sub, hi).tolist(), step[lo].tolist()):
+            self.rounds[n].append((r_lo, r_hi, s_lo, s_hi,
+                                   self._gains(stack, r_lo, r_hi)))
+
+    def _gains(self, stack: _Stack, lo: int, hi: int) -> list[list]:
+        """Per channel position, (rows, channel) of the round's theta != one
+        rows, rows being slices of the round (one arm's rows each)."""
+        out = [[] for _ in stack.gains]
+        for c, ch_gains in enumerate(stack.gains):
+            for rows, ch in ch_gains:
+                # a round's rows ascend, so one arm's rows are one run
+                a, b = np.searchsorted(self.row[lo:hi] - stack.span.start,
+                                       (rows.start, rows.stop))
+                if a < b:
+                    out[c].append((slice(int(a), int(b)), ch))
+        return out
 
 
 def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
@@ -334,19 +518,25 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
                   out: ArmTraces | None = None) -> list[PathBatch]:
     """Drive the same paths of several arms as one stacked batch.
 
-    arms is a sequence of (kernel, streams) pairs with one numpy Generator
-    per path and as many paths in every arm.  kernel None makes a Brownian
-    arm driven by the channels of noise (noise=None integrates the
-    deterministic system); a JumpKernel makes a compensated pure-jump arm.
-    u0 is one (dim,) row or one row per path, shared by every arm.  The
-    traces go to out, an ArmTraces (or window of one) of exactly these arms
-    and paths, or to a new one; returns one PathBatch per arm.
+    arms is a sequence of (kernel, streams) pairs, streams yielding one
+    numpy Generator per path, with as many paths in every arm.  Streams
+    are taken in path order, each arm's once, and each is used up before
+    the next is taken, so a stream need only be valid until then (see
+    sampling.PathStreams).  kernel None makes a Brownian arm driven by the
+    channels of noise (noise=None integrates the deterministic system); a
+    JumpKernel makes a compensated pure-jump arm.  u0 is one (dim,) row or
+    one row per path, shared by every arm.  The traces go to out, an
+    ArmTraces (or window of one) of exactly these arms and paths, or to a
+    new one; returns one PathBatch per arm.
 
     A step with atoms is split at the atom times: between atoms the state
     moves by the exponential Euler step with the compensated drift of the
     last substate, and each atom adds sigma_eps to the left limit.  Round k
     of a step advances, as one batch, every row of every jump arm that has
-    a k-th atom in that step.
+    a k-th atom in that step.  Each sigma map is evaluated once per state,
+    on the rows whose channels use it: in a main step sigma(u) serves the
+    Wiener increments and every compensator, and in a round sigma(theta v)
+    gives every jump and sigma(v) every compensator.
     """
     n_paths = len(arms[0][1])
     if any(len(streams) != n_paths for _, streams in arms):
@@ -357,6 +547,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     blocks = [slice(a * n_paths, (a + 1) * n_paths) for a in range(len(arms))]
 
     channels = noise.channels if noise is not None else ()
+    stack = _Stack(blocks, arms, channels)
     root = np.sqrt(cfg.dt)
     wiener = []   # (block, increments) of each Brownian arm
     jumpy = []    # (block, kernel, streams) of each jump arm
@@ -368,7 +559,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
             for p, g in enumerate(streams):
                 dw[p] = g.standard_normal((cfg.n_steps, len(channels))) * root
             wiener.append((block, dw))
-    plan = _AtomPlan(cfg, jumpy) if jumpy else None
+    plan = _AtomPlan(cfg, jumpy, stack) if jumpy else None
 
     eigs = basis.eigenvalues
     efac = np.exp(-eigs * cfg.dt)
@@ -388,8 +579,12 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
 
     def advance(n, u, expl, iv2_step):
         # expl becomes the compensated drift, then u_new, in place
-        for block, kernel, _ in jumpy:
-            expl[block] -= compensator_drift(kernel, u[block])
+        su = stack.sigma(u, stack.main)
+        if jumpy:
+            jr = stack.span
+            expl[jr] -= _compensator(u[jr], [None if s is None else s[jr]
+                                             for s in su],
+                                     stack.which, stack.coef, stack.gains)
         atoms = plan is not None and plan.bounds[n] < plan.bounds[n + 1]
         if atoms:
             rows = plan.rows[n]
@@ -398,46 +593,38 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
         u_new *= cfg.dt
         u_new += u
         for block, dw in wiener:
-            for i, channel in enumerate(channels):
-                u_new[block] += channel.fn(u[block]) * dw[:, n, i, None]
+            for i, m in enumerate(stack.noise):
+                u_new[block] += su[m][block] * dw[:, n, i, None]
         u_new *= efac
         if not atoms:
             return u_new, iv2_step, None, None
 
-        t = np.full(rows.size, n * cfg.dt)
         piece = np.zeros(rows.size)
         sup2 = np.full(rows.size, -np.inf)   # fmax below skips NaN substates
-        for lo, hi, groups in plan.rounds[n]:
+        for lo, hi, s_lo, s_hi, gains in plan.rounds[n]:
+            a, d = plan.sub_at[s_lo:s_hi], plan.sub_delta[s_lo:s_hi, None]
+            w = u_cur[a]
+            piece[a] += d[:, 0] * row_dot(w * w, eigs)
+            w = np.exp(-eigs * d) * (w + d * drift[a])
+            u_cur[a] = w
+            sup2[a] = np.fmax(sup2[a], np.sum(w * w, axis=1))
             at = plan.at[lo:hi]
-            delta = plan.times[lo:hi] - t[at]
-            go = delta > 0.0
-            if go.any():
-                a, d = at[go], delta[go, None]
-                v = u_cur[a]
-                piece[a] += d[:, 0] * row_dot(v * v, eigs)
-                v = np.exp(-eigs * d) * (v + d * drift[a])
-                u_cur[a] = v
-                sup2[a] = np.fmax(sup2[a], np.sum(v * v, axis=1))
-            for g_lo, g_hi, kernel in groups:
-                g_at, g_chans = plan.at[g_lo:g_hi], plan.chans[g_lo:g_hi]
-                for c, channel in enumerate(kernel.channels):
-                    on = g_chans == c
-                    if on.any():
-                        a = g_at[on]
-                        u_cur[a] += eval_sigma_eps(
-                            channel, u_cur[a], plan.marks[g_lo:g_hi][on])
             v = u_cur[at]
+            h, maps = plan.h[lo:hi], plan.jump_map[lo:hi]
+            jump = _pick(stack.sigma(plan.theta[lo:hi, None] * v,
+                                     stack.need(maps)), maps) * h[:, None]
+            jump[h == 0.0] = 0.0
+            v += jump
+            u_cur[at] = v
             sup2[at] = np.fmax(sup2[at], np.sum(v * v, axis=1))
-            t[at] = plan.times[lo:hi]
             dv = explicit(v)
-            for g_lo, g_hi, kernel in groups:
-                g = slice(g_lo - lo, g_hi - lo)
-                dv[g] -= compensator_drift(kernel, v[g])
+            which = plan.which[:, lo:hi]
+            dv -= _compensator(v, stack.sigma(v, stack.need(which)), which,
+                               plan.coef[:, lo:hi], gains)
             drift[at] = dv
-        delta = (n * cfg.dt + cfg.dt) - t
-        piece += delta * row_dot(u_cur * u_cur, eigs)
-        u_new[rows] = np.exp(-eigs * delta[:, None]) * (u_cur
-                                                        + delta[:, None] * drift)
+        delta = plan.tails[n][:, None]
+        piece += delta[:, 0] * row_dot(u_cur * u_cur, eigs)
+        u_new[rows] = np.exp(-eigs * delta) * (u_cur + delta * drift)
         iv2_step[rows] = piece
         sup2_all = np.full(u.shape[0], -np.inf)
         sup2_all[rows] = sup2

@@ -1,14 +1,17 @@
 """Poisson random measure sampling and reproducible stream derivation.
 
-Every path owns a counter-based generator keyed by (seed, arm, eps-index,
+Every path owns a counter-based stream keyed by (seed, arm, eps-index,
 path-index), so a path's random draws do not depend on how paths are grouped
-into batches.
+into batches.  A run of paths may take its streams from one generator
+re-keyed path by path (``PathStreams``); the draws are the same.
 
 Event draw order per channel is fixed and documented: count, then times, then
 magnitudes (the power law's closed-form inverse CDF), then signs (fair, the
 measures being symmetric). Changing it would silently change every jump-arm
 trajectory, so the order is pinned by tests.  A path's atoms come back as
-struct-of-arrays (``Atoms``), stably sorted by (time, channel).
+struct-of-arrays (``Atoms``), stably sorted by (time, channel).  The sampler
+takes the pinned draws path by path and does the rest once for all paths
+(``sample_prm_paths``); ``sample_prm`` is its one-path call.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import JumpChannel, JumpKernel
+from .kernels import JumpKernel
 from .measures import power_magnitude_ppf
 
 ARM_CODES = {"brownian": 1, "jump": 2, "diagnostic": 3}
@@ -39,6 +42,42 @@ def derive_stream(seed: int, arm: str, eps_index: int, path_index: int) -> np.ra
     return np.random.Generator(np.random.Philox(key=stream_key(seed, arm, eps_index, path_index)))
 
 
+class PathStreams:
+    """The streams of some paths of one arm, served in path order by one
+    generator.
+
+    Iterating yields, for each path in turn, the same Generator with its
+    Philox bit generator re-keyed through the documented state setter
+    (counter 0, key stream_key(seed, arm, eps_index, path), empty buffer),
+    so path p draws what derive_stream(seed, arm, eps_index, p) draws.  A
+    stream is valid until the next one is taken.  Re-keying costs about a
+    quarter of building a generator, whose constructor also seeds a
+    SeedSequence from OS entropy that a keyed Philox never uses.
+    """
+
+    def __init__(self, seed: int, arm: str, eps_index: int, paths: range):
+        self.seed, self.arm, self.eps_index = seed, arm, eps_index
+        self.paths = paths
+        self.generator = np.random.Generator(np.random.Philox(0))
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self):
+        bits = self.generator.bit_generator
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64),
+                           "key": np.zeros(2, dtype=np.uint64)},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        key = state["state"]["key"]
+        for p in self.paths:
+            k = stream_key(self.seed, self.arm, self.eps_index, p)
+            key[0], key[1] = k & _MASK64, k >> 64
+            bits.state = state
+            yield self.generator
+
+
 @dataclass(frozen=True)
 class Atoms:
     """The atoms of one path's Poisson random measure, as parallel arrays."""
@@ -51,28 +90,50 @@ class Atoms:
         return self.times.size
 
 
-def _sample_channel(ch: JumpChannel, horizon: float,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted times, signed marks) of one channel, in the pinned draw order."""
-    count = int(rng.poisson(ch.activity * horizon))
-    # one call gives the same doubles as three calls of count each
-    draws = rng.random(3 * count)
-    times = np.sort(draws[:count]) * horizon
-    mags = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
-                               draws[count:2 * count])
-    signs = np.where(draws[2 * count:] < 0.5, -1.0, 1.0)
-    return times, signs * mags
+def sample_prm_paths(kernel: JumpKernel, horizon: float,
+                     streams) -> tuple[Atoms, np.ndarray]:
+    """The atoms of one path per stream on [0, horizon], path after path,
+    each path's sorted by (time, channel); and every path's atom count.
+
+    Each stream gives its pinned draws before the next is taken: per
+    channel the count, then 3 * count uniforms (one call gives the same
+    doubles as three calls of count each).  Sorting the times within each
+    path and channel, the magnitudes' inverse CDF, the signs and the
+    (time, channel) merge then run once over all paths.
+    """
+    rates = [ch.activity * horizon for ch in kernel.channels]
+    counts, draws = [], []
+    for rng in streams:
+        for rate in rates:
+            count = int(rng.poisson(rate))
+            counts.append(count)
+            draws.append(rng.random(3 * count))
+    n_chans = len(rates)
+    counts = np.array(counts, dtype=np.intp)
+    seg = np.repeat(np.arange(counts.size), counts)   # (path, channel) run
+    start = np.cumsum(counts) - counts
+    # the k-th atom of a run reads draws 3 start + k, + count, + 2 count
+    at = np.arange(seg.size) + 2 * start[seg]
+    run = counts[seg]
+    draws = np.concatenate(draws) if draws else np.empty(0)
+    ut = draws[at]
+    times = ut[np.lexsort((ut, seg))] * horizon
+    chans = seg % n_chans
+    mags = np.empty(seg.size)
+    for c, ch in enumerate(kernel.channels):
+        on = chans == c
+        mags[on] = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
+                                       draws[at[on] + run[on]])
+    signs = np.where(draws[at + 2 * run] < 0.5, -1.0, 1.0)
+    marks = signs * mags
+    if n_chans > 1:
+        order = np.lexsort((chans, times, seg // n_chans))
+        times, marks, chans = times[order], marks[order], chans[order]
+    return (Atoms(times, marks, chans),
+            counts.reshape(-1, n_chans).sum(axis=1))
 
 
 def sample_prm(kernel: JumpKernel, horizon: float,
                rng: np.random.Generator) -> Atoms:
     """All atoms of every channel on [0, horizon], sorted by (time, channel)."""
-    drawn = [_sample_channel(ch, horizon, rng) for ch in kernel.channels]
-    if len(drawn) == 1:
-        times, marks = drawn[0]
-        return Atoms(times, marks, np.zeros(times.size, dtype=np.intp))
-    times = np.concatenate([t for t, _ in drawn])
-    marks = np.concatenate([m for _, m in drawn])
-    channels = np.repeat(np.arange(len(drawn)), [t.size for t, _ in drawn])
-    order = np.lexsort((channels, times))
-    return Atoms(times[order], marks[order], channels[order])
+    return sample_prm_paths(kernel, horizon, [rng])[0]

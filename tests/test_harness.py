@@ -134,6 +134,37 @@ class TestStackedArms:
                                               getattr(alone, name),
                                               err_msg=name)
 
+    def test_mixed_theta_arms_bit_identical(self, basis1):
+        # a theta = cosine arm next to a theta = one arm under one
+        # saturating map: the main step's sigma(u) serves the Brownian rows
+        # and both compensators, and a round's sigma(theta v) both arms'
+        # jumps, with the one arm's theta planned as 1.0
+        sigma = saturating(0.5)
+        nu = alpha_stable_measure(1.0)
+        kernels = (kernel_grid(sigma, "annulus", "cosine", (0.2,), nu)
+                   + kernel_grid(sigma, "annulus", "one", (0.1,), nu))
+        cfg = _config(basis1, n_paths=100, chunk_size=40, sigma=sigma,
+                      kernels=kernels)
+        for stacked, alone in self._pairs(cfg):
+            for name in _FIELDS:
+                np.testing.assert_array_equal(getattr(stacked, name),
+                                              getattr(alone, name),
+                                              err_msg=name)
+
+    def test_two_channel_arms_bit_identical(self, basis1):
+        sigma = saturating(0.5)
+        kernels = kernel_grid(sigma, "annulus", "cosine", (0.2, 0.1),
+                              alpha_stable_measure(1.0), channels=2)
+        base = _config(basis1, sigma=sigma, kernels=kernels[:0])
+        cfg = dataclasses.replace(base, noise=BrownianNoiseSpec((sigma,) * 2),
+                                  kernels=tuple(kernels), n_paths=100,
+                                  chunk_size=40)
+        for stacked, alone in self._pairs(cfg):
+            for name in _FIELDS:
+                np.testing.assert_array_equal(getattr(stacked, name),
+                                              getattr(alone, name),
+                                              err_msg=name)
+
     def test_nonlinear_arms_agree(self, basis2):
         # only the B(u) gemm sees another batch shape when arms are stacked
         from oracles import random_field

@@ -1,17 +1,20 @@
 """Integrator tests against closed forms and independent reference schemes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from snse import integrate, sampling
 from snse.basis import get_basis
 from snse.integrate import (BrownianNoiseSpec, SolverConfig, simulate_arms,
                             simulate_brownian_batch, simulate_jump_batch)
-from snse.kernels import (build_jump_kernel, constant_field, saturating,
-                          scaled_identity)
+from snse.kernels import (JumpKernel, build_jump_kernel, constant_field,
+                          saturating, scaled_identity)
 from snse.measures import alpha_stable_measure
 from snse.nonlinear import nonlinear_term_batch
-from snse.sampling import derive_stream, sample_prm
+from snse.sampling import Atoms, derive_stream, sample_prm
 
 from oracles import random_field, reference_jump_batch
 
@@ -296,6 +299,42 @@ class TestJumpOracle:
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(ref, name), err_msg=name)
 
+    def test_atoms_at_step_starts_and_shared_times(self, basis2, monkeypatch):
+        # atom times snapped to a grid of dt/4: several atoms share a time,
+        # some sit exactly at n dt, and those of every fourth grid point are
+        # one ulp below it, which for n = 17 falls into the step that starts
+        # after it; such substeps have length 0 or below and are skipped
+        g = np.zeros(basis2.dim)
+        g[2] = 0.5
+        kernel = build_jump_kernel(constant_field(g), "annulus", "one", 0.05,
+                                   NU1)
+        cfg = SolverConfig(t_end=1.0, dt=0.05, include_nonlinearity=False,
+                           track_modes=(0, 2))
+        quarter = cfg.dt / 4
+        drawn_times = []
+
+        def snapped(kernel, horizon, streams):
+            atoms, counts = sampling_prm_paths(kernel, horizon, streams)
+            k = np.floor(atoms.times / quarter)
+            times = k * quarter
+            times[k % 4 == 0] = np.nextafter(times[k % 4 == 0], 0.0)
+            drawn_times.append(times)
+            return Atoms(times, atoms.marks, atoms.channels), counts
+
+        sampling_prm_paths = sampling.sample_prm_paths
+        monkeypatch.setattr(sampling, "sample_prm_paths", snapped)
+        monkeypatch.setattr(integrate, "sample_prm_paths", snapped)
+        u0 = random_field(basis2, np.random.default_rng(9), norm_h=0.5)
+        got, ref = self._both(basis2, cfg, u0, kernel, 16, 53)
+        times = drawn_times[0]
+        step = np.minimum((times / cfg.dt).astype(int), cfg.n_steps - 1)
+        assert np.any(times[1:] == times[:-1])
+        assert np.any(step * cfg.dt == times)
+        assert np.any(step * cfg.dt > times)
+        for name in _FIELDS:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(ref, name), err_msg=name)
+
     def test_nonlinear_saturating_cosine(self, basis2):
         kernel = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
                                    NU1)
@@ -330,6 +369,10 @@ class TestJumpOracle:
                                           getattr(ref, name), err_msg=name)
 
 
+_FIELDS = ("norm_h2", "norm_v2", "int_v2", "mode_traces", "drift_traces",
+           "jump_counts", "sup_h4", "blowup_time", "terminal")
+
+
 class TestStackedArms:
     def test_blowup_inside_atom_steps(self, basis2):
         # the outer_linear oracle config, stacked behind a Brownian arm
@@ -356,11 +399,8 @@ class TestStackedArms:
                                          streams("brownian", 0), noise)]
         alone += [simulate_jump_batch(basis2, cfg, u0, streams("jump", j), k)
                   for j, k in enumerate(kernels)]
-        fields = ("norm_h2", "norm_v2", "int_v2", "mode_traces",
-                  "drift_traces", "jump_counts", "sup_h4", "blowup_time",
-                  "terminal")
         for got, ref in zip(stacked, alone):
-            for name in fields:
+            for name in _FIELDS:
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(ref, name),
                                               err_msg=name)
@@ -373,6 +413,122 @@ class TestStackedArms:
                     # atoms after the blow-up step are never counted
                     times = times[times < t_blow]
                 assert batch.jump_counts[p, -1] == times.size
+
+    def test_several_maps(self, basis2):
+        # three sigma maps in one stack: the Brownian channel's, a
+        # saturating arm's, and a kernel whose two channels use different
+        # maps, the second one theta = cosine; each arm keeps its bits
+        sat, ident = saturating(0.5), scaled_identity(0.3)
+        g = np.zeros(basis2.dim)
+        g[1] = 0.4
+        noise = BrownianNoiseSpec((constant_field(g),))
+        one = build_jump_kernel(sat, "annulus", "one", 0.1, NU1)
+        cos = build_jump_kernel(ident, "annulus", "cosine", 0.1, NU1)
+        mixed = JumpKernel(0.1, (one.channels[0], cos.channels[0]))
+        cfg = SolverConfig(t_end=0.2, dt=0.01, include_nonlinearity=False,
+                           track_modes=(0, 1))
+        u0 = random_field(basis2, np.random.default_rng(8), norm_h=0.5)
+
+        def streams(arm, j):
+            return [derive_stream(47, arm, j, p) for p in range(12)]
+
+        arms = [(None, "brownian"), (one, "jump"), (mixed, "jump")]
+        stacked = simulate_arms(basis2, cfg, u0,
+                                [(k, streams(arm, j))
+                                 for j, (k, arm) in enumerate(arms)], noise)
+        alone = [simulate_arms(basis2, cfg, u0, [(k, streams(arm, j))],
+                               noise)[0]
+                 for j, (k, arm) in enumerate(arms)]
+        assert stacked[2].jump_counts[:, -1].min() > 0
+        ref = reference_jump_batch(basis2, cfg, u0, streams("jump", 2), mixed)
+        for name in ("terminal", "int_v2", "sup_h4", "norm_h2"):
+            np.testing.assert_allclose(getattr(stacked[2], name),
+                                       getattr(ref, name), rtol=1e-12,
+                                       atol=1e-15, err_msg=name)
+        for got, ref in zip(stacked, alone):
+            for name in _FIELDS:
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(ref, name),
+                                              err_msg=name)
+
+    def test_each_map_runs_on_the_rows_that_need_it(self, basis2):
+        # a noise map that no kernel uses sees only the Brownian rows, once
+        # per step; the kernel's map sees the jump rows once per step and
+        # each atom's row twice, for its jump and for the compensator after
+        # it
+        seen = {"noise": 0, "jump": 0}
+
+        def counted(fmap, key):
+            def fn(u):
+                seen[key] += len(u)
+                return fmap.fn(u)
+            return dataclasses.replace(fmap, fn=fn)
+
+        g = np.zeros(basis2.dim)
+        g[1] = 0.4
+        noise = BrownianNoiseSpec((counted(constant_field(g), "noise"),))
+        kernel = build_jump_kernel(counted(saturating(0.5), "jump"),
+                                   "annulus", "one", 0.1, NU1)
+        cfg = SolverConfig(t_end=0.2, dt=0.01, include_nonlinearity=False)
+        u0 = random_field(basis2, np.random.default_rng(8), norm_h=0.5)
+        seen.update(noise=0, jump=0)
+        brown, jump = simulate_arms(
+            basis2, cfg, u0,
+            [(None, [derive_stream(59, "brownian", 0, p) for p in range(6)]),
+             (kernel, [derive_stream(59, "jump", 0, p) for p in range(6)])],
+            noise)
+        assert np.isnan(jump.blowup_time).all()
+        atoms = int(jump.jump_counts[:, -1].sum())
+        assert atoms > 0
+        assert seen["noise"] == cfg.n_steps * 6
+        assert seen["jump"] == cfg.n_steps * 6 + 2 * atoms
+
+    def test_jump_arm_without_atoms(self, basis2):
+        # activity 2 (1/0.9 - 1) = 0.22 per unit time over 0.05: the quiet
+        # arm draws no atom on any path, while the busy arm (activity 198)
+        # draws about ten per path
+        sigma = saturating(0.5)
+        quiet = build_jump_kernel(sigma, "annulus", "cosine", 0.9, NU1)
+        busy = build_jump_kernel(sigma, "annulus", "one", 0.01, NU1)
+        cfg = SolverConfig(t_end=0.05, dt=0.01, include_nonlinearity=False,
+                           track_modes=(0, 2))
+        u0 = random_field(basis2, np.random.default_rng(6), norm_h=0.5)
+
+        def streams(j):
+            return [derive_stream(43, "jump", j, p) for p in range(8)]
+
+        stacked = simulate_arms(basis2, cfg, u0, [(quiet, streams(0)),
+                                                  (busy, streams(1))])
+        alone = [simulate_jump_batch(basis2, cfg, u0, streams(j), k)
+                 for j, k in enumerate((quiet, busy))]
+        assert not stacked[0].jump_counts.any()
+        assert stacked[1].jump_counts[:, -1].min() > 0
+        for got, ref in zip(stacked, alone):
+            for name in _FIELDS:
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(ref, name),
+                                              err_msg=name)
+
+    def test_no_atoms_anywhere(self, basis2):
+        # a plan with no atoms at all: every step is the compensated
+        # exponential Euler step, replayed here operation for operation
+        g = np.zeros(basis2.dim)
+        g[0] = 0.5
+        kernel = build_jump_kernel(constant_field(g), "annulus", "one", 0.9,
+                                   NU1)
+        comp = kernel.channels[0].h_integral * g
+        cfg = SolverConfig(t_end=0.05, dt=0.01, include_nonlinearity=False)
+        u0 = unit_vector(basis2, 0, amp=0.3)
+        batch = simulate_jump_batch(basis2, cfg, u0,
+                                    [derive_stream(43, "jump", 0, p)
+                                     for p in range(4)], kernel)
+        assert not batch.jump_counts.any()
+        efac = np.exp(-basis2.eigenvalues * cfg.dt)
+        u = u0.copy()
+        for _ in range(cfg.n_steps):
+            u = efac * ((0.0 - comp) * cfg.dt + u)
+        for p in range(4):
+            assert np.array_equal(batch.terminal[p], u)
 
 
 class TestBlowUpAndExit:

@@ -8,7 +8,8 @@ from snse.kernels import build_jump_kernel, scaled_identity
 from snse.measures import (
     alpha_stable_measure, power_magnitude_cdf, power_magnitude_ppf,
 )
-from snse.sampling import derive_stream, sample_prm, stream_key
+from snse.sampling import (ARM_CODES, PathStreams, derive_stream,
+                           sample_prm, sample_prm_paths, stream_key)
 
 NU1 = alpha_stable_measure(1.0)
 
@@ -41,6 +42,84 @@ class TestStreams:
             stream_key(0, "jump", 1 << 16, 0)
         with pytest.raises(ValueError):
             stream_key(0, "jump", 0, 1 << 40)
+
+
+class TestPathStreams:
+    """One re-keyed generator draws what a fresh generator per path draws."""
+
+    PATHS = (0, 1, 2**40 - 1)
+
+    @staticmethod
+    def _draws(rng):
+        return (rng.standard_normal((7, 3)), rng.poisson(18.0, size=5),
+                rng.random(3 * 11))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("arm", sorted(ARM_CODES))
+    def test_matches_derive_stream(self, arm, seed):
+        for p, g in zip(self.PATHS, PathStreams(seed, arm, 3, self.PATHS)):
+            ref = self._draws(derive_stream(seed, arm, 3, p))
+            for got, want in zip(self._draws(g), ref):
+                assert np.array_equal(got, want)
+
+    def test_partly_used_stream_leaves_no_trace(self):
+        # each path leaves half a 64-bit word buffered and its Philox block
+        # partly used; the next path starts clean all the same
+        for p, g in enumerate(PathStreams(5, "jump", 1, range(4))):
+            ref = derive_stream(5, "jump", 1, p)
+            for got, want in zip(self._draws(g), self._draws(ref)):
+                assert np.array_equal(got, want)
+            g.integers(0, 7, size=p + 1, dtype=np.uint32)
+
+    def test_one_generator(self):
+        streams = PathStreams(1, "brownian", 0, range(10, 13))
+        assert len(streams) == 3
+        assert all(g is streams.generator for g in streams)
+
+
+class TestChunkSampler:
+    """sample_prm_paths against one sample_prm call per path, stacked."""
+
+    @staticmethod
+    def _check(kern, horizon, n_paths, seed=23):
+        def streams():
+            return [derive_stream(seed, "jump", 0, p) for p in range(n_paths)]
+        atoms, counts = sample_prm_paths(kern, horizon, streams())
+        one = [sample_prm(kern, horizon, g) for g in streams()]
+        assert np.array_equal(counts, [len(a) for a in one])
+        for name in ("times", "marks", "channels"):
+            want = np.concatenate([getattr(a, name) for a in one])
+            got = getattr(atoms, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), name
+        return counts
+
+    def test_one_channel_annulus(self):
+        counts = self._check(_kernel(eps=0.05), 1.0, 40)
+        assert counts.min() > 0
+
+    def test_inner_linear_cutoff(self):
+        kern = build_jump_kernel(scaled_identity(), "inner_linear", "cosine",
+                                 0.1, NU1)
+        assert kern.channels[0].cutoff_delta > 0.0
+        counts = self._check(kern, 2e-3, 12)
+        assert counts.min() > 0
+
+    def test_two_channels(self):
+        kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.1,
+                                 NU1, channels=2)
+        counts = self._check(kern, 1.5, 30)
+        assert counts.min() > 0
+
+    def test_paths_without_atoms(self):
+        # activity 2 (1/0.5 - 1) = 2 per unit time: over 0.2, most paths
+        # draw nothing
+        kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.5,
+                                 NU1, channels=2)
+        counts = self._check(kern, 0.2, 40)
+        assert (counts == 0).any() and (counts > 0).any()
+        atoms, counts = sample_prm_paths(kern, 0.2, [])
+        assert len(atoms) == 0 and counts.size == 0
 
 
 class TestEventSampling:
