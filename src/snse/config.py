@@ -6,8 +6,9 @@ keys are hard errors: a typo must never silently fall back to a default.
 README.md lists every key with its default.
 
 Coefficient maps are named by compact specs (zero, identity:c,
-saturating:c, constant:a@i;a@i) and the Brownian sigma spec must equal the
-jump base sigma spec so the two arms share a diffusion limit.
+saturating:c, constant:a@i;a@i).  The jump base sigma spec must equal the
+Brownian one, and both arms then share the one parsed map, so they share a
+diffusion limit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ _SCHEMA = {
     "basis": {"n_max"},
     "solver": {"t_end", "dt", "record_stride", "nonlinearity", "blowup_norm"},
     "drift": {"forcing"},
-    "brownian": {"sigma", "channels"},
+    "brownian": {"sigma"},
     "jump": {"sigma", "family_h", "family_theta", "epsilon", "measure"},
     "experiment": {"paths", "seed", "functionals", "initial", "track",
                    "chunk_size"},
@@ -202,11 +203,8 @@ def load_config(path, seed: int | None = None,
 
     bm = cp["brownian"]
     sigma_spec = _read(bm, "sigma")
-    channels = _read(bm, "channels", int, 1)
-    if channels < 1:
-        raise ConfigError("[brownian] channels must be at least 1")
     sigma = parse_map_spec(sigma_spec, dim)
-    noise = BrownianNoiseSpec((sigma,) * channels)
+    noise = BrownianNoiseSpec(sigma)
 
     kernels: tuple = ()
     if cp.has_section("jump"):
@@ -225,7 +223,7 @@ def load_config(path, seed: int | None = None,
         measure = parse_measure_spec(_read(jmp, "measure"))
         with _config_errors("[jump] "):
             kernels = tuple(kernel_grid(sigma, family_h, family_theta, eps,
-                                        measure, channels))
+                                        measure))
 
     initial = parse_coeff_list(_read(exp, "initial", default="0.3@0, 0.3@2"),
                                dim)

@@ -4,6 +4,8 @@ An experiment runs one Brownian arm plus one jump arm per epsilon from the
 same initial field and time grid, evaluates a fixed set of terminal
 functionals on every path, and compares each jump law against the Brownian
 reference (mean gap with joint standard error, and a two-sample KS test).
+The Brownian noise sigma(u) dW and every kernel's jumps sigma(theta u) h
+take one sigma map object, as the paired arms share one diffusion limit.
 
 Reproducibility contract: every path owns a counter-based stream keyed by
 (seed, arm, eps-index, path-index), served by one Philox generator per arm
@@ -19,6 +21,9 @@ one-arm run (tested); nonlinear runs are not: B(u) on P = 512 random rows
 at n_max = 4 differs in 30,318 of 40,960 entries (<= 5.2e-16 of the largest)
 at 1 and 2 threads, and in the atom rounds of a stack its gemm sees another
 batch shape, so a nonlinear arm can move in the last bits.
+
+A chunk's jump atoms are planned all at once, so a run whose chunk
+expects more than ATOM_BUDGET atoms is refused before it starts.
 
 Before simulating, the harness re-derives the linear-growth / Lipschitz and
 jump-size-decay certificates for the supplied kernel grid and refuses to run
@@ -48,6 +53,8 @@ from .sampling import PathStreams, derive_stream, stream_key  # noqa: F401
 from .stats import compare_laws, summarize
 
 BLOWUP_BUDGET = 0.01
+# expected atoms per chunk; planning one takes about 210 bytes per atom
+ATOM_BUDGET = 2_000_000
 
 _KNOWN_FUNCTIONALS = ("normH2", "normV2", "sup_normH2")
 
@@ -92,8 +99,8 @@ def functional_samples(batch: PathBatch, name: str) -> np.ndarray:
 class ExperimentConfig:
     """Everything a paired Brownian-vs-jump experiment needs.
 
-    The Brownian channels must be the same named coefficient maps as the
-    jump kernels' base sigma so the two arms share a diffusion limit.
+    The Brownian sigma must be the very map object of every jump kernel's
+    base sigma, so the two arms share a diffusion limit.
     """
 
     basis: BasisSpec
@@ -126,13 +133,10 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("kernel grid must have strictly decreasing epsilon")
         for kern in self.kernels:
-            if len(kern.channels) != self.noise.n_channels:
-                raise ConfigError("Brownian and jump channel counts differ")
-            for bm_map, ch in zip(self.noise.channels, kern.channels):
-                if bm_map.name != ch.sigma.name:
-                    raise ConfigError(
-                        f"Brownian sigma {bm_map.name!r} does not match "
-                        f"jump base sigma {ch.sigma.name!r}")
+            if kern.channel.sigma is not self.noise.sigma:
+                raise ConfigError(
+                    f"jump base sigma {kern.channel.sigma.name!r} is not the "
+                    f"Brownian sigma map {self.noise.sigma.name!r}")
 
     @property
     def epsilons(self) -> tuple[float, ...]:
@@ -152,19 +156,20 @@ class ExperimentConfig:
             "solver.track_modes=" + ",".join(str(k) for k in s.track_modes),
             "initial=" + ";".join(f"{self.initial[i]!r}@{i}" for i in nz),
             "forcing=" + (self.forcing.name if self.forcing else "zero"),
-            "brownian=" + ",".join(ch.name for ch in self.noise.channels),
+            "brownian=" + self.noise.sigma.name,
             "functionals=" + ",".join(self.functionals),
             f"paths={self.n_paths}",
             f"seed={self.seed}",
             f"chunk={self.chunk_size}",
         ]
         for kern in self.kernels:
-            ch = kern.channels[0]
+            ch = kern.channel
+            # channels=1 stays in the text so that pinned hashes hold
             lines.append(
                 f"jump.eps={kern.epsilon!r}:h={ch.h.family}"
                 f":theta={ch.theta.family}:measure={ch.measure.label()}"
                 f":sigma={ch.sigma.name}:delta={ch.cutoff_delta!r}"
-                f":channels={len(kern.channels)}")
+                f":channels=1")
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -194,9 +199,21 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0,
     preallocated traces.  Each arm of a chunk draws from one Philox
     generator, re-keyed to each path's stream in turn
     (sampling.PathStreams).
+
+    Raises ConfigError, before any chunk is planned, when a chunk's jump
+    arms expect more than ATOM_BUDGET atoms (activity * t_end * paths).
     """
     arms = _arm_list(config, arm, eps_index)
     n = config.n_paths if n_paths is None else n_paths
+    size = min(n, config.chunk_size)
+    atoms = size * config.solver.t_end * sum(
+        config.kernels[j].channel.activity for name, j in arms
+        if name == "jump")
+    if atoms > ATOM_BUDGET:
+        raise ConfigError(
+            f"a chunk of {size} paths expects {atoms:.3g} jump atoms, over "
+            f"the budget of {ATOM_BUDGET:.3g}; lower chunk_size or t_end, "
+            "or pick a kernel of lower activity")
     traces = ArmTraces(config.solver, len(arms), n, config.basis.dim)
     for lo, hi in _chunk_bounds(n, config.chunk_size):
         chunk = [(None if name == "brownian" else config.kernels[j],

@@ -44,39 +44,33 @@ _GAP_FLOOR = 1e-12      # generator-gap panel max treated as numerical zero
 # kernel grids and node-quadrature mass helpers
 
 def kernel_grid(base_sigma: FieldMap, family_h: str, family_theta: str,
-                eps_grid, measure: LevyMeasure,
-                channels: int = 1) -> list[JumpKernel]:
+                eps_grid, measure: LevyMeasure) -> list[JumpKernel]:
     """One kernel per epsilon, epsilons strictly decreasing."""
     eps_grid = [float(e) for e in eps_grid]
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
-    return [build_jump_kernel(base_sigma, family_h, family_theta, e, measure,
-                              channels)
+    return [build_jump_kernel(base_sigma, family_h, family_theta, e, measure)
             for e in eps_grid]
 
 
 def jump_l2_mass(kernel: JumpKernel, u):
-    """sum_channels integral of |sigma_eps(u, z)|_H^2 d(nu), one value per row."""
+    """Integral of |sigma_eps(u, z)|_H^2 d(nu), one value per row."""
     u = np.asarray(u, dtype=np.float64)
-    total = 0.0
-    for ch in kernel.channels:
-        sig = ch.sigma.fn(u)
-        total = total + gain_moment(ch, u, 2) * row_dot(sig, sig)
-    return total
+    ch = kernel.channel
+    sig = ch.sigma.fn(u)
+    return gain_moment(ch, u, 2) * row_dot(sig, sig)
 
 
 def jump_l4_mass(kernel: JumpKernel, u):
-    """sum_channels integral of |sigma_eps(u, z)|_H^4 d(nu), one value per row."""
+    """Integral of |sigma_eps(u, z)|_H^4 d(nu), one value per row."""
     u = np.asarray(u, dtype=np.float64)
-    total = 0.0
-    for ch in kernel.channels:
-        sig = ch.sigma.fn(u)
-        total = total + gain_moment(ch, u, 4) * row_dot(sig, sig) ** 2
-    return total
+    ch = kernel.channel
+    sig = ch.sigma.fn(u)
+    return gain_moment(ch, u, 4) * row_dot(sig, sig) ** 2
 
 
 def jump_l2_diff(kernel: JumpKernel, u, v):
-    """sum_channels integral of |sigma_eps(u, z) - sigma_eps(v, z)|_H^2 d(nu).
+    """Integral of |sigma_eps(u, z) - sigma_eps(v, z)|_H^2 d(nu).
 
     One value per row pair. With s_u = sigma(u), s_v = sigma(v), d = s_u - s_v
     and, at each node, the gains g_u, g_v and D = g_u - g_v, the integrand is
@@ -92,36 +86,32 @@ def jump_l2_diff(kernel: JumpKernel, u, v):
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    total = 0.0
-    for ch in kernel.channels:
-        sv = ch.sigma.fn(v)
-        d = ch.sigma.fn(u) - sv
-        dd, ds, ss = (x[..., None] for x in (row_dot(d, d), row_dot(d, sv),
-                                            row_dot(sv, sv)))
-        w, hv, gu = node_values(ch, u)
-        _, _, gv = node_values(ch, v)
-        dg = gu - gv
-        node = gu * gu * dd + 2.0 * gu * dg * ds + dg * dg * ss
-        # the -z half repeats these bits: theta and h^2 are even
-        part = row_dot(node, w * hv * hv)
-        total = total + part + part
-    return total
+    ch = kernel.channel
+    sv = ch.sigma.fn(v)
+    d = ch.sigma.fn(u) - sv
+    dd, ds, ss = (x[..., None] for x in (row_dot(d, d), row_dot(d, sv),
+                                        row_dot(sv, sv)))
+    w, hv, gu = node_values(ch, u)
+    _, _, gv = node_values(ch, v)
+    dg = gu - gv
+    node = gu * gu * dd + 2.0 * gu * dg * ds + dg * dg * ss
+    # the -z half repeats these bits: theta and h^2 are even
+    part = row_dot(node, w * hv * hv)
+    return 0.0 + part + part
 
 
 def jump_v2_mass(kernel: JumpKernel, u, eigenvalues):
     """Same as jump_l2_mass but in the V norm."""
     u = np.asarray(u, dtype=np.float64)
-    total = 0.0
-    for ch in kernel.channels:
-        sig = ch.sigma.fn(u)
-        total = total + gain_moment(ch, u, 2) * row_dot(sig * sig, eigenvalues)
-    return total
+    ch = kernel.channel
+    sig = ch.sigma.fn(u)
+    return gain_moment(ch, u, 2) * row_dot(sig * sig, eigenvalues)
 
 
 def brownian_l2_mass(kernel: JumpKernel, u):
-    """|sigma(u)|_H^2 summed over the matched Brownian channels, per row."""
+    """|sigma(u)|_H^2 of the matched Brownian noise, per row."""
     u = np.asarray(u, dtype=np.float64)
-    return sum(np.sum(ch.sigma.fn(u) ** 2, axis=-1) for ch in kernel.channels)
+    return np.sum(kernel.channel.sigma.fn(u) ** 2, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +236,7 @@ def check_jump_size_decay(kernels, radius: float = 1.0) -> HypothesisReport:
     zero; the check fails when it does not decay.
     """
     eps = _grid_epsilons(kernels)
-    vals = [max(sup_jump_size(ch, radius) for ch in k.channels)
-            for k in kernels]
+    vals = [sup_jump_size(k.channel, radius) for k in kernels]
     decaying = all(b < a for a, b in zip(vals, vals[1:])) or all(
         v == 0.0 for v in vals)
     rows = [CheckRow("sup_jump", e, v, -1, decaying)
@@ -274,7 +263,7 @@ def check_qv_limit_v_growth(basis: BasisSpec, kernels, n_samples: int = 40,
     eps = _grid_epsilons(kernels)
     fields = random_sample_fields(basis, n_samples, seed)
     eigs = basis.eigenvalues
-    maps_v = all(ch.sigma.maps_v for k in kernels for ch in k.channels)
+    maps_v = all(k.channel.sigma.maps_v for k in kernels)
 
     h2 = 1.0 + np.sum(fields * fields, axis=1)
     v2 = 1.0 + row_dot(fields * fields, eigs)
@@ -373,7 +362,7 @@ def certify_kernels(basis: BasisSpec, kernels, forcing: FieldMap | None = None,
                     label: str | None = None,
                     panel: np.ndarray | None = None) -> CertificationReport:
     """Run every check on one kernel grid and bundle the verdicts."""
-    ch0 = kernels[0].channels[0]
+    ch0 = kernels[0].channel
     if label is None:
         label = (f"sigma={ch0.sigma.name} theta={ch0.theta.family} "
                  f"h={ch0.h.family} nu={ch0.measure.label()}")

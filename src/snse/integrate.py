@@ -14,16 +14,16 @@ block are sampled and planned once per stack, with the substep lengths and
 each atom's kernel factors h(z) and theta(z), and all rows with a k-th
 atom in a step take their k-th substep together, so the kernel and drift
 evaluations per step scale with the largest atom count of any row, not
-with the number of atoms or of arms.  Each sigma map is taken once per
-state, on the rows whose channels use it.  BLAS products run block by
+with the number of atoms or of arms.  Every arm of a stack takes one sigma
+map, evaluated once per state on all rows.  BLAS products run block by
 block, one arm's rows at a time, so every operation on a row has the bits
 it has when that arm runs alone, except B(u) in the atom rounds, where the
 rows of all jump arms meet and the gemm's rows can move in the last bits.
 
 Per-path randomness contract (pinned by tests, do not reorder):
-  * Brownian arm: one standard_normal((n_steps, n_channels)) call per path.
-  * Jump arm: per channel, one poisson count and then one random(3 * count)
-    call per path, nothing else (sampling.sample_prm_paths).
+  * Brownian arm: one standard_normal(n_steps) call per path.
+  * Jump arm: one poisson count and then one random(3 * count) call per
+    path, nothing else (sampling.sample_prm_paths).
 Draws stay one pinned sequence per path, taken path after path.  So a
 chunk may serve every path's sequence from one re-keyed generator
 (sampling.PathStreams); the draws are the same as from one generator per
@@ -52,13 +52,14 @@ from .sampling import sample_prm  # noqa: F401
 
 @dataclass(frozen=True)
 class BrownianNoiseSpec:
-    """Independent scalar Wiener channels with state dependent coefficient maps."""
+    """One scalar Wiener process with a state dependent coefficient map."""
 
-    channels: tuple[FieldMap, ...]
+    sigma: FieldMap
 
     @property
-    def n_channels(self) -> int:
-        return len(self.channels)
+    def channels(self) -> tuple[FieldMap]:
+        # read-only one-tuple, kept because perfbench/suite.py reads it
+        return (self.sigma,)
 
 
 @dataclass(frozen=True)
@@ -275,180 +276,68 @@ def _integrate(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
     out.finish(u, sup4, blow_t)
 
 
-class _Stack:
-    """The sigma maps of a stack and, row by row, what its channels need.
+def _compensator(v, s, coef, gains) -> np.ndarray:
+    """The compensator at rows v, given s = sigma(v).
 
-    maps lists the distinct sigma maps of the Brownian channels and of
-    every jump channel, noise the map index of each Brownian channel and
-    jump those of the jump channels.  main holds, per map, the rows of the
-    stack that need it in a main step (the Brownian blocks for a noise map,
-    the blocks of every kernel with a channel on it) as sigma takes them.
-    The jump rows lie in span, and for channel position c of the kernel of
-    each row there, which[c] holds the map's index (-1 for a Brownian row
-    or a kernel with fewer channels), coef[c] the theta = one compensator
-    coefficient h_integral (0 where there is none: theta != one, an odd
-    profile or no channel), and gains[c] the (rows, channel) of every
-    theta != one channel, rows a slice of span, whose coefficient is a
-    gain moment of the state.
-    """
-
-    def __init__(self, blocks, arms, channels):
-        self.maps: list[FieldMap] = []
-        self.noise = [self.index(ch) for ch in channels]
-        uses = []   # (map index, block) of every channel of every arm
-        for block, (kernel, _) in zip(blocks, arms):
-            if kernel is None:
-                uses += [(m, block) for m in self.noise]
-            else:
-                uses += [(self.index(ch.sigma), block)
-                         for ch in kernel.channels]
-        on = np.zeros((len(self.maps), blocks[-1].stop), dtype=bool)
-        for m, block in uses:
-            on[m, block] = True
-        self.main = [_rows(rows) for rows in on]
-        kernels = [(block, kernel) for block, (kernel, _) in zip(blocks, arms)
-                   if kernel is not None]
-        if not kernels:
-            return
-        self.jump = sorted({self.index(ch.sigma) for _, kernel in kernels
-                            for ch in kernel.channels})
-        self.lone = ([True if m == self.jump[0] else None
-                      for m in range(len(self.maps))]
-                     if len(self.jump) == 1 else None)
-        self.span = slice(kernels[0][0].start, kernels[-1][0].stop)
-        n_pos = max(len(kernel.channels) for _, kernel in kernels)
-        n_rows = self.span.stop - self.span.start
-        self.which = np.full((n_pos, n_rows), -1, dtype=np.intp)
-        self.coef = np.zeros((n_pos, n_rows))
-        self.gains = [[] for _ in range(n_pos)]
-        for block, kernel in kernels:
-            rows = slice(block.start - self.span.start,
-                         block.stop - self.span.start)
-            for c, ch in enumerate(kernel.channels):
-                self.which[c, rows] = self.index(ch.sigma)
-                if ch.theta.family == "one":
-                    self.coef[c, rows] = ch.h_integral
-                else:
-                    self.gains[c].append((rows, ch))
-
-    def index(self, fmap: FieldMap) -> int:
-        for i, known in enumerate(self.maps):
-            if known is fmap:
-                return i
-        self.maps.append(fmap)
-        return len(self.maps) - 1
-
-    def need(self, which: np.ndarray) -> list:
-        """Per map, the rows of a round that need it, which holding each
-        row's jump map index (per row, or per channel position and row)."""
-        if self.lone is not None:
-            return self.lone
-        need = [None] * len(self.maps)
-        for m in self.jump:
-            on = which == m
-            need[m] = _rows(on.any(axis=0) if on.ndim > 1 else on)
-        return need
-
-    def sigma(self, x: np.ndarray, need: list) -> list:
-        """Map m at the rows of x that need[m] names, one call per map:
-        need[m] is True for every row, None for none (the value is then
-        None too) or a row mask (the other rows are 0)."""
-        out = []
-        for fmap, rows in zip(self.maps, need):
-            if rows is None:
-                out.append(None)
-            elif rows is True:
-                out.append(fmap.fn(x))
-            else:
-                s = np.zeros_like(x)
-                s[rows] = fmap.fn(x[rows])
-                out.append(s)
-        return out
-
-
-def _rows(on: np.ndarray):
-    """A row mask as _Stack.sigma takes it: True for all, None for none."""
-    if on.all():
-        return True
-    return on if on.any() else None
-
-
-def _pick(values: list, which: np.ndarray) -> np.ndarray:
-    """Row r of values[which[r]], 0 where which[r] is -1; the values of
-    the one map evaluated as they are."""
-    given = [(m, s) for m, s in enumerate(values) if s is not None]
-    if len(given) == 1:
-        return given[0][1]
-    out = np.zeros_like(given[0][1])
-    for m, s in given:
-        on = which == m
-        out[on] = s[on]
-    return out
-
-
-def _compensator(v, sv, which, coef, gains) -> np.ndarray:
-    """The compensator at rows v, given sv = _Stack.sigma(v, ...).
-
-    Channel position c adds coef[c] * sigma(v) on the rows whose
-    coefficient is nonzero, and sigma(v) times the first gain moment on
-    each (rows, channel) of gains[c], in the channel order of
-    kernels.compensator_drift, so each row has its bits.
+    It adds coef * sigma(v) on the rows whose theta = one coefficient is
+    nonzero, and sigma(v) times the first gain moment on each (rows,
+    channel) of gains, as kernels.compensator_drift does, so each row has
+    its bits.
     """
     total = np.zeros_like(v)
-    for c, (k, ch_gains) in enumerate(zip(coef, gains)):
-        s = _pick(sv, which[c])
-        on = k != 0.0
-        if on.all():
-            total += k[:, None] * s
-        elif on.any():
-            np.add(total, k[:, None] * s, out=total, where=on[:, None])
-        for rows, ch in ch_gains:
-            total[rows] += s[rows] * gain_moment(ch, v[rows], 1)[:, None]
+    on = coef != 0.0
+    if on.all():
+        total += coef[:, None] * s
+    elif on.any():
+        np.add(total, coef[:, None] * s, out=total, where=on[:, None])
+    for rows, ch in gains:
+        total[rows] += s[rows] * gain_moment(ch, v[rows], 1)[:, None]
     return total
 
 
 class _AtomPlan:
     """The atoms of every jump block of a stack, ordered once for the loop.
 
-    Atoms sit sorted by (step, rank, row), rank being an atom's place among
-    its row's atoms in the same step.  For step n, atoms bounds[n] to
-    bounds[n+1] - 1 fall in it, rows[n] holds its rows with atoms
-    (ascending) and tails[n] the rest of the step after each row's last
-    atom, and rounds[n] its rank rounds as (lo, hi, s_lo, s_hi, gains):
-    atoms lo to hi - 1, the substeps s_lo to s_hi - 1 up to them, and
-    gains[c] listing (rows, channel) of the theta != one channels at
-    position c, rows being a slice of the round.  Per atom: at is its
-    place in its step's rows, h and theta the kernel values at its mark
-    (theta 1.0 for theta = one, where the product is exact), jump_map the
-    index of its channel's map, and which, coef its row's _Stack entries.
-    Per substep: sub_at is the place of its row and sub_delta its length,
-    from the step start or the row's previous atom up to the atom.  An
-    atom at its row's previous time, or at a step start that rounding put
-    after it, has no substep.
+    The jump rows of the stack lie in span; coef holds, per row there, the
+    theta = one compensator coefficient h_integral (0 for theta != one or
+    an odd profile), and gains the (rows, channel) of every theta != one
+    arm, rows a slice of span.  Atoms sit sorted by (step, rank, row), rank
+    being an atom's place among its row's atoms in the same step.  For step
+    n, atoms bounds[n] to bounds[n+1] - 1 fall in it, rows[n] holds its
+    rows with atoms (ascending) and tails[n] the rest of the step after
+    each row's last atom, and rounds[n] its rank rounds as (lo, hi, s_lo,
+    s_hi, gains): atoms lo to hi - 1, the substeps s_lo to s_hi - 1 up to
+    them, and the (rows, channel) of the theta != one arms, rows being a
+    slice of the round.  Per atom: at is its place in its step's rows, h
+    and theta the kernel values at its mark (theta 1.0 for theta = one,
+    where the product is exact), and atom_coef its row's coef.  Per
+    substep: sub_at is the place of its row and sub_delta its length, from
+    the step start or the row's previous atom up to the atom.  An atom at
+    its row's previous time, or at a step start that rounding put after it,
+    has no substep.
     """
 
-    def __init__(self, cfg: SolverConfig, jumpy, stack: _Stack):
+    def __init__(self, cfg: SolverConfig, jumpy):
         n_steps, dt = cfg.n_steps, cfg.dt
-        row, atoms = [], []
+        self.span = span = slice(jumpy[0][0].start, jumpy[-1][0].stop)
+        self.coef = np.zeros(span.stop - span.start)
+        self.gains = []
+        row, times, hv, tv = [], [], [], []
         for block, kernel, streams in jumpy:
+            ch = kernel.channel
+            rows = slice(block.start - span.start, block.stop - span.start)
+            if ch.theta.family == "one":
+                self.coef[rows] = ch.h_integral
+            else:
+                self.gains.append((rows, ch))
             drawn, counts = sample_prm_paths(kernel, cfg.t_end, streams)
-            atoms.append(drawn)
             row.append(np.repeat(np.arange(block.start, block.stop), counts))
+            hv.append(ch.h.fn(drawn.marks))
+            tv.append(np.ones(len(drawn)) if ch.theta.family == "one"
+                      else ch.theta.fn(drawn.marks))
+            times.append(drawn.times)
         row = np.concatenate(row)
-        times = np.concatenate([a.times for a in atoms])
-        marks = np.concatenate([a.marks for a in atoms])
-        hv, tv = np.empty(row.size), np.ones(row.size)
-        jump_map = np.empty(row.size, dtype=np.intp)
-        lo = 0
-        for (_, kernel, _), drawn in zip(jumpy, atoms):
-            part = slice(lo, lo + len(drawn))
-            lo = part.stop
-            for c, ch in enumerate(kernel.channels):
-                on = np.flatnonzero(drawn.channels == c) + part.start
-                hv[on] = ch.h.fn(marks[on])
-                if ch.theta.family != "one":
-                    tv[on] = ch.theta.fn(marks[on])
-                jump_map[on] = stack.index(ch.sigma)
+        times = np.concatenate(times)
 
         step = np.minimum((times / dt).astype(int), n_steps - 1)
         # a row's atoms are in time order, so each (row, step) is one run
@@ -475,11 +364,9 @@ class _AtomPlan:
         delta = (times - prev)[order]
         sub = np.flatnonzero(delta > 0.0)
         self.sub_at, self.sub_delta = self.at[sub], delta[sub]
-        self.h = hv[order]
-        self.theta = tv[order]
-        self.jump_map = jump_map[order]
-        self.which = stack.which[:, self.row - stack.span.start]
-        self.coef = stack.coef[:, self.row - stack.span.start]
+        self.h = np.concatenate(hv)[order]
+        self.theta = np.concatenate(tv)[order]
+        self.atom_coef = self.coef[self.row - span.start]
         rank, step, tail = rank[order], step[order], tail[order]
 
         n_rows = np.bincount(step[rank == 0], minlength=n_steps)
@@ -496,19 +383,18 @@ class _AtomPlan:
                 lo.tolist(), hi.tolist(), np.searchsorted(sub, lo).tolist(),
                 np.searchsorted(sub, hi).tolist(), step[lo].tolist()):
             self.rounds[n].append((r_lo, r_hi, s_lo, s_hi,
-                                   self._gains(stack, r_lo, r_hi)))
+                                   self._gains(r_lo, r_hi)))
 
-    def _gains(self, stack: _Stack, lo: int, hi: int) -> list[list]:
-        """Per channel position, (rows, channel) of the round's theta != one
-        rows, rows being slices of the round (one arm's rows each)."""
-        out = [[] for _ in stack.gains]
-        for c, ch_gains in enumerate(stack.gains):
-            for rows, ch in ch_gains:
-                # a round's rows ascend, so one arm's rows are one run
-                a, b = np.searchsorted(self.row[lo:hi] - stack.span.start,
-                                       (rows.start, rows.stop))
-                if a < b:
-                    out[c].append((slice(int(a), int(b)), ch))
+    def _gains(self, lo: int, hi: int) -> list:
+        """(rows, channel) of the round's theta != one rows, rows being
+        slices of the round (one arm's rows each)."""
+        out = []
+        for rows, ch in self.gains:
+            # a round's rows ascend, so one arm's rows are one run
+            a, b = np.searchsorted(self.row[lo:hi] - self.span.start,
+                                   (rows.start, rows.stop))
+            if a < b:
+                out.append((slice(int(a), int(b)), ch))
         return out
 
 
@@ -522,10 +408,11 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     numpy Generator per path, with as many paths in every arm.  Streams
     are taken in path order, each arm's once, and each is used up before
     the next is taken, so a stream need only be valid until then (see
-    sampling.PathStreams).  kernel None makes a Brownian arm driven by the
-    channels of noise (noise=None integrates the deterministic system); a
-    JumpKernel makes a compensated pure-jump arm.  u0 is one (dim,) row or
-    one row per path, shared by every arm.  The traces go to out, an
+    sampling.PathStreams).  kernel None makes a Brownian arm driven by
+    noise (noise=None integrates the deterministic system); a JumpKernel
+    makes a compensated pure-jump arm.  Every arm that is driven must take
+    the same sigma map object (ValueError otherwise).  u0 is one (dim,) row
+    or one row per path, shared by every arm.  The traces go to out, an
     ArmTraces (or window of one) of exactly these arms and paths, or to a
     new one; returns one PathBatch per arm.
 
@@ -533,33 +420,36 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     moves by the exponential Euler step with the compensated drift of the
     last substate, and each atom adds sigma_eps to the left limit.  Round k
     of a step advances, as one batch, every row of every jump arm that has
-    a k-th atom in that step.  Each sigma map is evaluated once per state,
-    on the rows whose channels use it: in a main step sigma(u) serves the
-    Wiener increments and every compensator, and in a round sigma(theta v)
-    gives every jump and sigma(v) every compensator.
+    a k-th atom in that step.  The sigma map is evaluated once per state on
+    all rows: in a main step sigma(u) serves the Wiener increments and
+    every compensator, and in a round sigma(theta v) gives every jump and
+    sigma(v) every compensator.
     """
     n_paths = len(arms[0][1])
     if any(len(streams) != n_paths for _, streams in arms):
         raise ValueError("every arm needs the same number of paths")
+    maps = [noise.sigma if kernel is None else kernel.channel.sigma
+            for kernel, _ in arms if kernel is not None or noise is not None]
+    if any(m is not maps[0] for m in maps):
+        raise ValueError("the arms of a stack must share one sigma map object")
+    sigma = maps[0].fn if maps else None
     u = np.tile(_tile_initial(u0, n_paths, basis.dim), (len(arms), 1))
     if out is None:
         out = ArmTraces(cfg, len(arms), n_paths, basis.dim)
     blocks = [slice(a * n_paths, (a + 1) * n_paths) for a in range(len(arms))]
 
-    channels = noise.channels if noise is not None else ()
-    stack = _Stack(blocks, arms, channels)
     root = np.sqrt(cfg.dt)
     wiener = []   # (block, increments) of each Brownian arm
     jumpy = []    # (block, kernel, streams) of each jump arm
     for block, (kernel, streams) in zip(blocks, arms):
         if kernel is not None:
             jumpy.append((block, kernel, streams))
-        elif channels:
-            dw = np.zeros((n_paths, cfg.n_steps, len(channels)))
+        elif noise is not None:
+            dw = np.empty((n_paths, cfg.n_steps))
             for p, g in enumerate(streams):
-                dw[p] = g.standard_normal((cfg.n_steps, len(channels))) * root
+                dw[p] = g.standard_normal(cfg.n_steps) * root
             wiener.append((block, dw))
-    plan = _AtomPlan(cfg, jumpy, stack) if jumpy else None
+    plan = _AtomPlan(cfg, jumpy) if jumpy else None
 
     eigs = basis.eigenvalues
     efac = np.exp(-eigs * cfg.dt)
@@ -579,12 +469,10 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
 
     def advance(n, u, expl, iv2_step):
         # expl becomes the compensated drift, then u_new, in place
-        su = stack.sigma(u, stack.main)
-        if jumpy:
-            jr = stack.span
-            expl[jr] -= _compensator(u[jr], [None if s is None else s[jr]
-                                             for s in su],
-                                     stack.which, stack.coef, stack.gains)
+        su = sigma(u) if sigma is not None else None
+        if plan is not None:
+            jr = plan.span
+            expl[jr] -= _compensator(u[jr], su[jr], plan.coef, plan.gains)
         atoms = plan is not None and plan.bounds[n] < plan.bounds[n + 1]
         if atoms:
             rows = plan.rows[n]
@@ -593,8 +481,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
         u_new *= cfg.dt
         u_new += u
         for block, dw in wiener:
-            for i, m in enumerate(stack.noise):
-                u_new[block] += su[m][block] * dw[:, n, i, None]
+            u_new[block] += su[block] * dw[:, n, None]
         u_new *= efac
         if not atoms:
             return u_new, iv2_step, None, None
@@ -610,17 +497,14 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
             sup2[a] = np.fmax(sup2[a], np.sum(w * w, axis=1))
             at = plan.at[lo:hi]
             v = u_cur[at]
-            h, maps = plan.h[lo:hi], plan.jump_map[lo:hi]
-            jump = _pick(stack.sigma(plan.theta[lo:hi, None] * v,
-                                     stack.need(maps)), maps) * h[:, None]
+            h = plan.h[lo:hi]
+            jump = sigma(plan.theta[lo:hi, None] * v) * h[:, None]
             jump[h == 0.0] = 0.0
             v += jump
             u_cur[at] = v
             sup2[at] = np.fmax(sup2[at], np.sum(v * v, axis=1))
             dv = explicit(v)
-            which = plan.which[:, lo:hi]
-            dv -= _compensator(v, stack.sigma(v, stack.need(which)), which,
-                               plan.coef[:, lo:hi], gains)
+            dv -= _compensator(v, sigma(v), plan.atom_coef[lo:hi], gains)
             drift[at] = dv
         delta = plan.tails[n][:, None]
         piece += delta[:, 0] * row_dot(u_cur * u_cur, eigs)
@@ -639,7 +523,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
 def simulate_brownian_batch(basis: BasisSpec, cfg: SolverConfig, u0,
                             streams, noise: BrownianNoiseSpec | None = None,
                             forcing: FieldMap | None = None) -> PathBatch:
-    """Drive a batch of paths with independent Wiener channels.
+    """Drive a batch of paths with the Brownian noise.
 
     streams is one numpy Generator per path; noise=None integrates the
     deterministic system.

@@ -354,18 +354,22 @@ def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
 
 @dataclass
 class JumpKernel:
+    """The jump noise at one epsilon: one channel, one Poisson random measure."""
+
     epsilon: float
-    channels: tuple[JumpChannel, ...]
+    channel: JumpChannel
+
+    @property
+    def channels(self) -> tuple[JumpChannel]:
+        # read-only one-tuple, kept because perfbench/suite.py reads it
+        return (self.channel,)
 
 
 def build_jump_kernel(base_sigma: FieldMap, family_h: str, family_theta: str,
-                      epsilon: float, measure: LevyMeasure,
-                      channels: int = 1) -> JumpKernel:
-    """A kernel of `channels` identical channels (independent noises)."""
+                      epsilon: float, measure: LevyMeasure) -> JumpKernel:
     theta = build_theta(family_theta, epsilon)
     h = build_h(family_h, epsilon, measure)
-    return JumpKernel(epsilon, (make_channel(base_sigma, theta, h, measure),)
-                      * channels)
+    return JumpKernel(epsilon, make_channel(base_sigma, theta, h, measure))
 
 
 def eval_sigma_eps(channel: JumpChannel, coeffs, z):
@@ -423,20 +427,19 @@ def gain_moment(channel: JumpChannel, coeffs, k: int):
 
 
 def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
-    """Mean jump inflow sum_channels integral of sigma_eps(u, z) d(nu).
+    """Mean jump inflow, the integral of sigma_eps(u, z) d(nu).
 
     Subtracted from the drift so the simulated jumps are compensated. Taken
     over the full h support; the part below any sampling cutoff cancels for
     odd profiles and is part of the absorbed drift otherwise.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
+    ch = kernel.channel
     total = np.zeros_like(coeffs)
-    for ch in kernel.channels:
-        if ch.theta.family == "one":
-            if ch.h_integral != 0.0:
-                total += ch.h_integral * ch.sigma.fn(coeffs)
-            continue
+    if ch.theta.family != "one":
         total += ch.sigma.fn(coeffs) * gain_moment(ch, coeffs, 1)[..., None]
+    elif ch.h_integral != 0.0:
+        total += ch.h_integral * ch.sigma.fn(coeffs)
     return total
 
 

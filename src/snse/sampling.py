@@ -5,11 +5,11 @@ path-index), so a path's random draws do not depend on how paths are grouped
 into batches.  A run of paths may take its streams from one generator
 re-keyed path by path (``PathStreams``); the draws are the same.
 
-Event draw order per channel is fixed and documented: count, then times, then
+Event draw order is fixed and documented: count, then times, then
 magnitudes (the power law's closed-form inverse CDF), then signs (fair, the
 measures being symmetric). Changing it would silently change every jump-arm
 trajectory, so the order is pinned by tests.  A path's atoms come back as
-struct-of-arrays (``Atoms``), stably sorted by (time, channel).  The sampler
+struct-of-arrays (``Atoms``), sorted by time.  The sampler
 takes the pinned draws path by path and does the rest once for all paths
 (``sample_prm_paths``); ``sample_prm`` is its one-path call.
 """
@@ -84,7 +84,6 @@ class Atoms:
 
     times: np.ndarray
     marks: np.ndarray
-    channels: np.ndarray
 
     def __len__(self) -> int:
         return self.times.size
@@ -93,47 +92,36 @@ class Atoms:
 def sample_prm_paths(kernel: JumpKernel, horizon: float,
                      streams) -> tuple[Atoms, np.ndarray]:
     """The atoms of one path per stream on [0, horizon], path after path,
-    each path's sorted by (time, channel); and every path's atom count.
+    each path's sorted by time; and every path's atom count.
 
-    Each stream gives its pinned draws before the next is taken: per
-    channel the count, then 3 * count uniforms (one call gives the same
-    doubles as three calls of count each).  Sorting the times within each
-    path and channel, the magnitudes' inverse CDF, the signs and the
-    (time, channel) merge then run once over all paths.
+    Each stream gives its pinned draws before the next is taken: the count,
+    then 3 * count uniforms (one call gives the same doubles as three calls
+    of count each).  Sorting the times within each path, the magnitudes'
+    inverse CDF and the signs then run once over all paths.
     """
-    rates = [ch.activity * horizon for ch in kernel.channels]
+    ch = kernel.channel
+    rate = ch.activity * horizon
     counts, draws = [], []
     for rng in streams:
-        for rate in rates:
-            count = int(rng.poisson(rate))
-            counts.append(count)
-            draws.append(rng.random(3 * count))
-    n_chans = len(rates)
+        count = int(rng.poisson(rate))
+        counts.append(count)
+        draws.append(rng.random(3 * count))
     counts = np.array(counts, dtype=np.intp)
-    seg = np.repeat(np.arange(counts.size), counts)   # (path, channel) run
+    path = np.repeat(np.arange(counts.size), counts)
     start = np.cumsum(counts) - counts
-    # the k-th atom of a run reads draws 3 start + k, + count, + 2 count
-    at = np.arange(seg.size) + 2 * start[seg]
-    run = counts[seg]
+    # the k-th atom of a path reads draws 3 start + k, + count, + 2 count
+    at = np.arange(path.size) + 2 * start[path]
+    run = counts[path]
     draws = np.concatenate(draws) if draws else np.empty(0)
     ut = draws[at]
-    times = ut[np.lexsort((ut, seg))] * horizon
-    chans = seg % n_chans
-    mags = np.empty(seg.size)
-    for c, ch in enumerate(kernel.channels):
-        on = chans == c
-        mags[on] = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
-                                       draws[at[on] + run[on]])
+    times = ut[np.lexsort((ut, path))] * horizon
+    mags = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
+                               draws[at + run])
     signs = np.where(draws[at + 2 * run] < 0.5, -1.0, 1.0)
-    marks = signs * mags
-    if n_chans > 1:
-        order = np.lexsort((chans, times, seg // n_chans))
-        times, marks, chans = times[order], marks[order], chans[order]
-    return (Atoms(times, marks, chans),
-            counts.reshape(-1, n_chans).sum(axis=1))
+    return Atoms(times, signs * mags), counts
 
 
 def sample_prm(kernel: JumpKernel, horizon: float,
                rng: np.random.Generator) -> Atoms:
-    """All atoms of every channel on [0, horizon], sorted by (time, channel)."""
+    """All atoms on [0, horizon], sorted by time."""
     return sample_prm_paths(kernel, horizon, [rng])[0]

@@ -179,8 +179,7 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
                 piece += delta * float((u_cur * u_cur) @ eigs)
                 u_cur = np.exp(-eigs * delta) * (u_cur + delta * drift)
                 sup2 = max(sup2, float(np.sum(u_cur * u_cur)))
-            channel = kernel.channels[a.channels[k]]
-            u_cur = u_cur + eval_sigma_eps(channel, u_cur, a.marks[k])
+            u_cur = u_cur + eval_sigma_eps(kernel.channel, u_cur, a.marks[k])
             sup2 = max(sup2, float(np.sum(u_cur * u_cur)))
             t = a.times[k]
             expl = _explicit_drift(basis, cfg, u_cur[None, :], forcing)[0]
@@ -250,55 +249,50 @@ def reference_node_values(channel, coeffs):
 
 
 def reference_compensator(kernel, coeffs):
-    """Integral of sigma_eps(u, z) d(nu), channel by channel and node by node."""
+    """Integral of sigma_eps(u, z) d(nu), node by node."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     total = np.zeros_like(coeffs)
-    for ch in kernel.channels:
-        for w, hv, vals in reference_node_values(ch, coeffs):
-            total += np.einsum("q,...qn->...n", w * hv, vals)
+    for w, hv, vals in reference_node_values(kernel.channel, coeffs):
+        total += np.einsum("q,...qn->...n", w * hv, vals)
     return total
 
 
 def reference_l2_mass(kernel, u):
     total = 0.0
-    for ch in kernel.channels:
-        for w, hv, sig in reference_node_values(ch, u):
-            total += float((w * hv * hv) @ np.sum(sig * sig, axis=1))
+    for w, hv, sig in reference_node_values(kernel.channel, u):
+        total += float((w * hv * hv) @ np.sum(sig * sig, axis=1))
     return total
 
 
 def reference_l4_mass(kernel, u):
     total = 0.0
-    for ch in kernel.channels:
-        for w, hv, sig in reference_node_values(ch, u):
-            n2 = np.sum(sig * sig, axis=1)
-            total += float((w * hv**4) @ (n2 * n2))
+    for w, hv, sig in reference_node_values(kernel.channel, u):
+        n2 = np.sum(sig * sig, axis=1)
+        total += float((w * hv**4) @ (n2 * n2))
     return total
 
 
 def reference_l2_diff(kernel, u, v):
     total = 0.0
-    for ch in kernel.channels:
-        for (w, hv, su), (_, _, sv) in zip(reference_node_values(ch, u),
-                                           reference_node_values(ch, v)):
-            du = su - sv
-            total += float((w * hv * hv) @ np.sum(du * du, axis=1))
+    ch = kernel.channel
+    for (w, hv, su), (_, _, sv) in zip(reference_node_values(ch, u),
+                                       reference_node_values(ch, v)):
+        du = su - sv
+        total += float((w * hv * hv) @ np.sum(du * du, axis=1))
     return total
 
 
 def reference_v2_mass(kernel, u, eigenvalues):
     total = 0.0
-    for ch in kernel.channels:
-        for w, hv, sig in reference_node_values(ch, u):
-            total += float((w * hv * hv) @ ((sig * sig) @ eigenvalues))
+    for w, hv, sig in reference_node_values(kernel.channel, u):
+        total += float((w * hv * hv) @ ((sig * sig) @ eigenvalues))
     return total
 
 
 def reference_qv_matrix(kernel, x):
     total = np.zeros((x.size, x.size))
-    for ch in kernel.channels:
-        for w, hv, sig in reference_node_values(ch, x):
-            total += ((w * hv * hv)[:, None] * sig).T @ sig
+    for w, hv, sig in reference_node_values(kernel.channel, x):
+        total += ((w * hv * hv)[:, None] * sig).T @ sig
     return total
 
 
@@ -357,13 +351,12 @@ def reference_qv_limit_v_growth(basis, kernels, n_samples=40, seed=202,
 
     fields = random_sample_fields(basis, n_samples, seed)
     eigs = basis.eigenvalues
-    maps_v = all(ch.sigma.maps_v for k in kernels for ch in k.channels)
+    maps_v = all(k.channel.sigma.maps_v for k in kernels)
     rows, gaps = [], []
     for kern in kernels:
         qv, vg = [], []
         for u in fields:
-            bm = float(sum(np.sum(ch.sigma.fn(u) ** 2)
-                           for ch in kern.channels))
+            bm = float(np.sum(kern.channel.sigma.fn(u) ** 2))
             qv.append(abs(float(jump_l2_mass(kern, u)) - bm)
                       / (1.0 + float(np.sum(u * u))))
             if maps_v:

@@ -112,8 +112,8 @@ class TestLoader:
         run = load_config(_write(tmp_path, WITH_JUMP))
         cfg = run.experiment
         assert cfg.epsilons == (0.2, 0.1)
-        assert cfg.kernels[0].channels[0].sigma.name == "constant:0.5@0"
-        assert cfg.kernels[0].channels[0].h.family == "annulus"
+        assert cfg.kernels[0].channel.sigma.name == "constant:0.5@0"
+        assert cfg.kernels[0].channel.h.family == "annulus"
 
     def test_overrides(self, tmp_path):
         path = _write(tmp_path, MINIMAL)
@@ -313,6 +313,34 @@ class TestCliSimulate:
         cfg = _write(tmp_path, text)
         assert main(["simulate", "--config", cfg, "--paths", "3"]) == 3
         capsys.readouterr()
+
+
+# inner_linear under stable:1 at eps = 0.1 has an activity of about 2e5
+# per unit time: a chunk of 512 paths on [0, 1] expects about 1e8 atoms
+HEAVY_JUMP = (GOOD_JUMP.replace("t_end = 0.2", "t_end = 1")
+              .replace("family_h = annulus", "family_h = inner_linear")
+              .replace("epsilon = 0.2, 0.1", "epsilon = 0.1")
+              .replace("paths = 100", "paths = 600"))
+
+
+class TestAtomBudget:
+    def test_simulate_refuses_jump_arm(self, tmp_path, capsys):
+        cfg = _write(tmp_path, HEAVY_JUMP)
+        assert main(["simulate", "--config", cfg, "--arm", "jump"]) == 2
+        assert "budget" in capsys.readouterr().err
+        # the Brownian arm plans no atoms
+        assert main(["simulate", "--config", cfg, "--paths", "2"]) == 0
+        capsys.readouterr()
+
+    def test_run_experiment_refuses(self, tmp_path):
+        run = load_config(_write(tmp_path, HEAVY_JUMP))
+        with pytest.raises(ConfigError, match="budget"):
+            snse.run_experiment(run.experiment)
+
+    def test_check_still_certifies(self, tmp_path, capsys):
+        cfg = _write(tmp_path, HEAVY_JUMP)
+        assert main(["check", "--config", cfg]) == 0
+        assert "CERTIFIED" in capsys.readouterr().out
 
 
 ZERO_NOISE = GOOD_JUMP.replace("identity:0.4", "zero") + """

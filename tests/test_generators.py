@@ -18,10 +18,9 @@ NU1 = alpha_stable_measure(1.0)
 def test_diffusion_qv_closed_form(basis2):
     rng = np.random.default_rng(4)
     x = random_field(basis2, rng, norm_h=1.2)
-    g1 = rng.standard_normal(basis2.dim)
-    g2 = rng.standard_normal(basis2.dim)
-    noise = BrownianNoiseSpec((constant_field(g1), constant_field(g2)))
-    expect = np.outer(g1, g1) + np.outer(g2, g2)
+    g = rng.standard_normal(basis2.dim)
+    noise = BrownianNoiseSpec(constant_field(g))
+    expect = np.outer(g, g)
     assert np.allclose(diffusion_qv_matrix(noise, x), expect, rtol=1e-14)
 
 
@@ -40,7 +39,7 @@ def test_jump_qv_cosine_theta_scalar_weight(basis2):
     eps = 0.2
     kern = build_jump_kernel(scaled_identity(1.0), "annulus", "cosine", eps,
                              NU1)
-    ch = kern.channels[0]
+    ch = kern.channel
 
     def integrand(z):
         return ((1 + eps * np.cos(z)) ** 2 * float(ch.h.fn(z)) ** 2
@@ -58,7 +57,7 @@ def test_jump_qv_saturating_entrywise_quadrature(basis2):
     x = random_field(basis2, rng, norm_h=1.5)
     eps = 0.1
     kern = build_jump_kernel(saturating(0.8), "annulus", "cosine", eps, NU1)
-    ch = kern.channels[0]
+    ch = kern.channel
     nx = np.linalg.norm(x)
     q = jump_qv_matrix(kern, x)
 

@@ -53,7 +53,7 @@ class TestMassHelpers:
         u = random_field(basis2, rng, norm_h=1.3)
         kern = build_jump_kernel(scaled_identity(1.0), "inner_linear", "one",
                                  0.05, NU1)
-        ch = kern.channels[0]
+        ch = kern.channel
         assert ch.cutoff_delta > 0.0
         assert ch.discarded_qv_fraction > 0.5e-4
         h2 = float(np.sum(u * u))
@@ -65,7 +65,7 @@ class TestMassHelpers:
         eps = 0.05
         kern = build_jump_kernel(saturating(0.8), "annulus", "cosine", eps,
                                  NU1)
-        ch = kern.channels[0]
+        ch = kern.channel
         nu = np.linalg.norm(u)
 
         def integrand(z):
@@ -177,7 +177,7 @@ class TestJumpSizeDecay:
     def test_brute_force_within_one_percent(self, basis2):
         kern = build_jump_kernel(saturating(0.9), "annulus", "cosine", 0.1,
                                  NU1)
-        ch = kern.channels[0]
+        ch = kern.channel
         closed = sup_jump_size(ch, 1.0)
         rng = np.random.default_rng(5)
         best = 0.0
@@ -283,7 +283,7 @@ class TestMartingale:
     def test_brownian_ou_martingale(self, basis2):
         g = np.zeros(basis2.dim)
         g[0] = 0.5
-        noise = BrownianNoiseSpec((constant_field(g),))
+        noise = BrownianNoiseSpec(constant_field(g))
         cfg = SolverConfig(t_end=1.0, dt=1e-3, record_stride=5,
                            include_nonlinearity=False, track_modes=(0,))
         u0 = np.zeros(basis2.dim)

@@ -10,8 +10,8 @@ from snse import integrate, sampling
 from snse.basis import get_basis
 from snse.integrate import (BrownianNoiseSpec, SolverConfig, simulate_arms,
                             simulate_brownian_batch, simulate_jump_batch)
-from snse.kernels import (JumpKernel, build_jump_kernel, constant_field,
-                          saturating, scaled_identity)
+from snse.kernels import (build_jump_kernel, constant_field, saturating,
+                          scaled_identity)
 from snse.measures import alpha_stable_measure
 from snse.nonlinear import nonlinear_term_batch
 from snse.sampling import Atoms, derive_stream, sample_prm
@@ -135,7 +135,7 @@ class TestBrownian:
         c = 0.5
         g = np.zeros(basis2.dim)
         g[0] = c
-        noise = BrownianNoiseSpec((constant_field(g),))
+        noise = BrownianNoiseSpec(constant_field(g))
         cfg = SolverConfig(t_end=0.05, dt=1e-3, include_nonlinearity=False)
         u0 = unit_vector(basis2, 0, amp=0.3)
         batch = simulate_brownian_batch(basis2, cfg, u0,
@@ -154,7 +154,7 @@ class TestBrownian:
         c, dt, t_end, n_paths = 0.5, 1e-3, 8.0, 1500
         g = np.zeros(basis2.dim)
         g[0] = c
-        noise = BrownianNoiseSpec((constant_field(g),))
+        noise = BrownianNoiseSpec(constant_field(g))
         cfg = SolverConfig(t_end=t_end, dt=dt, record_stride=8000,
                            include_nonlinearity=False)
         streams = [derive_stream(42, "brownian", 0, p) for p in range(n_paths)]
@@ -170,7 +170,7 @@ class TestBrownian:
     def test_batch_matches_scalar(self, basis2):
         rng = np.random.default_rng(3)
         u0 = random_field(basis2, rng, norm_h=0.4)
-        noise = BrownianNoiseSpec((saturating(0.7),))
+        noise = BrownianNoiseSpec(saturating(0.7))
         cfg = SolverConfig(t_end=0.2, dt=1e-3, record_stride=40)
         streams = lambda: [derive_stream(9, "brownian", 0, p) for p in range(6)]
         batch = simulate_brownian_batch(basis2, cfg, u0, streams(), noise=noise)
@@ -190,7 +190,7 @@ class TestBrownian:
         u0 = unit_vector(basis2, 2, amp=0.5)
         cfg = SolverConfig(t_end=0.1, dt=1e-3)
         a = simulate_brownian_batch(basis2, cfg, u0, [diag_stream()],
-                                    noise=BrownianNoiseSpec(()))
+                                    noise=None)
         b = simulate_brownian_batch(basis2, cfg, u0, [diag_stream(1)])
         assert np.array_equal(a.terminal, b.terminal)
 
@@ -200,7 +200,7 @@ class TestJump:
         """Jump-adapted macro stepping vs a fine event-driven integration."""
         sigma = saturating(0.6)
         kernel = build_jump_kernel(sigma, "annulus", "one", 0.1, NU1)
-        ch = kernel.channels[0]
+        ch = kernel.channel
         rng = np.random.default_rng(8)
         u0 = random_field(basis2, rng, norm_h=0.8)
         t_end = 0.5
@@ -289,12 +289,17 @@ class TestJumpOracle:
         g = np.zeros(basis2.dim)
         g[2] = 0.5
         kernel = build_jump_kernel(constant_field(g), "annulus", "one", 0.05,
-                                   NU1, channels=2)
+                                   NU1)
         cfg = SolverConfig(t_end=1.0, dt=0.05, record_stride=2,
                            include_nonlinearity=False)
         u0 = random_field(basis2, np.random.default_rng(4), norm_h=0.5)
         got, ref = self._both(basis2, cfg, u0, kernel, 64, 31)
         assert got.jump_counts[:, -1].mean() > 2 * 38 * cfg.dt
+        # activity 38 over dt = 0.05: many steps hold several atoms
+        most = [np.bincount((sample_prm(kernel, cfg.t_end,
+                                        derive_stream(31, "jump", 0, p)).times
+                             / cfg.dt).astype(int)).max() for p in range(64)]
+        assert max(most) >= 4
         for name in self.FIELDS:
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(ref, name), err_msg=name)
@@ -319,7 +324,7 @@ class TestJumpOracle:
             times = k * quarter
             times[k % 4 == 0] = np.nextafter(times[k % 4 == 0], 0.0)
             drawn_times.append(times)
-            return Atoms(times, atoms.marks, atoms.channels), counts
+            return Atoms(times, atoms.marks), counts
 
         sampling_prm_paths = sampling.sample_prm_paths
         monkeypatch.setattr(sampling, "sample_prm_paths", snapped)
@@ -386,7 +391,7 @@ class TestStackedArms:
                            include_nonlinearity=False, blowup_norm=3.0,
                            track_modes=(0, 1))
         u0 = unit_vector(basis2, 1, amp=0.5)
-        noise = BrownianNoiseSpec((sigma,))
+        noise = BrownianNoiseSpec(sigma)
 
         def streams(arm, j):
             return [derive_stream(41, arm, j, p) for p in range(16)]
@@ -414,74 +419,46 @@ class TestStackedArms:
                     times = times[times < t_blow]
                 assert batch.jump_counts[p, -1] == times.size
 
-    def test_several_maps(self, basis2):
-        # three sigma maps in one stack: the Brownian channel's, a
-        # saturating arm's, and a kernel whose two channels use different
-        # maps, the second one theta = cosine; each arm keeps its bits
-        sat, ident = saturating(0.5), scaled_identity(0.3)
-        g = np.zeros(basis2.dim)
-        g[1] = 0.4
-        noise = BrownianNoiseSpec((constant_field(g),))
-        one = build_jump_kernel(sat, "annulus", "one", 0.1, NU1)
-        cos = build_jump_kernel(ident, "annulus", "cosine", 0.1, NU1)
-        mixed = JumpKernel(0.1, (one.channels[0], cos.channels[0]))
-        cfg = SolverConfig(t_end=0.2, dt=0.01, include_nonlinearity=False,
-                           track_modes=(0, 1))
-        u0 = random_field(basis2, np.random.default_rng(8), norm_h=0.5)
-
-        def streams(arm, j):
-            return [derive_stream(47, arm, j, p) for p in range(12)]
-
-        arms = [(None, "brownian"), (one, "jump"), (mixed, "jump")]
-        stacked = simulate_arms(basis2, cfg, u0,
-                                [(k, streams(arm, j))
-                                 for j, (k, arm) in enumerate(arms)], noise)
-        alone = [simulate_arms(basis2, cfg, u0, [(k, streams(arm, j))],
-                               noise)[0]
-                 for j, (k, arm) in enumerate(arms)]
-        assert stacked[2].jump_counts[:, -1].min() > 0
-        ref = reference_jump_batch(basis2, cfg, u0, streams("jump", 2), mixed)
-        for name in ("terminal", "int_v2", "sup_h4", "norm_h2"):
-            np.testing.assert_allclose(getattr(stacked[2], name),
-                                       getattr(ref, name), rtol=1e-12,
-                                       atol=1e-15, err_msg=name)
-        for got, ref in zip(stacked, alone):
-            for name in _FIELDS:
-                np.testing.assert_array_equal(getattr(got, name),
-                                              getattr(ref, name),
-                                              err_msg=name)
-
-    def test_each_map_runs_on_the_rows_that_need_it(self, basis2):
-        # a noise map that no kernel uses sees only the Brownian rows, once
-        # per step; the kernel's map sees the jump rows once per step and
+    def test_one_map_call_per_state(self, basis2):
+        # the one sigma map sees every row of the stack once per step, and
         # each atom's row twice, for its jump and for the compensator after
         # it
-        seen = {"noise": 0, "jump": 0}
+        seen = [0]
 
-        def counted(fmap, key):
-            def fn(u):
-                seen[key] += len(u)
-                return fmap.fn(u)
-            return dataclasses.replace(fmap, fn=fn)
+        def fn(u):
+            seen[0] += len(u)
+            return sat.fn(u)
 
-        g = np.zeros(basis2.dim)
-        g[1] = 0.4
-        noise = BrownianNoiseSpec((counted(constant_field(g), "noise"),))
-        kernel = build_jump_kernel(counted(saturating(0.5), "jump"),
-                                   "annulus", "one", 0.1, NU1)
+        sat = saturating(0.5)
+        sigma = dataclasses.replace(sat, fn=fn)
+        kernel = build_jump_kernel(sigma, "annulus", "one", 0.1, NU1)
         cfg = SolverConfig(t_end=0.2, dt=0.01, include_nonlinearity=False)
         u0 = random_field(basis2, np.random.default_rng(8), norm_h=0.5)
-        seen.update(noise=0, jump=0)
         brown, jump = simulate_arms(
             basis2, cfg, u0,
             [(None, [derive_stream(59, "brownian", 0, p) for p in range(6)]),
              (kernel, [derive_stream(59, "jump", 0, p) for p in range(6)])],
-            noise)
+            BrownianNoiseSpec(sigma))
         assert np.isnan(jump.blowup_time).all()
         atoms = int(jump.jump_counts[:, -1].sum())
         assert atoms > 0
-        assert seen["noise"] == cfg.n_steps * 6
-        assert seen["jump"] == cfg.n_steps * 6 + 2 * atoms
+        assert seen[0] == cfg.n_steps * 12 + 2 * atoms
+
+    def test_two_maps_in_one_stack_refused(self, basis2):
+        # equal maps built twice are two objects: the arms must share one
+        kernel = build_jump_kernel(saturating(0.5), "annulus", "one", 0.1,
+                                   NU1)
+        cfg = SolverConfig(t_end=0.02, dt=0.01)
+        u0 = unit_vector(basis2, 0, amp=0.3)
+        arms = [(None, [diag_stream()]), (kernel, [diag_stream(1)])]
+        with pytest.raises(ValueError, match="one sigma map"):
+            simulate_arms(basis2, cfg, u0, arms,
+                          BrownianNoiseSpec(saturating(0.5)))
+        other = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.1,
+                                  NU1)
+        with pytest.raises(ValueError, match="one sigma map"):
+            simulate_arms(basis2, cfg, u0, [(kernel, [diag_stream()]),
+                                            (other, [diag_stream(1)])])
 
     def test_jump_arm_without_atoms(self, basis2):
         # activity 2 (1/0.9 - 1) = 0.22 per unit time over 0.05: the quiet
@@ -516,7 +493,7 @@ class TestStackedArms:
         g[0] = 0.5
         kernel = build_jump_kernel(constant_field(g), "annulus", "one", 0.9,
                                    NU1)
-        comp = kernel.channels[0].h_integral * g
+        comp = kernel.channel.h_integral * g
         cfg = SolverConfig(t_end=0.05, dt=0.01, include_nonlinearity=False)
         u0 = unit_vector(basis2, 0, amp=0.3)
         batch = simulate_jump_batch(basis2, cfg, u0,

@@ -204,11 +204,6 @@ class TestGainMoments:
                                  alpha_stable_measure(alpha))
         self._check(kern, basis2, odd=family != "annulus")
 
-    def test_two_channel_kernel(self, basis2):
-        kern = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.1,
-                                 NU1, channels=2)
-        self._check(kern, basis2, odd=False)
-
     @pytest.mark.parametrize("eps", [0.1, 0.02])
     @pytest.mark.parametrize("theta", ["one", "cosine", "gaussian_dip"])
     @pytest.mark.parametrize("family", ["annulus", "inner_linear",
@@ -217,7 +212,7 @@ class TestGainMoments:
         # the two-sign sum in sign order, (0 + S+) + S-, with every value at
         # +z and -z taken from the kernel's callables
         ch = build_jump_kernel(saturating(0.5), family, theta, eps,
-                               NU1).channels[0]
+                               NU1).channel
         rng = np.random.default_rng(17)
         rows = (rng.standard_normal((9, GAIN_DIM))
                 * np.geomspace(0.05, 20.0, 9)[:, None])
@@ -267,7 +262,7 @@ class TestGainMoments:
         rows = (rng.standard_normal((128, basis.dim))
                 * np.geomspace(0.05, 20.0, 128)[:, None] / np.sqrt(basis.dim))
         u, v = rows[5], rows[90]
-        ch, t = kern.channels[0], kern.channels[0].table
+        ch, t = kern.channel, kern.channel.table
         for x in (u, rows[:1], rows[:7], rows):
             # k = 1 sums the gains as the map returns them, with the bits of
             # a sum over a full, contiguous array of gains
@@ -359,7 +354,7 @@ class TestChannels:
 
     def test_activity_value(self):
         kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.1, NU1)
-        assert kern.channels[0].activity == pytest.approx(18.0, rel=1e-12)
+        assert kern.channel.activity == pytest.approx(18.0, rel=1e-12)
 
     def test_compensator_annulus_identity(self, basis2):
         # int h dnu = sqrt(mass); with identity sigma the drift is sqrt(198) u
@@ -369,7 +364,7 @@ class TestChannels:
         drift = compensator_drift(kern, u)
         assert drift[0] == pytest.approx(math.sqrt(198.0), rel=1e-9)
         assert np.allclose(drift[1:], 0.0)
-        assert kern.channels[0].h_integral == pytest.approx(14.071247279470288, rel=1e-9)
+        assert kern.channel.h_integral == pytest.approx(14.071247279470288, rel=1e-9)
 
     def test_h_integral_closed_form(self):
         # flat annulus profile: the integral of h against nu by direct
@@ -378,14 +373,14 @@ class TestChannels:
             nu = alpha_stable_measure(alpha)
             for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
                 ch = build_jump_kernel(scaled_identity(), "annulus", "one",
-                                       eps, nu).channels[0]
+                                       eps, nu).channel
                 ref = 2.0 * quad(lambda r: float(ch.h.fn(r)) * r**nu.power,
                                  eps, 1.0, epsabs=0.0, epsrel=1e-13,
                                  limit=200)[0]
                 assert ch.h_integral == pytest.approx(ref, rel=1e-12)
                 for family in ("inner_linear", "outer_linear"):
                     odd = build_jump_kernel(scaled_identity(), family, "one",
-                                            eps, nu).channels[0]
+                                            eps, nu).channel
                     assert odd.h_integral == 0.0
 
     def test_node_table_must_hold_h2_mass(self):
@@ -396,14 +391,14 @@ class TestChannels:
                               alpha_stable_measure(1.8))
         kern = build_jump_kernel(scaled_identity(), "inner_linear", "one",
                                  0.1, alpha_stable_measure(1.5))
-        h = kern.channels[0].h
+        h = kern.channel.h
         assert abs(h_norm_check(h, alpha_stable_measure(1.5)) - 1.0) <= 1e-4
 
     def test_node_table_holds_the_plus_half(self):
         for family, parity in (("annulus", 1.0), ("inner_linear", -1.0),
                                ("outer_linear", -1.0)):
             t = build_jump_kernel(scaled_identity(), family, "cosine", 0.1,
-                                  NU1).channels[0].table
+                                  NU1).channel.table
             assert t.parity == parity
             for arr in (t.z, t.w, t.h, t.theta):
                 assert arr.shape == (240,) and not arr.flags.writeable
@@ -424,7 +419,7 @@ class TestChannels:
         # every panel, so the table holds the h^2 mass to rounding
         nu = power_law_measure(-1.5, 0.001, 10.0)
         ch = build_jump_kernel(scaled_identity(), "inner_linear", "one", 0.1,
-                               nu).channels[0]
+                               nu).channel
         assert ch.table.z.shape == (250,)
         assert abs(h_norm_check(ch.h, nu) - 1.0) <= 1e-11
 
@@ -443,7 +438,7 @@ class TestChannels:
         u = np.zeros(basis2.dim)
         u[2] = 1.3
         drift = compensator_drift(kern, u)
-        ch = kern.channels[0]
+        ch = kern.channel
 
         def integrand(r):
             # even in z, so fold equals twice the positive side
@@ -459,7 +454,7 @@ class TestChannels:
         # and never call h, theta or the density again
         kern = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
                                  alpha_stable_measure(1.0))
-        ch = kern.channels[0]
+        ch = kern.channel
         u = random_field(basis2, rng)
         rows = np.stack([random_field(basis2, rng) for _ in range(3)])
 
@@ -480,7 +475,7 @@ class TestChannels:
 
     def test_eval_sigma_eps(self, basis2, rng):
         kern = build_jump_kernel(saturating(), "annulus", "cosine", 0.2, NU1)
-        ch = kern.channels[0]
+        ch = kern.channel
         u = random_field(basis2, rng)
         out = eval_sigma_eps(ch, u, 0.5)
         tval = 1.0 + 0.2 * math.cos(0.5)
@@ -494,7 +489,7 @@ class TestChannels:
         # one mark per row, each row equal to its one-mark value; the last
         # mark lies off the h support
         kern = build_jump_kernel(saturating(), "annulus", "cosine", 0.2, NU1)
-        ch = kern.channels[0]
+        ch = kern.channel
         rows = np.stack([random_field(basis2, rng) for _ in range(4)])
         marks = np.array([0.5, -0.3, 0.9, 5.0])
         out = eval_sigma_eps(ch, rows, marks)
@@ -509,7 +504,7 @@ class TestChannels:
         # with theta == one the joint sup factorizes exactly
         for family, eps in (("annulus", 0.1), ("inner_linear", 0.05)):
             kern = build_jump_kernel(saturating(), family, "one", eps, NU1)
-            ch = kern.channels[0]
+            ch = kern.channel
             joint = sup_jump_size(ch, radius=2.0)
             closed = ch.h.sup_abs * ch.sigma.ball_sup(2.0)
             assert joint == pytest.approx(closed, rel=1e-6)

@@ -87,7 +87,7 @@ class TestChunkSampler:
         atoms, counts = sample_prm_paths(kern, horizon, streams())
         one = [sample_prm(kern, horizon, g) for g in streams()]
         assert np.array_equal(counts, [len(a) for a in one])
-        for name in ("times", "marks", "channels"):
+        for name in ("times", "marks"):
             want = np.concatenate([getattr(a, name) for a in one])
             got = getattr(atoms, name)
             assert got.dtype == want.dtype
@@ -101,21 +101,15 @@ class TestChunkSampler:
     def test_inner_linear_cutoff(self):
         kern = build_jump_kernel(scaled_identity(), "inner_linear", "cosine",
                                  0.1, NU1)
-        assert kern.channels[0].cutoff_delta > 0.0
+        assert kern.channel.cutoff_delta > 0.0
         counts = self._check(kern, 2e-3, 12)
-        assert counts.min() > 0
-
-    def test_two_channels(self):
-        kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.1,
-                                 NU1, channels=2)
-        counts = self._check(kern, 1.5, 30)
         assert counts.min() > 0
 
     def test_paths_without_atoms(self):
         # activity 2 (1/0.5 - 1) = 2 per unit time: over 0.2, most paths
         # draw nothing
         kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.5,
-                                 NU1, channels=2)
+                                 NU1)
         counts = self._check(kern, 0.2, 40)
         assert (counts == 0).any() and (counts > 0).any()
         atoms, counts = sample_prm_paths(kern, 0.2, [])
@@ -129,7 +123,6 @@ class TestEventSampling:
         ev2 = sample_prm(kern, 1.0, derive_stream(3, "jump", 1, 0))
         assert np.array_equal(ev1.times, ev2.times)
         assert np.array_equal(ev1.marks, ev2.marks)
-        assert np.array_equal(ev1.channels, ev2.channels)
 
     def test_times_sorted_within_horizon(self):
         events = sample_prm(_kernel(), 2.5, derive_stream(5, "jump", 1, 7))
@@ -140,7 +133,7 @@ class TestEventSampling:
     def test_count_mean_matches_activity(self):
         # activity of the annulus family under the alpha=1 measure, eps=0.1
         kern = _kernel(eps=0.1)
-        assert kern.channels[0].activity == pytest.approx(18.0)
+        assert kern.channel.activity == pytest.approx(18.0)
         counts = [len(sample_prm(kern, 1.0, derive_stream(11, "jump", 0, p)))
                   for p in range(3000)]
         mean = np.mean(counts)
@@ -150,7 +143,7 @@ class TestEventSampling:
     def test_marks_inside_sampled_support(self):
         # activity here is ~2e5 per unit time, so keep the horizon tiny
         kern = build_jump_kernel(scaled_identity(), "inner_linear", "one", 0.1, NU1)
-        lo, hi = kern.channels[0].sample_range
+        lo, hi = kern.channel.sample_range
         events = sample_prm(kern, 0.02, derive_stream(2, "jump", 0, 0))
         marks = events.marks
         assert np.all((np.abs(marks) >= lo) & (np.abs(marks) <= hi))
@@ -175,22 +168,17 @@ class TestEventSampling:
         assert abs(frac_neg - 0.5) < 4.0 / np.sqrt(len(marks))
 
     def test_draw_order_replayed_by_hand(self):
-        # per channel: count, sorted times, magnitudes, signs; then a stable
-        # sort of all channels' atoms by (time, channel)
+        # count, sorted times, magnitudes, signs
         kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.05,
-                                 NU1, channels=3)
+                                 NU1)
+        ch = kern.channel
         atoms = sample_prm(kern, 1.5, derive_stream(29, "jump", 0, 4))
         rng = derive_stream(29, "jump", 0, 4)
-        drawn = []
-        for c, ch in enumerate(kern.channels):
-            count = rng.poisson(ch.activity * 1.5)
-            times = np.sort(rng.random(count)) * 1.5
-            mags = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
-                                       rng.random(count))
-            signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
-            drawn += [(t, c, s * m) for t, m, s in zip(times, mags, signs)]
-        drawn.sort(key=lambda a: (a[0], a[1]))
-        assert len(atoms) == len(drawn) > 0
-        assert np.array_equal(atoms.times, [a[0] for a in drawn])
-        assert np.array_equal(atoms.channels, [a[1] for a in drawn])
-        assert np.array_equal(atoms.marks, [a[2] for a in drawn])
+        count = rng.poisson(ch.activity * 1.5)
+        times = np.sort(rng.random(count)) * 1.5
+        mags = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
+                                   rng.random(count))
+        signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
+        assert len(atoms) == count > 0
+        assert np.array_equal(atoms.times, times)
+        assert np.array_equal(atoms.marks, signs * mags)
