@@ -10,17 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .integrate import BrownianNoiseSpec
 from .kernels import JumpKernel, gain_moment
 
 
 def _outer(s: np.ndarray) -> np.ndarray:
     return s[..., :, None] * s[..., None, :]
-
-
-def diffusion_qv_matrix(noise: BrownianNoiseSpec, x) -> np.ndarray:
-    """sigma(x) outer sigma(x), one (dim, dim) block per row of x."""
-    return _outer(noise.sigma.fn(np.asarray(x, dtype=np.float64)))
 
 
 def jump_qv_matrix(kernel: JumpKernel, x) -> np.ndarray:
@@ -34,12 +28,12 @@ def jump_qv_matrix(kernel: JumpKernel, x) -> np.ndarray:
     return gain_moment(ch, x, 2)[..., None, None] * _outer(ch.sigma.fn(x))
 
 
-def generator_gap(kernel: JumpKernel, noise: BrownianNoiseSpec, x):
-    """max_{k,j} |L_jump - L_diffusion| on the quadratic observables, per row."""
-    diff = jump_qv_matrix(kernel, x) - diffusion_qv_matrix(noise, x)
+def generator_gap(kernel: JumpKernel, x):
+    """max_{k,j} |L_jump - L_diffusion| on the quadratic observables, per row.
+
+    The diffusion is the Brownian arm the kernel approximates, whose
+    variation block is sigma(x) outer sigma(x) for the kernel's base map.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    diff = jump_qv_matrix(kernel, x) - _outer(kernel.channel.sigma.fn(x))
     return np.max(np.abs(diff), axis=(-2, -1))
-
-
-def matched_noise(kernel: JumpKernel) -> BrownianNoiseSpec:
-    """The Brownian arm whose variation the jump kernel approximates."""
-    return BrownianNoiseSpec(kernel.channel.sigma)

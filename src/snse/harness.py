@@ -49,7 +49,7 @@ from .integrate import (ArmTraces, BrownianNoiseSpec, PathBatch,
 from .integrate import simulate_brownian_batch, simulate_jump_batch  # noqa: F401
 from .kernels import FieldMap, JumpKernel
 # derive_stream too is bound only for perfbench/tracing.py
-from .sampling import PathStreams, derive_stream, stream_key  # noqa: F401
+from .sampling import PathStreams, derive_stream  # noqa: F401
 from .stats import compare_laws, summarize
 
 BLOWUP_BUDGET = 0.01
@@ -121,6 +121,9 @@ class ExperimentConfig:
             raise ConfigError("initial condition has wrong dimension")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be positive")
+        # stream keys hold the seed in 64 bits, so a wider one would alias
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigError(f"seed {self.seed} is outside [0, 2**64)")
         if self.chunk_size < 1:
             raise ConfigError("chunk_size must be positive")
         if not self.functionals:
@@ -180,16 +183,7 @@ def _chunk_bounds(n: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _arm_list(config: ExperimentConfig, arm: str,
-              eps_index: int) -> list[tuple[str, int]]:
-    if arm == "all":
-        return [("brownian", 0)] + [("jump", j)
-                                    for j in range(len(config.kernels))]
-    return [(arm, eps_index)]
-
-
-def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0,
-            n_paths: int | None = None):
+def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
     """One full arm as a PathBatch, or every arm as a list for arm="all".
 
     arm is "brownian", "jump" (the kernel at eps_index) or "all": the
@@ -203,8 +197,9 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0,
     Raises ConfigError, before any chunk is planned, when a chunk's jump
     arms expect more than ATOM_BUDGET atoms (activity * t_end * paths).
     """
-    arms = _arm_list(config, arm, eps_index)
-    n = config.n_paths if n_paths is None else n_paths
+    arms = [(arm, eps_index)] if arm != "all" else (
+        [("brownian", 0)] + [("jump", j) for j in range(len(config.kernels))])
+    n = config.n_paths
     size = min(n, config.chunk_size)
     atoms = size * config.solver.t_end * sum(
         config.kernels[j].channel.activity for name, j in arms
@@ -223,18 +218,6 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0,
                       config.noise, config.forcing, traces.window(lo, hi))
     batches = traces.batches()
     return batches if arm == "all" else batches[0]
-
-
-def _audit_streams(config: ExperimentConfig) -> None:
-    # collision audit: every (arm, eps-index, path) key must be distinct
-    keys = set()
-    total = 0
-    for arm, j in _arm_list(config, "all", 0):
-        for p in range(config.n_paths):
-            keys.add(stream_key(config.seed, arm, j, p))
-            total += 1
-    if len(keys) != total:
-        raise RuntimeError("stream key collision detected")
 
 
 @dataclass(frozen=True)
@@ -325,7 +308,6 @@ def run_experiment(config: ExperimentConfig, force: bool = False,
     """
     if config.n_paths < 100:
         raise ConfigError("experiments need at least 100 paths per arm")
-    _audit_streams(config)
 
     notes: list[str] = []
     certified = True

@@ -2,11 +2,12 @@
 
 Each check works on a kernel grid: the same base map, theta family and h
 family built at a strictly decreasing list of epsilon values.  Constants
-are estimated by sampled maximization and reported together with the
-witness index attaining them, so every number is reproducible from
-(seed, config).  Limits that are pointwise in the state are certified on
-panels only, never claimed for the whole space; the uniform-in-epsilon
-statements use the largest grid epsilon as their threshold.
+are estimated by maximization over fields drawn at fixed seeds and
+reported with the seed and the witness index attaining them, so every
+number is reproducible from the config.  Limits that are pointwise in the
+state are certified on panels only, never claimed for the whole space;
+the uniform-in-epsilon statements use the largest grid epsilon as their
+threshold.
 
 The mass helpers take (P, dim) rows of states and return one value per
 row, each bit-identical to its one-row call, so every check makes one call
@@ -25,12 +26,12 @@ Check names map onto the certified statements as follows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisSpec
-from .generators import generator_gap, matched_noise
+from .generators import generator_gap
 from .kernels import (FieldMap, JumpKernel, build_jump_kernel, gain_moment,
                       node_values, row_dot, sup_jump_size, zero_map)
 from .measures import LevyMeasure
@@ -38,6 +39,8 @@ from .measures import LevyMeasure
 _QV_TOL = 0.05          # largest qv_gap allowed at the smallest epsilon
 _QV_TREND_SLACK = 1.05  # relative rise of qv_gap tolerated along the grid
 _GAP_FLOOR = 1e-12      # generator-gap panel max treated as numerical zero
+_GROWTH_SEED = 101      # sampled fields of check_growth_lipschitz
+_QV_SEED = 202          # sampled fields of check_qv_limit_v_growth
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +120,16 @@ def brownian_l2_mass(kernel: JumpKernel, u):
 # ---------------------------------------------------------------------------
 # sample panels
 
-def sample_panel(basis: BasisSpec, count: int = 20, norm_lo: float = 0.1,
-                 norm_hi: float = 10.0, seed: int = 2024) -> np.ndarray:
-    """Fixed panel of flat-spectrum fields with log-spaced H norms.
+def sample_panel(basis: BasisSpec) -> np.ndarray:
+    """Fixed panel of 20 flat-spectrum fields, H norms log-spaced on [0.1, 10].
 
     Equal per-mode energy keeps max_k |x_k|^2 at |x|^2/dim, which is what
     makes the generator-gap bound on quadratic observables sharp rather
     than concentration dependent.
     """
-    rng = np.random.default_rng(seed)
-    norms = np.geomspace(norm_lo, norm_hi, count)
-    signs = np.where(rng.random((count, basis.dim)) < 0.5, -1.0, 1.0)
+    rng = np.random.default_rng(2024)
+    norms = np.geomspace(0.1, 10.0, 20)
+    signs = np.where(rng.random((20, basis.dim)) < 0.5, -1.0, 1.0)
     return signs * (norms[:, None] / np.sqrt(basis.dim))
 
 
@@ -198,7 +200,7 @@ def _max_witness(vals) -> tuple[float, int]:
 
 
 def check_growth_lipschitz(basis: BasisSpec, kernels, forcing: FieldMap | None = None,
-                           n_samples: int = 40, seed: int = 101) -> HypothesisReport:
+                           n_samples: int = 40) -> HypothesisReport:
     """Linear-growth (L2 and L4) and Lipschitz constants, max over the grid.
 
     Constants are ratios maximized over sampled fields:
@@ -209,7 +211,7 @@ def check_growth_lipschitz(basis: BasisSpec, kernels, forcing: FieldMap | None =
     """
     eps = _grid_epsilons(kernels)
     F = forcing if forcing is not None else zero_map()
-    fields = random_sample_fields(basis, 2 * n_samples, seed)
+    fields = random_sample_fields(basis, 2 * n_samples, _GROWTH_SEED)
     us, vs = fields[:n_samples], fields[n_samples:]
 
     n2 = np.sum(us * us, axis=1)
@@ -226,17 +228,17 @@ def check_growth_lipschitz(basis: BasisSpec, kernels, forcing: FieldMap | None =
             val, wit = _max_witness(vals)
             rows.append(CheckRow(name, e, val, wit, bool(np.isfinite(val))))
     return HypothesisReport("growth_lipschitz", rows,
-                            all(r.passed for r in rows), seed)
+                            all(r.passed for r in rows), _GROWTH_SEED)
 
 
-def check_jump_size_decay(kernels, radius: float = 1.0) -> HypothesisReport:
-    """sup over |u|_H <= radius and all marks of the jump size, per epsilon.
+def check_jump_size_decay(kernels) -> HypothesisReport:
+    """sup over |u|_H <= 1 and all marks of the jump size, per epsilon.
 
     A conforming kernel family has this table strictly decreasing toward
     zero; the check fails when it does not decay.
     """
     eps = _grid_epsilons(kernels)
-    vals = [sup_jump_size(k.channel, radius) for k in kernels]
+    vals = [sup_jump_size(k.channel, 1.0) for k in kernels]
     decaying = all(b < a for a, b in zip(vals, vals[1:])) or all(
         v == 0.0 for v in vals)
     rows = [CheckRow("sup_jump", e, v, -1, decaying)
@@ -249,21 +251,19 @@ def check_jump_size_decay(kernels, radius: float = 1.0) -> HypothesisReport:
     return HypothesisReport("jump_size_decay", rows, decaying, notes=notes)
 
 
-def check_qv_limit_v_growth(basis: BasisSpec, kernels, n_samples: int = 40,
-                            seed: int = 202) -> HypothesisReport:
+def check_qv_limit_v_growth(basis: BasisSpec, kernels,
+                            n_samples: int = 40) -> HypothesisReport:
     """Quadratic-variation matching and V-norm growth of the jump field.
 
     qv_gap per epsilon is the max over sampled u of
       |jump L2 mass - matched Brownian L2 mass| / (1 + |u|_H^2);
     it must be non-increasing along the grid (up to _QV_TREND_SLACK and a
     1e-9 floor) and below _QV_TOL at the smallest epsilon.  v_growth is
-    the max of (jump V2 mass) / (1 + |u|_V^2); it must be finite, and is
-    skipped with a note when the base map does not preserve V.
+    the max of (jump V2 mass) / (1 + |u|_V^2); it must be finite.
     """
     eps = _grid_epsilons(kernels)
-    fields = random_sample_fields(basis, n_samples, seed)
+    fields = random_sample_fields(basis, n_samples, _QV_SEED)
     eigs = basis.eigenvalues
-    maps_v = all(k.channel.sigma.maps_v for k in kernels)
 
     h2 = 1.0 + np.sum(fields * fields, axis=1)
     v2 = 1.0 + row_dot(fields * fields, eigs)
@@ -274,19 +274,16 @@ def check_qv_limit_v_growth(basis: BasisSpec, kernels, n_samples: int = 40,
                                       - brownian_l2_mass(kern, fields)) / h2)
         gaps.append(gap)
         rows.append(CheckRow("qv_gap", e, gap, gw, True))
-        if maps_v:
-            vg, vw = _max_witness(jump_v2_mass(kern, fields, eigs) / v2)
-            rows.append(CheckRow("v_growth", e, vg, vw, bool(np.isfinite(vg))))
+        vg, vw = _max_witness(jump_v2_mass(kern, fields, eigs) / v2)
+        rows.append(CheckRow("v_growth", e, vg, vw, bool(np.isfinite(vg))))
 
     trend_ok = all(b <= a * _QV_TREND_SLACK + 1e-9 for a, b in zip(gaps, gaps[1:]))
     final_ok = gaps[-1] <= _QV_TOL
     for r in rows:
         if r.check == "qv_gap":
             r.passed = bool(trend_ok and final_ok)
-    notes = () if maps_v else ("base map does not declare V preservation; "
-                               "V-growth estimate skipped",)
     return HypothesisReport("qv_limit_v_growth", rows,
-                            all(r.passed for r in rows), seed, notes)
+                            all(r.passed for r in rows), _QV_SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +300,16 @@ class GapPanelReport:
     passed: bool
 
 
-def gap_panel(basis: BasisSpec, kernels,
-              panel: np.ndarray | None = None) -> GapPanelReport:
-    """Generator gap on quadratic observables over the fixed panel.
+def gap_panel(basis: BasisSpec, kernels) -> GapPanelReport:
+    """Generator gap on quadratic observables over sample_panel's fields.
 
     The panel max must decrease strictly along the grid whenever it sits
     above _GAP_FLOOR; a gap that is already at numerical zero for every
     epsilon (flat theta with normalized h) passes as well.
     """
     eps = _grid_epsilons(kernels)
-    if panel is None:
-        panel = sample_panel(basis)
-    gaps = np.stack([generator_gap(kern, matched_noise(kern), panel)
-                     for kern in kernels])
+    panel = sample_panel(basis)
+    gaps = np.stack([generator_gap(kern, panel) for kern in kernels])
     panel_max = gaps.max(axis=1)
     monotone = all(nxt < cur or max(cur, nxt) <= _GAP_FLOOR
                    for cur, nxt in zip(panel_max, panel_max[1:]))
@@ -359,8 +353,7 @@ class CertificationReport:
 
 def certify_kernels(basis: BasisSpec, kernels, forcing: FieldMap | None = None,
                     n_samples: int = 40,
-                    label: str | None = None,
-                    panel: np.ndarray | None = None) -> CertificationReport:
+                    label: str | None = None) -> CertificationReport:
     """Run every check on one kernel grid and bundle the verdicts."""
     ch0 = kernels[0].channel
     if label is None:
@@ -369,7 +362,7 @@ def certify_kernels(basis: BasisSpec, kernels, forcing: FieldMap | None = None,
     growth = check_growth_lipschitz(basis, kernels, forcing, n_samples)
     jump_size = check_jump_size_decay(kernels)
     qv = check_qv_limit_v_growth(basis, kernels, n_samples)
-    gp = gap_panel(basis, kernels, panel)
+    gp = gap_panel(basis, kernels)
     passed = growth.passed and jump_size.passed and qv.passed and gp.passed
     return CertificationReport(label, growth, jump_size, qv, gp, passed)
 

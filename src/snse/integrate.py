@@ -2,10 +2,11 @@
 
 The Stokes part is integrated exactly through the semigroup factor
 exp(-lambda*dt); the bilinear term, forcing and noise enter through an
-explicit step evaluated at the left endpoint.  One step loop (records,
-blow-up masking, running integrals) drives a stack of arms: the same paths
-of a Brownian arm and of any number of pure-jump arms form one (rows, dim)
-state, so a step takes one B(u) call and one record for all of them.  A
+explicit step evaluated at the left endpoint.  One step function,
+simulate_arms, drives a stack of arms (records, blow-up masking, running
+integrals): the same paths of a Brownian arm and of any number of pure-jump
+arms form one (rows, dim) state, so a step takes one B(u) call and one
+record for all of them.  A
 Brownian block adds its Wiener increments; a jump block subtracts its own
 kernel's compensator from the drift and takes the atoms of its sampled
 Poisson random measure.  Steps that contain atoms are split at the atom
@@ -222,77 +223,16 @@ class ArmTraces:
         self.terminal[...] = u.reshape(rows + u.shape[1:])
 
 
-def _integrate(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
-               explicit, norms, advance, out: ArmTraces) -> None:
-    """The step loop: records, blow-up masking, running integrals.
-
-    explicit(u) is the explicit drift -B(u) + F(u) of rows u, and norms(u)
-    their (|u|_H^2, |u|_V^2), taken once per state.  advance(n, u, expl,
-    iv2_step) moves every row across step n, given the explicit drift expl
-    at u, which it may overwrite, and dt |u|_V^2 per row.  It returns (end
-    states, integral of |u|_V^2 over the step, sup of |u|_H^2 over the
-    states visited inside the step with -inf where none, atoms met per
-    row); the last two are None when nothing happens inside the step.  A
-    row's atoms count while it is not blown up.
-    """
-    n_rows = u.shape[0]
-    eigs = basis.eigenvalues
-    active = np.ones(n_rows, dtype=bool)
-    blow_t = np.full(n_rows, np.nan)
-    iv2 = np.zeros(n_rows)
-    counts = np.zeros(n_rows, dtype=np.int64)
-    h2, v2 = norms(u)
-    sup4 = h2 ** 2
-    cap2 = cfg.blowup_norm**2
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(cfg.n_steps):
-            expl = explicit(u)
-            if n % cfg.record_stride == 0:
-                out.record(n // cfg.record_stride, u, h2, v2, expl, eigs,
-                           iv2, counts)
-            u_new, iv2_step, sup2, applied = advance(n, u, expl, cfg.dt * v2)
-            if applied is not None:
-                np.add(counts, applied, out=counts, where=active)
-
-            h2, v2 = norms(u_new)
-            was_active = active
-            bad = active & (~np.isfinite(h2) | (h2 > cap2))
-            if bad.any():
-                blow_t[bad] = (n + 1) * cfg.dt
-                active = active & ~bad
-                u_new[bad] = np.nan
-                h2[bad] = np.nan
-                v2[bad] = np.nan
-            np.add(iv2, iv2_step, out=iv2,
-                   where=was_active & np.isfinite(iv2_step))
-            np.maximum(sup4, np.where(active, h2 * h2, -np.inf), out=sup4)
-            if sup2 is not None:
-                np.maximum(sup4, sup2 * sup2, out=sup4,
-                           where=active & np.isfinite(sup2))
-            u = u_new
-        out.record(cfg.n_recorded - 1, u, h2, v2, explicit(u), eigs, iv2,
-                   counts)
-    out.finish(u, sup4, blow_t)
-
-
 def _compensator(v, s, coef, gains) -> np.ndarray:
-    """The compensator at rows v, given s = sigma(v).
-
-    It adds coef * sigma(v) on the rows whose theta = one coefficient is
-    nonzero, and sigma(v) times the first gain moment on each (rows,
-    channel) of gains, as kernels.compensator_drift does, so each row has
-    its bits.
-    """
-    total = np.zeros_like(v)
-    on = coef != 0.0
-    if on.all():
-        total += coef[:, None] * s
-    elif on.any():
-        np.add(total, coef[:, None] * s, out=total, where=on[:, None])
-    for rows, ch in gains:
-        total[rows] += s[rows] * gain_moment(ch, v[rows], 1)[:, None]
-    return total
+    """The compensator at rows v, given s = sigma(v): one coefficient per
+    row times s, coef on the theta = one rows and the first gain moment on
+    the (rows, channel) of gains, so each row has the bits of
+    kernels.compensator_drift."""
+    if gains:
+        coef = coef.copy()
+        for rows, ch in gains:
+            coef[rows] = gain_moment(ch, v[rows], 1)
+    return 0.0 + coef[:, None] * s
 
 
 class _AtomPlan:
@@ -453,6 +393,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
 
     eigs = basis.eigenvalues
     efac = np.exp(-eigs * cfg.dt)
+    n_rows = u.shape[0]
 
     # BLAS products run in blocks of one arm's paths, as in a one-arm run:
     # a gemv's or gemm's rows depend on the batch shape, and B(u)'s grid
@@ -467,27 +408,11 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
             np.matmul(uu[block], eigs, out=v2[block])
         return np.sum(uu, axis=1), v2
 
-    def advance(n, u, expl, iv2_step):
-        # expl becomes the compensated drift, then u_new, in place
-        su = sigma(u) if sigma is not None else None
-        if plan is not None:
-            jr = plan.span
-            expl[jr] -= _compensator(u[jr], su[jr], plan.coef, plan.gains)
-        atoms = plan is not None and plan.bounds[n] < plan.bounds[n + 1]
-        if atoms:
-            rows = plan.rows[n]
-            u_cur, drift = u[rows], expl[rows]
-        u_new = expl
-        u_new *= cfg.dt
-        u_new += u
-        for block, dw in wiener:
-            u_new[block] += su[block] * dw[:, n, None]
-        u_new *= efac
-        if not atoms:
-            return u_new, iv2_step, None, None
-
-        piece = np.zeros(rows.size)
-        sup2 = np.full(rows.size, -np.inf)   # fmax below skips NaN substates
+    def split_step(n, u_cur, drift):
+        # step n of the rows with atoms, split at their atoms: end states,
+        # integral of |u|_V^2 over the step and sup of |u|_H^2 inside it
+        piece = np.zeros(len(u_cur))
+        sup2 = np.full(len(u_cur), -np.inf)   # fmax below skips NaN states
         for lo, hi, s_lo, s_hi, gains in plan.rounds[n]:
             a, d = plan.sub_at[s_lo:s_hi], plan.sub_delta[s_lo:s_hi, None]
             w = u_cur[a]
@@ -508,15 +433,71 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
             drift[at] = dv
         delta = plan.tails[n][:, None]
         piece += delta[:, 0] * row_dot(u_cur * u_cur, eigs)
-        u_new[rows] = np.exp(-eigs * delta) * (u_cur + delta * drift)
-        iv2_step[rows] = piece
-        sup2_all = np.full(u.shape[0], -np.inf)
-        sup2_all[rows] = sup2
-        met = plan.row[plan.bounds[n]:plan.bounds[n + 1]]
-        return u_new, iv2_step, sup2_all, np.bincount(met,
-                                                      minlength=u.shape[0])
+        return np.exp(-eigs * delta) * (u_cur + delta * drift), piece, sup2
 
-    _integrate(basis, cfg, u, explicit, norms, advance, out)
+    active = np.ones(n_rows, dtype=bool)
+    blow_t = np.full(n_rows, np.nan)
+    iv2 = np.zeros(n_rows)
+    counts = np.zeros(n_rows, dtype=np.int64)
+    h2, v2 = norms(u)
+    sup4 = h2 ** 2
+    cap2 = cfg.blowup_norm**2
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(cfg.n_steps):
+            expl = explicit(u)
+            if n % cfg.record_stride == 0:
+                out.record(n // cfg.record_stride, u, h2, v2, expl, eigs,
+                           iv2, counts)
+            iv2_step = cfg.dt * v2
+            su = sigma(u) if sigma is not None else None
+            if plan is not None:
+                jr = plan.span
+                expl[jr] -= _compensator(u[jr], su[jr], plan.coef, plan.gains)
+            atoms = plan is not None and plan.bounds[n] < plan.bounds[n + 1]
+            if atoms:
+                rows = plan.rows[n]
+                end, piece, sup2 = split_step(n, u[rows], expl[rows])
+            # the compensated drift becomes the end states in place
+            u_new = expl
+            u_new *= cfg.dt
+            u_new += u
+            for block, dw in wiener:
+                u_new[block] += su[block] * dw[:, n, None]
+            u_new *= efac
+            # for peak memory, neither sigma(u) nor the split end states
+            # stay live through norms and the next step's B(u)
+            del su
+            if atoms:
+                u_new[rows] = end
+                del end
+                iv2_step[rows] = piece
+                # a row's atoms count while it is not blown up
+                met = np.bincount(plan.at[plan.bounds[n]:plan.bounds[n + 1]],
+                                  minlength=rows.size)
+                counts[rows] += met * active[rows]
+
+            h2, v2 = norms(u_new)
+            was_active = active
+            bad = active & (~np.isfinite(h2) | (h2 > cap2))
+            if bad.any():
+                blow_t[bad] = (n + 1) * cfg.dt
+                active = active & ~bad
+                u_new[bad] = np.nan
+                h2[bad] = np.nan
+                v2[bad] = np.nan
+            np.add(iv2, iv2_step, out=iv2,
+                   where=was_active & np.isfinite(iv2_step))
+            np.maximum(sup4, np.where(active, h2 * h2, -np.inf), out=sup4)
+            if atoms:
+                # the states inside the step, on the rows still running
+                keep = active[rows] & np.isfinite(sup2)
+                sup4[rows[keep]] = np.maximum(sup4[rows[keep]],
+                                              sup2[keep] * sup2[keep])
+            u = u_new
+        out.record(cfg.n_recorded - 1, u, h2, v2, explicit(u), eigs, iv2,
+                   counts)
+    out.finish(u, sup4, blow_t)
     return out.batches()
 
 

@@ -175,7 +175,6 @@ class FieldMap:
     name: str
     fn: Callable
     lipschitz: float
-    maps_v: bool
     ball_sup: Callable
     gain: Callable
 
@@ -183,7 +182,7 @@ class FieldMap:
 def scaled_identity(c: float = 1.0) -> FieldMap:
     return FieldMap(f"identity:{c:g}",
                     lambda u: c * np.asarray(u, dtype=np.float64),
-                    abs(c), True, lambda r: abs(c) * r, lambda t, r: t)
+                    abs(c), lambda r: abs(c) * r, lambda t, r: t)
 
 
 def saturating(c: float = 1.0) -> FieldMap:
@@ -200,7 +199,7 @@ def saturating(c: float = 1.0) -> FieldMap:
         out /= den
         return out
 
-    return FieldMap(f"saturating:{c:g}", fn, abs(c), True,
+    return FieldMap(f"saturating:{c:g}", fn, abs(c),
                     lambda r: abs(c) * r / (1.0 + r), gain)
 
 
@@ -220,7 +219,7 @@ def constant_field(coeffs, name: str | None = None) -> FieldMap:
             return g_ro
         return np.broadcast_to(g, u.shape).copy()
 
-    return FieldMap(name, fn, 0.0, True, lambda r: gnorm,
+    return FieldMap(name, fn, 0.0, lambda r: gnorm,
                     lambda t, r: np.ones_like(t))
 
 
@@ -228,12 +227,12 @@ def diagonal_map(diag, name: str | None = None) -> FieldMap:
     d = np.asarray(diag, dtype=np.float64)
     top = float(np.max(np.abs(d)))
     return FieldMap(name or "diagonal", lambda u: np.asarray(u, dtype=np.float64) * d,
-                    top, True, lambda r: top * r, lambda t, r: t)
+                    top, lambda r: top * r, lambda t, r: t)
 
 
 def zero_map() -> FieldMap:
     return FieldMap("zero", lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-                    0.0, True, lambda r: 0.0, lambda t, r: np.ones_like(t))
+                    0.0, lambda r: 0.0, lambda t, r: np.ones_like(t))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def _node_rule(h: HKernel, measure: LevyMeasure):
     lo, hi = h.support
     start = max(lo, 1e-14 * hi)
     edges = np.geomspace(start, hi, _PANELS + 1).tolist()
-    edges += [e for pair in measure.support for e in pair if start < e < hi]
+    edges += [e for e in measure.support if start < e < hi]
     edges = np.array(sorted(set(edges)))
     x, w = _gauss_legendre()
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]

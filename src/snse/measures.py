@@ -1,9 +1,9 @@
 """Levy measures on the punctured real line.
 
-A measure is a symmetric power law: density rho(z) = |z|^power on a support
-of up to two symmetric annuli {lo <= |z| <= hi}. Every annulus moment has a
-closed form, and the magnitude law of a sampled annulus has a closed-form
-inverse CDF.
+A measure is a symmetric power law: density rho(z) = |z|^power on one
+symmetric annulus {lo <= |z| <= hi}. Every annulus moment has a closed
+form, and the magnitude law of a sampled annulus has a closed-form inverse
+CDF.
 """
 
 from __future__ import annotations
@@ -18,47 +18,41 @@ from .errors import InfiniteMassError
 
 @dataclass(frozen=True)
 class LevyMeasure:
-    """Support plus exponent, with density rho(z) = |z|^power on the support."""
+    """Support (lo, hi) plus exponent, with density rho(z) = |z|^power on
+    {lo <= |z| <= hi}."""
 
-    support: tuple[tuple[float, float], ...]
+    support: tuple[float, float]
     power: float
     alpha: float | None = None
 
     def __post_init__(self):
-        if not 1 <= len(self.support) <= 2:
-            raise ValueError("support must be one or two annuli")
-        last = 0.0
-        for lo, hi in self.support:
-            if not (0.0 <= lo < hi):
-                raise ValueError(f"bad support annulus ({lo}, {hi})")
-            if lo < last:
-                raise ValueError("support annuli must be disjoint and sorted")
-            last = hi
+        lo, hi = self.support
+        if not 0.0 <= lo < hi:
+            raise ValueError(f"bad support annulus ({lo}, {hi})")
 
     def density(self, z):
         """rho(z): |z|^power on the support, 0 off it."""
         r = np.abs(z)
-        inside = np.any([(r >= lo) & (r <= hi) for lo, hi in self.support],
-                        axis=0)
-        return np.where(inside, r ** self.power, 0.0)
+        lo, hi = self.support
+        return np.where((r >= lo) & (r <= hi), r ** self.power, 0.0)
 
     def label(self) -> str:
         if self.alpha is not None:
             return f"stable:{self.alpha:g}"
-        parts = ",".join(f"{lo:g}:{hi:g}" for lo, hi in self.support)
-        return f"power:{self.power:g}@{parts}"
+        lo, hi = self.support
+        return f"power:{self.power:g}@{lo:g}:{hi:g}"
 
 
 def alpha_stable_measure(alpha: float) -> LevyMeasure:
     """The symmetric measure with density |z|^(-1-alpha), alpha in (0, 2)."""
     if not 0.0 < alpha < 2.0:
         raise ValueError("stability index must lie in (0, 2)")
-    return LevyMeasure(((0.0, math.inf),), power=-1.0 - alpha, alpha=alpha)
+    return LevyMeasure((0.0, math.inf), power=-1.0 - alpha, alpha=alpha)
 
 
 def power_law_measure(power: float, lo: float = 0.0, hi: float = math.inf) -> LevyMeasure:
     """Density |z|^power restricted to the annulus {lo <= |z| <= hi}."""
-    return LevyMeasure(((lo, hi),), power=power)
+    return LevyMeasure((lo, hi), power=power)
 
 
 def power_primitive(p: float, a: float, b: float) -> float:
@@ -79,21 +73,14 @@ def power_primitive(p: float, a: float, b: float) -> float:
     return (b**q - a**q) / q
 
 
-def _clip_pieces(measure: LevyMeasure, a: float, b: float):
-    pieces = []
-    for lo, hi in measure.support:
-        lo2, hi2 = max(lo, a), min(hi, b)
-        if lo2 < hi2:
-            pieces.append((lo2, hi2))
-    return pieces
-
-
 def moment_mass(measure: LevyMeasure, a: float, b: float, k: int = 0) -> float:
     """Integral of |z|^k over {a <= |z| <= b}, in closed form."""
     if not 0.0 <= a < b:
         raise ValueError("need 0 <= a < b")
-    return sum(2.0 * power_primitive(measure.power + k, lo, hi)
-               for lo, hi in _clip_pieces(measure, a, b))
+    lo, hi = max(measure.support[0], a), min(measure.support[1], b)
+    if lo >= hi:
+        return 0.0
+    return 2.0 * power_primitive(measure.power + k, lo, hi)
 
 
 def annulus_mass(measure: LevyMeasure, a: float, b: float) -> float:

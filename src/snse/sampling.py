@@ -29,13 +29,16 @@ _MASK64 = (1 << 64) - 1
 
 
 def stream_key(seed: int, arm: str, eps_index: int, path_index: int) -> int:
-    """128-bit Philox key; injective in (arm, eps_index, path_index)."""
+    """128-bit Philox key; injective in (seed, arm, eps_index, path_index),
+    as each field fills its own bits and is refused outside its range."""
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed out of range")
     if not 0 <= eps_index < (1 << 16):
         raise ValueError("eps_index out of range")
     if not 0 <= path_index < (1 << 40):
         raise ValueError("path_index out of range")
     hi = (ARM_CODES[arm] << 56) | (eps_index << 40) | path_index
-    return ((hi & _MASK64) << 64) | (seed & _MASK64)
+    return (hi << 64) | seed
 
 
 def derive_stream(seed: int, arm: str, eps_index: int, path_index: int) -> np.random.Generator:

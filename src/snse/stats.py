@@ -2,9 +2,9 @@
 
 The Kolmogorov-Smirnov machinery is small enough to carry inline: the
 statistic is the sup distance between the two empirical CDFs evaluated on
-the pooled sample, and the decision uses the asymptotic threshold
-c(alpha) * sqrt((n+m)/(n m)) with c(alpha) = sqrt(-ln(alpha/2)/2), which
-at the 1 percent level is 1.6276.
+the pooled sample, and the decision is taken at the fixed 1 percent level
+alpha = 0.01, with the asymptotic threshold c(alpha) * sqrt((n+m)/(n m)),
+c(alpha) = sqrt(-ln(alpha/2)/2) = 1.6276.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ def ks_statistic(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def ks_threshold(n: int, m: int, alpha: float = 0.01) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    c = np.sqrt(-0.5 * np.log(alpha / 2.0))
+def ks_threshold(n: int, m: int) -> float:
+    """The KS rejection threshold at the 1 percent level."""
+    c = np.sqrt(-0.5 * np.log(0.01 / 2.0))
     return float(c * np.sqrt((n + m) / (n * m)))
 
 

@@ -351,7 +351,6 @@ def reference_qv_limit_v_growth(basis, kernels, n_samples=40, seed=202,
 
     fields = random_sample_fields(basis, n_samples, seed)
     eigs = basis.eigenvalues
-    maps_v = all(k.channel.sigma.maps_v for k in kernels)
     rows, gaps = [], []
     for kern in kernels:
         qv, vg = [], []
@@ -359,16 +358,14 @@ def reference_qv_limit_v_growth(basis, kernels, n_samples=40, seed=202,
             bm = float(np.sum(kern.channel.sigma.fn(u) ** 2))
             qv.append(abs(float(jump_l2_mass(kern, u)) - bm)
                       / (1.0 + float(np.sum(u * u))))
-            if maps_v:
-                vg.append(float(jump_v2_mass(kern, u, eigs))
-                          / (1.0 + float((u * u) @ eigs)))
+            vg.append(float(jump_v2_mass(kern, u, eigs))
+                      / (1.0 + float((u * u) @ eigs)))
         gap, gw = reference_max_witness(qv)
         gaps.append(gap)
         rows.append(["qv_gap", kern.epsilon, gap, gw, True])
-        if maps_v:
-            val, wit = reference_max_witness(vg)
-            rows.append(["v_growth", kern.epsilon, val, wit,
-                         bool(np.isfinite(val))])
+        val, wit = reference_max_witness(vg)
+        rows.append(["v_growth", kern.epsilon, val, wit,
+                     bool(np.isfinite(val))])
     trend_ok = all(b <= a * trend_slack + 1e-9 for a, b in zip(gaps, gaps[1:]))
     for r in rows:
         if r[0] == "qv_gap":

@@ -306,6 +306,21 @@ class TestCliSimulate:
         monkeypatch.setenv("SNSE_SEED", "pi")
         assert main(["simulate", "--config", cfg, "--paths", "2"]) == 2
 
+    def test_seed_outside_64_bits_refused(self, tmp_path, capsys,
+                                          monkeypatch):
+        # stream keys hold 64 seed bits: seed -1 would draw what 2**64 - 1
+        # draws and 2**64 what 0 draws, each under a config hash of its own
+        cfg = _write(tmp_path, GOOD_JUMP)
+        assert main(["simulate", "--config", cfg, "--paths", "2",
+                     "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        monkeypatch.setenv("SNSE_SEED", "18446744073709551616")
+        assert main(["simulate", "--config", cfg, "--paths", "2"]) == 2
+        assert "seed" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="seed"):
+            load_config(cfg, seed=2**64)
+        assert load_config(cfg, seed=2**64 - 1).experiment.seed == 2**64 - 1
+
     def test_blowup_exits_3(self, tmp_path, capsys):
         text = GOOD_JUMP.replace(
             "dt = 1e-3", "dt = 1e-3\nblowup_norm = 2").replace(

@@ -3,9 +3,7 @@
 import numpy as np
 from scipy.integrate import quad
 
-from snse.generators import (diffusion_qv_matrix, generator_gap,
-                             jump_qv_matrix, matched_noise)
-from snse.integrate import BrownianNoiseSpec
+from snse.generators import generator_gap, jump_qv_matrix
 from snse.kernels import (build_jump_kernel, constant_field, saturating,
                           scaled_identity)
 from snse.measures import alpha_stable_measure
@@ -16,12 +14,24 @@ NU1 = alpha_stable_measure(1.0)
 
 
 def test_diffusion_qv_closed_form(basis2):
+    # sigma = g has gain 1, so the jump block is m2 g g^T with m2 the node
+    # table's h^2 mass, the diffusion block is g g^T, and the gap is
+    # |m2 - 1| max |g_k g_j| at every x
     rng = np.random.default_rng(4)
-    x = random_field(basis2, rng, norm_h=1.2)
+    x = np.stack([random_field(basis2, rng, norm_h=r) for r in (0.3, 1.2)])
     g = rng.standard_normal(basis2.dim)
-    noise = BrownianNoiseSpec(constant_field(g))
-    expect = np.outer(g, g)
-    assert np.allclose(diffusion_qv_matrix(noise, x), expect, rtol=1e-14)
+    top = np.max(np.abs(np.outer(g, g)))
+    # the annulus table holds m2 = 1 to the last bit; inner_linear under
+    # stable:1.5 misses 1.0e-7 of it below its first node
+    for family, nu, exact in (("annulus", NU1, True),
+                              ("inner_linear", alpha_stable_measure(1.5),
+                               False)):
+        kern = build_jump_kernel(constant_field(g), family, "one", 0.1, nu)
+        t = kern.channel.table
+        m2 = 2.0 * np.sum(t.w * t.h**2)
+        gap = generator_gap(kern, x)
+        assert exact == (m2 == 1.0)
+        np.testing.assert_allclose(gap, abs(m2 - 1.0) * top, rtol=1e-6)
 
 
 def test_jump_qv_identity_sigma(basis2):
@@ -78,7 +88,7 @@ def test_gap_vanishes_for_flat_theta(basis2):
     rng = np.random.default_rng(10)
     x = random_field(basis2, rng, norm_h=2.0)
     kern = build_jump_kernel(saturating(0.9), "annulus", "one", 0.05, NU1)
-    gap = generator_gap(kern, matched_noise(kern), x)
+    gap = generator_gap(kern, x)
     assert gap < 1e-6
 
 
@@ -89,7 +99,7 @@ def test_gap_decreases_with_epsilon(basis2):
     for eps in (0.2, 0.1, 0.05):
         kern = build_jump_kernel(scaled_identity(1.0), "annulus", "cosine",
                                  eps, NU1)
-        gaps.append(generator_gap(kern, matched_noise(kern), x))
+        gaps.append(generator_gap(kern, x))
     assert gaps[0] > gaps[1] > gaps[2] > 0
     # leading term is linear in eps, so a 4x eps drop shrinks the gap ~4x
     assert 0.15 < gaps[2] / gaps[0] < 0.35

@@ -115,11 +115,6 @@ class TestRunArm:
         assert np.array_equal(a.terminal, b.terminal, equal_nan=True)
         assert np.array_equal(a.jump_counts, b.jump_counts)
 
-    def test_paths_override(self, basis1):
-        cfg = _config(basis1, n_paths=120)
-        batch = run_arm(cfg, "brownian", 0, n_paths=3)
-        assert batch.n_paths == 3
-
 
 _FIELDS = ("norm_h2", "norm_v2", "int_v2", "mode_traces", "drift_traces",
            "jump_counts", "sup_h4", "blowup_time", "terminal")
@@ -193,7 +188,7 @@ class TestFunctionalSamples:
         cfg = _config(basis1, sigma=zero, n_paths=4,
                       functionals=("normH2", "normV2", "mode:0",
                                    "sup_normH2"))
-        batch = run_arm(cfg, "brownian", 0, n_paths=4)
+        batch = run_arm(cfg, "brownian", 0)
         # eigenvalue 1 for the first mode, so the field is 0.3 e^{-t} e_0
         ref = 0.3 * np.exp(-0.5)
         assert functional_samples(batch, "mode:0") == pytest.approx(
@@ -206,8 +201,8 @@ class TestFunctionalSamples:
             [0.09] * 4, rel=1e-12)
 
     def test_unknown_name_rejected(self, basis1):
-        cfg = _config(basis1)
-        batch = run_arm(cfg, "brownian", 0, n_paths=2)
+        cfg = _config(basis1, n_paths=2)
+        batch = run_arm(cfg, "brownian", 0)
         with pytest.raises(ConfigError):
             functional_samples(batch, "enstrophy")
 

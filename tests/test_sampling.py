@@ -20,12 +20,15 @@ def _kernel(eps=0.1, family="annulus", measure=NU1):
 
 class TestStreams:
     def test_keys_injective(self):
+        # every field at its range ends: the fields fill disjoint bits, so
+        # no two runs of an experiment share a stream
         seen = set()
-        for arm in ("brownian", "jump"):
-            for eps_i in (0, 1, 5):
-                for path in (0, 1, 999, 2**20):
-                    seen.add(stream_key(42, arm, eps_i, path))
-        assert len(seen) == 2 * 3 * 4
+        for arm in sorted(ARM_CODES):
+            for eps_i in (0, 1, 2**16 - 1):
+                for path in (0, 1, 2**40 - 1):
+                    for seed in (0, 2**64 - 1):
+                        seen.add(stream_key(seed, arm, eps_i, path))
+        assert len(seen) == 3 * 3 * 3 * 2
 
     def test_same_key_same_draws(self):
         a = derive_stream(7, "jump", 2, 13).standard_normal(8)
@@ -42,6 +45,9 @@ class TestStreams:
             stream_key(0, "jump", 1 << 16, 0)
         with pytest.raises(ValueError):
             stream_key(0, "jump", 0, 1 << 40)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="seed"):
+                stream_key(seed, "jump", 0, 0)
 
 
 class TestPathStreams:

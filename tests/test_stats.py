@@ -41,13 +41,9 @@ class TestKs:
     def test_threshold_constant(self):
         # c(0.01) = sqrt(-ln(0.005)/2) = 1.6276...
         n = m = 10**4
-        thr = ks_threshold(n, m, alpha=0.01)
+        thr = ks_threshold(n, m)
         c = thr / np.sqrt((n + m) / (n * m))
         assert c == pytest.approx(1.62762361, abs=1e-7)
-
-    def test_threshold_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            ks_threshold(10, 10, alpha=0.0)
 
 
 class TestCompareLaws:
