@@ -26,6 +26,7 @@ from .errors import CertificationError, ConfigError
 from .harness import (BLOWUP_BUDGET, csv_cell, functional_samples,
                       path_dump_lines, persist, run_arm, run_experiment)
 from .hypotheses import certify_kernels
+from .measures import float_label
 from .nonlinear import coupling_tensor
 from .stats import summarize
 
@@ -120,8 +121,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError("simulate --arm jump needs a [jump] section")
         idx = len(cfg.kernels) - 1
         batch = run_arm(cfg, "jump", idx)
-        label, dump_name = (f"jump eps={cfg.epsilons[idx]:g}",
-                            f"paths_eps{cfg.epsilons[idx]:g}.csv")
+        eps = float_label(cfg.epsilons[idx])
+        label, dump_name = f"jump eps={eps}", f"paths_eps{eps}.csv"
     else:
         batch = run_arm(cfg, "brownian", 0)
         label, dump_name = "bm", "paths_bm.csv"
@@ -167,7 +168,7 @@ def cmd_converge(args) -> int:
     print(f"{'functional':<14}{'epsilon':>9}{'mean':>14}{'gap_vs_bm':>13}"
           f"{'joint_se':>12}{'ks':>9}  ks_pass")
     for r in result.rows:
-        eps = "bm" if r.epsilon is None else f"{r.epsilon:g}"
+        eps = "bm" if r.epsilon is None else float_label(r.epsilon)
         gap = "" if r.gap_vs_bm is None else f"{r.gap_vs_bm:.4g}"
         jse = "" if r.joint_se is None else f"{r.joint_se:.4g}"
         ks = "" if r.ks_stat is None else f"{r.ks_stat:.4g}"

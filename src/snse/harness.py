@@ -48,6 +48,7 @@ from .integrate import (ArmTraces, BrownianNoiseSpec, PathBatch,
 # bound here, though unused, because perfbench/tracing.py wraps these names
 from .integrate import simulate_brownian_batch, simulate_jump_batch  # noqa: F401
 from .kernels import FieldMap, JumpKernel
+from .measures import float_label
 # derive_stream too is bound only for perfbench/tracing.py
 from .sampling import PathStreams, derive_stream  # noqa: F401
 from .stats import compare_laws, summarize
@@ -428,7 +429,7 @@ def manifest_lines(result: ExperimentResult) -> list[str]:
         f"blowup_bm: {result.blowup_bm!r}",
     ]
     for eps, frac in zip(cfg.epsilons, result.blowup_jump):
-        lines.append(f"blowup_eps={eps:g}: {frac!r}")
+        lines.append(f"blowup_eps={float_label(eps)}: {frac!r}")
     for note in result.notes:
         lines.append(f"note: {note}")
     return lines
@@ -467,6 +468,6 @@ def persist(result: ExperimentResult, out_dir, dump_paths: bool = False,
         _write_text(out / "paths_bm.csv",
                     path_dump_lines(result.bm_batch, track))
         for eps, batch in zip(result.config.epsilons, result.jump_batches):
-            _write_text(out / f"paths_eps{eps:g}.csv",
+            _write_text(out / f"paths_eps{float_label(eps)}.csv",
                         path_dump_lines(batch, track))
     return out

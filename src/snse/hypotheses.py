@@ -26,6 +26,7 @@ Check names map onto the certified statements as follows:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from .basis import BasisSpec
 from .generators import generator_gap
 from .kernels import (FieldMap, JumpKernel, build_jump_kernel, gain_moment,
                       node_values, row_dot, sup_jump_size, zero_map)
-from .measures import LevyMeasure
+from .measures import LevyMeasure, float_label
 
 _QV_TOL = 0.05          # largest qv_gap allowed at the smallest epsilon
 _QV_TREND_SLACK = 1.05  # relative rise of qv_gap tolerated along the grid
@@ -133,8 +134,13 @@ def sample_panel(basis: BasisSpec) -> np.ndarray:
     return signs * (norms[:, None] / np.sqrt(basis.dim))
 
 
+@functools.lru_cache(maxsize=16)
 def random_sample_fields(basis: BasisSpec, count: int, seed: int) -> np.ndarray:
-    """Random fields with log-uniform norms, for constant estimation."""
+    """Random fields with log-uniform norms, for constant estimation.
+
+    Drawn once per (n_max, count, seed), the key a basis hashes to, and
+    returned read-only, since every check of a grid sweep asks again.
+    """
     rng = np.random.default_rng(seed)
     out = np.empty((count, basis.dim))
     for i in range(count):
@@ -142,6 +148,7 @@ def random_sample_fields(basis: BasisSpec, count: int, seed: int) -> np.ndarray:
         direction *= basis.eigenvalues ** -rng.uniform(0.5, 1.5)
         r = 10.0 ** rng.uniform(-1.3, 1.3)
         out[i] = direction * (r / np.linalg.norm(direction))
+    out.setflags(write=False)
     return out
 
 
@@ -171,7 +178,7 @@ class HypothesisReport:
     def summary_lines(self) -> list[str]:
         out = [f"[{'PASS' if self.passed else 'FAIL'}] {self.name}"]
         for r in self.rows:
-            out.append(f"    {r.check:<12} eps={r.epsilon:<7g} "
+            out.append(f"    {r.check:<12} eps={float_label(r.epsilon):<7} "
                        f"value={r.value:.6g} witness={r.witness} "
                        f"{'ok' if r.passed else 'FAIL'}")
         out.extend("    note: " + n for n in self.notes)
@@ -346,7 +353,7 @@ class CertificationReport:
         gp = self.gap
         out.append(f"  [{'PASS' if gp.passed else 'FAIL'}] generator_gap "
                    f"panel max: "
-                   + ", ".join(f"{e:g}:{v:.3g}"
+                   + ", ".join(f"{float_label(e)}:{v:.3g}"
                                for e, v in zip(gp.epsilons, gp.panel_max)))
         return out
 

@@ -6,20 +6,22 @@ explicit step evaluated at the left endpoint.  One step function,
 simulate_arms, drives a stack of arms (records, blow-up masking, running
 integrals): the same paths of a Brownian arm and of any number of pure-jump
 arms form one (rows, dim) state, so a step takes one B(u) call and one
-record for all of them.  A
-Brownian block adds its Wiener increments; a jump block subtracts its own
-kernel's compensator from the drift and takes the atoms of its sampled
-Poisson random measure.  Steps that contain atoms are split at the atom
-times, with the jump applied to the left limit.  The atoms of every jump
-block are sampled and planned once per stack, with the substep lengths and
-each atom's kernel factors h(z) and theta(z), and all rows with a k-th
-atom in a step take their k-th substep together, so the kernel and drift
-evaluations per step scale with the largest atom count of any row, not
-with the number of atoms or of arms.  Every arm of a stack takes one sigma
-map, evaluated once per state on all rows.  BLAS products run block by
-block, one arm's rows at a time, so every operation on a row has the bits
-it has when that arm runs alone, except B(u) in the atom rounds, where the
-rows of all jump arms meet and the gemm's rows can move in the last bits.
+record for all of them.  A Brownian block adds its Wiener increments; a
+jump block subtracts its own kernel's compensator from the drift and takes
+the atoms of its sampled Poisson random measure.  Steps that contain atoms
+are split at the atom times, with the jump applied to the left limit.  The
+atoms of every jump block are sampled and planned once per stack, with the
+substep lengths and each atom's kernel factors h(z) and theta(z), and all
+rows with a k-th atom in a step take their k-th substep together, so the
+kernel and drift evaluations per step scale with the largest atom count of
+any row, not with the number of atoms or of arms.  A round only writes the
+norms of its substeps and jumps into buffers of its step; each row's
+integral of |u|_V^2 and sup of |u|_H^2 over the step are reduced once,
+after the last round.  Every arm of a stack takes one sigma map, evaluated
+once per state on all rows.  BLAS products run block by block, one arm's
+rows at a time, so every operation on a row has the bits it has when that
+arm runs alone, except B(u) in the atom rounds, where the rows of all jump
+arms meet and the gemm's rows can move in the last bits.
 
 Per-path randomness contract (pinned by tests, do not reorder):
   * Brownian arm: one standard_normal(n_steps) call per path.
@@ -152,7 +154,7 @@ def _explicit_drift(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
         out = nonlinear_term_batch(basis, u, block)
         np.negative(out, out=out)
     else:
-        out = np.zeros_like(u)
+        out = np.zeros(u.shape)
     if forcing is not None:
         out = out + forcing.fn(u)
     return out
@@ -212,9 +214,12 @@ class ArmTraces:
         if self.track.size:
             k = self.track
             modes = rows + (k.size,)
-            self.mode_traces[:, :, r] = u[:, k].reshape(modes)
-            self.drift_traces[:, :, r] = (-eigs[k] * u[:, k]
-                                          + drift[:, k]).reshape(modes)
+            uk = u[:, k]
+            self.mode_traces[:, :, r] = uk.reshape(modes)
+            # -lambda_k u_k + drift_k, built in the gathered copy
+            uk *= -eigs[k]
+            uk += drift[:, k]
+            self.drift_traces[:, :, r] = uk.reshape(modes)
 
     def finish(self, u, sup4, blow_t) -> None:
         rows = self.norm_h2.shape[:2]
@@ -252,9 +257,11 @@ class _AtomPlan:
     and theta the kernel values at its mark (theta 1.0 for theta = one,
     where the product is exact), and atom_coef its row's coef.  Per
     substep: sub_at is the place of its row and sub_delta its length, from
-    the step start or the row's previous atom up to the atom.  An atom at
-    its row's previous time, or at a step start that rounding put after it,
-    has no substep.
+    the step start or the row's previous atom up to the atom; substeps
+    sub_bounds[n] to sub_bounds[n+1] - 1 fall in step n.  An atom at its
+    row's previous time, or at a step start that rounding put after it, has
+    no substep.  h_zero tells whether any atom's mark lies off the h
+    support.
     """
 
     def __init__(self, cfg: SolverConfig, jumpy):
@@ -304,8 +311,12 @@ class _AtomPlan:
         delta = (times - prev)[order]
         sub = np.flatnonzero(delta > 0.0)
         self.sub_at, self.sub_delta = self.at[sub], delta[sub]
+        self.sub_bounds = np.searchsorted(sub, self.bounds)
         self.h = np.concatenate(hv)[order]
         self.theta = np.concatenate(tv)[order]
+        # decided once: a mark off the h support is rare, and only then
+        # does a jump need its zero forced (sigma may be non-finite there)
+        self.h_zero = bool(np.any(self.h == 0.0))
         self.atom_coef = self.coef[self.row - span.start]
         rank, step, tail = rank[order], step[order], tail[order]
 
@@ -362,8 +373,9 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     of a step advances, as one batch, every row of every jump arm that has
     a k-th atom in that step.  The sigma map is evaluated once per state on
     all rows: in a main step sigma(u) serves the Wiener increments and
-    every compensator, and in a round sigma(theta v) gives every jump and
-    sigma(v) every compensator.
+    every compensator, and in a round sigma(theta v) gives every jump (v
+    goes in as it is when every arm has theta = one) and sigma(v) every
+    compensator.
     """
     n_paths = len(arms[0][1])
     if any(len(streams) != n_paths for _, streams in arms):
@@ -385,14 +397,16 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
         if kernel is not None:
             jumpy.append((block, kernel, streams))
         elif noise is not None:
-            dw = np.empty((n_paths, cfg.n_steps))
+            # step-major, so each step reads one contiguous row
+            dw = np.empty((cfg.n_steps, n_paths))
             for p, g in enumerate(streams):
-                dw[p] = g.standard_normal(cfg.n_steps) * root
+                dw[:, p] = g.standard_normal(cfg.n_steps) * root
             wiener.append((block, dw))
     plan = _AtomPlan(cfg, jumpy) if jumpy else None
 
     eigs = basis.eigenvalues
-    efac = np.exp(-eigs * cfg.dt)
+    neg_eigs = -eigs
+    efac = np.exp(neg_eigs * cfg.dt)
     n_rows = u.shape[0]
 
     # BLAS products run in blocks of one arm's paths, as in a one-arm run:
@@ -406,34 +420,52 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
         v2 = np.empty(uu.shape[0])
         for block in blocks:
             np.matmul(uu[block], eigs, out=v2[block])
-        return np.sum(uu, axis=1), v2
+        return np.add.reduce(uu, axis=1), v2
 
     def split_step(n, u_cur, drift):
         # step n of the rows with atoms, split at their atoms: end states,
-        # integral of |u|_V^2 over the step and sup of |u|_H^2 inside it
-        piece = np.zeros(len(u_cur))
-        sup2 = np.full(len(u_cur), -np.inf)   # fmax below skips NaN states
+        # integral of |u|_V^2 over the step and sup of |u|_H^2 inside it.
+        # The rounds write d |w|_V^2 and |w|_H^2 of each substep and |v|_H^2
+        # of each jump into step buffers; the per-row sums and maxima are
+        # taken once after the last round.  The substeps sit in (rank, row)
+        # order, so each row still sums its pieces in rank order.
+        a0, a1 = plan.bounds[n], plan.bounds[n + 1]
+        s0, s1 = plan.sub_bounds[n], plan.sub_bounds[n + 1]
+        sub_v2, sub_h2 = np.empty(s1 - s0), np.empty(s1 - s0)
+        atom_h2 = np.empty(a1 - a0)
         for lo, hi, s_lo, s_hi, gains in plan.rounds[n]:
             a, d = plan.sub_at[s_lo:s_hi], plan.sub_delta[s_lo:s_hi, None]
+            here = slice(s_lo - s0, s_hi - s0)
             w = u_cur[a]
-            piece[a] += d[:, 0] * row_dot(w * w, eigs)
-            w = np.exp(-eigs * d) * (w + d * drift[a])
-            u_cur[a] = w
-            sup2[a] = np.fmax(sup2[a], np.sum(w * w, axis=1))
+            np.multiply(d[:, 0], row_dot(w * w, eigs), out=sub_v2[here])
+            w += d * drift[a]
+            w *= np.exp(neg_eigs * d)
+            np.add.reduce(w * w, axis=1, out=sub_h2[here])
             at = plan.at[lo:hi]
-            v = u_cur[at]
-            h = plan.h[lo:hi]
-            jump = sigma(plan.theta[lo:hi, None] * v) * h[:, None]
-            jump[h == 0.0] = 0.0
+            if s_hi - s_lo == hi - lo:
+                v = w   # every atom of the round has its substep: a is at
+            else:
+                u_cur[a] = w
+                v = u_cur[at]
+            h = plan.h[lo:hi, None]
+            # 1.0 * v is v, so theta multiplies only where some arm needs it
+            jump = sigma(plan.theta[lo:hi, None] * v if plan.gains else v) * h
+            if plan.h_zero:
+                jump[h[:, 0] == 0.0] = 0.0
             v += jump
             u_cur[at] = v
-            sup2[at] = np.fmax(sup2[at], np.sum(v * v, axis=1))
+            np.add.reduce(v * v, axis=1, out=atom_h2[lo - a0:hi - a0])
             dv = explicit(v)
             dv -= _compensator(v, sigma(v), plan.atom_coef[lo:hi], gains)
             drift[at] = dv
+        piece = np.zeros(len(u_cur))
+        np.add.at(piece, plan.sub_at[s0:s1], sub_v2)
+        sup2 = np.full(len(u_cur), -np.inf)   # fmax skips NaN states
+        np.fmax.at(sup2, plan.sub_at[s0:s1], sub_h2)
+        np.fmax.at(sup2, plan.at[a0:a1], atom_h2)
         delta = plan.tails[n][:, None]
         piece += delta[:, 0] * row_dot(u_cur * u_cur, eigs)
-        return np.exp(-eigs * delta) * (u_cur + delta * drift), piece, sup2
+        return np.exp(neg_eigs * delta) * (u_cur + delta * drift), piece, sup2
 
     active = np.ones(n_rows, dtype=bool)
     blow_t = np.full(n_rows, np.nan)
@@ -463,7 +495,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
             u_new *= cfg.dt
             u_new += u
             for block, dw in wiener:
-                u_new[block] += su[block] * dw[:, n, None]
+                u_new[block] += su[block] * dw[n, :, None]
             u_new *= efac
             # for peak memory, neither sigma(u) nor the split end states
             # stay live through norms and the next step's B(u)
@@ -479,7 +511,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
 
             h2, v2 = norms(u_new)
             was_active = active
-            bad = active & (~np.isfinite(h2) | (h2 > cap2))
+            bad = active & ~(h2 <= cap2)   # NaN and inf fail the test too
             if bad.any():
                 blow_t[bad] = (n + 1) * cfg.dt
                 active = active & ~bad

@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleKernelError
-from .measures import LevyMeasure, annulus_mass, moment_mass
+from .measures import LevyMeasure, annulus_mass, float_label, moment_mass
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ class FieldMap:
 
 
 def scaled_identity(c: float = 1.0) -> FieldMap:
-    return FieldMap(f"identity:{c:g}",
+    return FieldMap(f"identity:{float_label(c)}",
                     lambda u: c * np.asarray(u, dtype=np.float64),
                     abs(c), lambda r: abs(c) * r, lambda t, r: t)
 
@@ -188,7 +188,9 @@ def scaled_identity(c: float = 1.0) -> FieldMap:
 def saturating(c: float = 1.0) -> FieldMap:
     def fn(u):
         u = np.asarray(u, dtype=np.float64)
-        n = np.linalg.norm(u, axis=-1, keepdims=True)
+        # what np.linalg.norm(u, axis=-1, keepdims=True) computes for real
+        # rows, without its Python-level dispatch
+        n = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
         return c * u / (1.0 + n)
 
     def gain(t, r):
@@ -199,7 +201,7 @@ def saturating(c: float = 1.0) -> FieldMap:
         out /= den
         return out
 
-    return FieldMap(f"saturating:{c:g}", fn, abs(c),
+    return FieldMap(f"saturating:{float_label(c)}", fn, abs(c),
                     lambda r: abs(c) * r / (1.0 + r), gain)
 
 
@@ -208,7 +210,8 @@ def constant_field(coeffs, name: str | None = None) -> FieldMap:
     gnorm = float(np.linalg.norm(g))
     if name is None:
         nz = np.nonzero(g)[0]
-        name = "constant:" + ";".join(f"{g[i]:g}@{i}" for i in nz)
+        name = "constant:" + ";".join(f"{float_label(g[i])}@{i}"
+                                      for i in nz)
 
     g_ro = g.view()
     g_ro.setflags(write=False)
@@ -217,7 +220,9 @@ def constant_field(coeffs, name: str | None = None) -> FieldMap:
         u = np.asarray(u, dtype=np.float64)
         if u.shape == g.shape:
             return g_ro
-        return np.broadcast_to(g, u.shape).copy()
+        out = np.empty(u.shape)
+        out[...] = g
+        return out
 
     return FieldMap(name, fn, 0.0, lambda r: gnorm,
                     lambda t, r: np.ones_like(t))
@@ -323,8 +328,27 @@ def _node_table(theta: ThetaKernel, h: HKernel, measure: LevyMeasure,
     return table
 
 
+def _parity(h: HKernel) -> float:
+    # h is flat on the annulus and odd elsewhere
+    return 1.0 if h.family == "annulus" else -1.0
+
+
+@functools.lru_cache(maxsize=64)
+def _family_table(family_theta: str, family_h: str, epsilon: float,
+                  measure: LevyMeasure) -> NodeTable:
+    """The node table of a built-in (theta, h) pair.  It does not depend on
+    the state map, so the kernels of one (theta, h, epsilon, measure) under
+    several maps share one read-only table."""
+    h = build_h(family_h, epsilon, measure)
+    return _node_table(build_theta(family_theta, epsilon), h, measure,
+                       _parity(h))
+
+
 def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
-                 measure: LevyMeasure) -> JumpChannel:
+                 measure: LevyMeasure,
+                 table: NodeTable | None = None) -> JumpChannel:
+    """The channel sigma(theta u) h on measure; table, when given, must be
+    the node table of exactly this theta, h and measure."""
     lo, hi = h.support
     if lo > 0.0:
         delta = discarded = 0.0
@@ -337,9 +361,9 @@ def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
     activity = annulus_mass(measure, sample_lo, hi)
     if not np.isfinite(activity):
         raise InadmissibleKernelError("sampled support has infinite mass")
-    # h is flat on the annulus and odd elsewhere
-    parity = 1.0 if h.family == "annulus" else -1.0
-    table = _node_table(theta, h, measure, parity)
+    parity = _parity(h)
+    if table is None:
+        table = _node_table(theta, h, measure, parity)
     # every nu-integral runs on the node table, so it must hold the h^2 mass
     qv = _h2_mass(table.w, table.h)
     if abs(qv - 1.0) > _QV_BUDGET:
@@ -368,7 +392,9 @@ def build_jump_kernel(base_sigma: FieldMap, family_h: str, family_theta: str,
                       epsilon: float, measure: LevyMeasure) -> JumpKernel:
     theta = build_theta(family_theta, epsilon)
     h = build_h(family_h, epsilon, measure)
-    return JumpKernel(epsilon, make_channel(base_sigma, theta, h, measure))
+    table = _family_table(family_theta, family_h, float(epsilon), measure)
+    return JumpKernel(epsilon, make_channel(base_sigma, theta, h, measure,
+                                            table))
 
 
 def eval_sigma_eps(channel: JumpChannel, coeffs, z):

@@ -16,6 +16,13 @@ import numpy as np
 from .errors import InfiniteMassError
 
 
+def float_label(x: float) -> str:
+    """x in a label or file name: the short :g text when it reads back as
+    x, else repr, so two distinct values never share a label."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class LevyMeasure:
     """Support (lo, hi) plus exponent, with density rho(z) = |z|^power on
@@ -38,9 +45,10 @@ class LevyMeasure:
 
     def label(self) -> str:
         if self.alpha is not None:
-            return f"stable:{self.alpha:g}"
+            return f"stable:{float_label(self.alpha)}"
         lo, hi = self.support
-        return f"power:{self.power:g}@{lo:g}:{hi:g}"
+        return (f"power:{float_label(self.power)}@{float_label(lo)}"
+                f":{float_label(hi)}")
 
 
 def alpha_stable_measure(alpha: float) -> LevyMeasure:

@@ -215,6 +215,44 @@ class TestLoader:
                                       for section, keys in _SCHEMA.items()
                                       for key in keys)
 
+    @pytest.mark.parametrize("sigma, measure, old, new", [
+        ("saturating:0.5", "stable:1", "0.5", "0.5000001"),
+        ("identity:0.5", "stable:1", "0.5", "0.5000001"),
+        ("constant:0.5@2", "stable:1", "0.5@", "0.5000001@"),
+        ("saturating:0.5", "stable:1", "stable:1", "stable:1.0000001"),
+        ("saturating:0.5", "power:-2,0.001,inf", "-2,", "-2.0000001,"),
+        ("saturating:0.5", "power:-2,0.001,inf", "0.001", "0.0010000001"),
+    ])
+    def test_near_equal_values_hash_apart(self, tmp_path, sigma, measure,
+                                          old, new):
+        # each pair prints alike with six significant digits; the labels
+        # that enter the hash must still tell the values apart
+        text = dedent(f"""\
+            [basis]
+            n_max = 2
+
+            [solver]
+            t_end = 0.2
+            dt = 0.01
+
+            [brownian]
+            sigma = {sigma}
+
+            [jump]
+            sigma = {sigma}
+            family_h = annulus
+            epsilon = 0.2, 0.1
+            measure = {measure}
+
+            [experiment]
+            paths = 128
+            """)
+        near = text.replace(old, new)
+        assert near != text
+        hashes = [load_config(_write(tmp_path, t, name)).experiment.config_hash()
+                  for t, name in ((text, "a.cfg"), (near, "b.cfg"))]
+        assert hashes[0] != hashes[1]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.cfg")
@@ -257,6 +295,16 @@ class TestCliCheck:
         assert report.splitlines()[0] == "check,epsilon,value,witness,pass"
         assert "generator_gap" in report
 
+    def test_near_equal_epsilons_print_apart(self, tmp_path, capsys):
+        # 0.1000001 prints as 0.1 under :g; every report line must still
+        # tell the two grid points apart
+        cfg = _write(tmp_path, GOOD_JUMP.replace("0.2, 0.1", "0.1000001, 0.1"))
+        main(["check", "--config", cfg])
+        lines = capsys.readouterr().out.splitlines()
+        assert sum("eps=0.1000001 " in line for line in lines) == 6
+        assert sum("eps=0.1 " in line for line in lines) == 6
+        assert any("0.1000001:" in line and "0.1:" in line for line in lines)
+
     def test_failing_grid_exits_1(self, tmp_path, capsys):
         cfg = _write(tmp_path, BAD_JUMP)
         assert main(["check", "--config", cfg]) == 1
@@ -294,6 +342,16 @@ class TestCliSimulate:
                      "--arm", "jump", "--out", str(tmp_path / "j")]) == 0
         assert "eps=0.1" in capsys.readouterr().out
         assert (tmp_path / "j" / "paths_eps0.1.csv").exists()
+
+    def test_near_equal_epsilon_keeps_its_label(self, tmp_path, capsys):
+        # 0.1000001 prints as 0.1 under :g; the label and the dump name
+        # must still tell it from an arm at 0.1
+        cfg = _write(tmp_path, GOOD_JUMP.replace("0.2, 0.1", "0.2, 0.1000001"))
+        assert main(["simulate", "--config", cfg, "--paths", "4",
+                     "--arm", "jump", "--out", str(tmp_path / "j")]) == 0
+        assert "eps=0.1000001 " in capsys.readouterr().out
+        assert [p.name for p in (tmp_path / "j").iterdir()] == [
+            "paths_eps0.1000001.csv"]
 
     def test_seed_precedence(self, tmp_path, capsys, monkeypatch):
         cfg = _write(tmp_path, GOOD_JUMP)

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from snse import harness
 from snse.basis import get_basis
 from snse.errors import CertificationError, ConfigError
 from snse.harness import (ExperimentConfig, functional_samples, manifest_lines,
-                          persist, run_arm, run_experiment)
+                          path_dump_lines, persist, run_arm, run_experiment)
 from snse.hypotheses import kernel_grid
 from snse.integrate import BrownianNoiseSpec, SolverConfig
 from snse.kernels import (constant_field, saturating, scaled_identity,
@@ -83,7 +84,7 @@ class TestConfigValidation:
     def test_equal_names_are_not_one_map(self, basis1):
         # both maps are named saturating:0.5, but only one map object gives
         # the two arms one diffusion limit
-        near = saturating(0.5000001)
+        near = saturating(0.5)
         assert near.name == saturating(0.5).name
         kernels = kernel_grid(near, "annulus", "one", (0.2, 0.1),
                               alpha_stable_measure(1.0))
@@ -264,6 +265,19 @@ class TestRunExperiment:
         assert res.forced and not res.certified
         assert any("UNCERTIFIED" in line for line in manifest_lines(res))
 
+    def test_one_run_arm_call(self, basis1, monkeypatch):
+        # every arm runs through the module binding harness.run_arm (a
+        # benchmark wraps it), once per experiment
+        calls = []
+
+        def counted(config, arm, *rest):
+            calls.append(arm)
+            return run_arm(config, arm, *rest)
+
+        monkeypatch.setattr(harness, "run_arm", counted)
+        run_experiment(_config(basis1, n_paths=100))
+        assert calls == ["all"]
+
     def test_too_few_paths(self, basis1):
         with pytest.raises(ConfigError):
             run_experiment(_config(basis1, n_paths=50))
@@ -298,6 +312,22 @@ class TestPersist:
                      "paths_bm.csv", "paths_eps0.2.csv", "paths_eps0.1.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes(), name
+
+    def test_near_equal_epsilons_keep_their_outputs(self, basis1, tmp_path):
+        # 0.2000001 and 0.2 print alike with six significant digits; each
+        # arm still gets its own path dump and its own manifest line
+        cfg = _config(basis1, eps=(0.2000001, 0.2), n_paths=100)
+        res = run_experiment(cfg)
+        persist(res, tmp_path, dump_paths=True)
+        track = cfg.solver.track_modes
+        for name, batch in (("paths_eps0.2000001.csv", res.jump_batches[0]),
+                            ("paths_eps0.2.csv", res.jump_batches[1])):
+            text = "\n".join(path_dump_lines(batch, track)) + "\n"
+            assert (tmp_path / name).read_text() == text
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in lines
+                if line.startswith("blowup_eps")] == [
+            "blowup_eps=0.2000001", "blowup_eps=0.2"]
 
     def test_refuses_overwrite(self, basis1, tmp_path):
         res = run_experiment(_config(basis1, n_paths=100))

@@ -10,8 +10,9 @@ from snse import integrate, sampling
 from snse.basis import get_basis
 from snse.integrate import (BrownianNoiseSpec, SolverConfig, simulate_arms,
                             simulate_brownian_batch, simulate_jump_batch)
-from snse.kernels import (build_jump_kernel, constant_field, saturating,
-                          scaled_identity)
+from snse.kernels import (JumpKernel, ThetaKernel, build_h,
+                          build_jump_kernel, constant_field, make_channel,
+                          saturating, scaled_identity)
 from snse.measures import alpha_stable_measure
 from snse.nonlinear import nonlinear_term_batch
 from snse.sampling import Atoms, derive_stream, sample_prm
@@ -340,6 +341,49 @@ class TestJumpOracle:
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(ref, name), err_msg=name)
 
+    def test_mark_off_the_h_support(self, basis2, monkeypatch):
+        # the first mark of every path moves just past the annulus edge 1,
+        # where h is 0 and theta is 1e6; sigma is non-finite beyond H norm
+        # 10, so that jump is exactly zero only if the integrator forces it
+        eps = 0.05
+        theta = ThetaKernel(
+            "bump", eps,
+            lambda z: np.where(np.abs(z) <= 1.0, 1.0 + eps * np.cos(z), 1e6),
+            1e6 - 1.0, 1e6)
+        sat = saturating(0.5)
+
+        def capped(u):
+            u = np.asarray(u, dtype=np.float64)
+            n = np.linalg.norm(u, axis=-1, keepdims=True)
+            return np.where(n <= 10.0, sat.fn(u), np.inf)
+
+        sigma = dataclasses.replace(sat, name="capped", fn=capped)
+        kernel = JumpKernel(eps, make_channel(
+            sigma, theta, build_h("annulus", eps, NU1), NU1))
+        cfg = SolverConfig(t_end=0.5, dt=0.05, include_nonlinearity=False,
+                           track_modes=(0, 2))
+        moved = []
+
+        def off_support(kernel, horizon, streams):
+            atoms, counts = sampling_prm_paths(kernel, horizon, streams)
+            first = (np.cumsum(counts) - counts)[counts > 0]
+            marks = atoms.marks.copy()
+            marks[first] = np.copysign(np.nextafter(1.0, 2.0), marks[first])
+            moved.append(first.size)
+            return Atoms(atoms.times, marks), counts
+
+        sampling_prm_paths = sampling.sample_prm_paths
+        monkeypatch.setattr(sampling, "sample_prm_paths", off_support)
+        monkeypatch.setattr(integrate, "sample_prm_paths", off_support)
+        u0 = random_field(basis2, np.random.default_rng(9), norm_h=0.5)
+        got, ref = self._both(basis2, cfg, u0, kernel, 16, 61)
+        assert moved[0] == 16
+        assert kernel.channel.h.fn(np.nextafter(1.0, 2.0)) == 0.0
+        assert np.isnan(got.blowup_time).all()
+        for name in _FIELDS:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(ref, name), err_msg=name)
+
     def test_nonlinear_saturating_cosine(self, basis2):
         kernel = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
                                    NU1)
@@ -443,6 +487,71 @@ class TestStackedArms:
         atoms = int(jump.jump_counts[:, -1].sum())
         assert atoms > 0
         assert seen[0] == cfg.n_steps * 12 + 2 * atoms
+
+    def test_busy_theta_one_and_cosine_arms(self, basis2):
+        # a round passes theta v to sigma once any arm of the stack has
+        # theta != one, and v itself when every arm has theta = one: both
+        # arms keep the bits they have alone and those of the reference
+        sigma = saturating(0.5)
+        kernels = [build_jump_kernel(sigma, "annulus", theta, 0.01, NU1)
+                   for theta in ("one", "cosine")]
+        cfg = SolverConfig(t_end=0.1, dt=0.01, include_nonlinearity=False,
+                           track_modes=(0, 2))
+        u0 = random_field(basis2, np.random.default_rng(12), norm_h=0.5)
+
+        def streams(j):
+            return [derive_stream(47, "jump", j, p) for p in range(8)]
+
+        stacked = simulate_arms(basis2, cfg, u0, [(k, streams(j))
+                                                  for j, k in enumerate(kernels)])
+        for j, (kernel, got) in enumerate(zip(kernels, stacked)):
+            # activity 198 over dt = 0.01: about two atoms per path and step
+            assert got.jump_counts[:, -1].min() >= 10
+            alone = simulate_jump_batch(basis2, cfg, u0, streams(j), kernel)
+            ref = reference_jump_batch(basis2, cfg, u0, streams(j), kernel)
+            for name in _FIELDS:
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(alone, name),
+                                              err_msg=name)
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(ref, name),
+                                              err_msg=name)
+
+    def test_nonlinear_term_once_per_state(self, basis2, monkeypatch):
+        # B(u) goes through the module binding integrate.nonlinear_term_batch
+        # (a benchmark wraps it): once per main step, once for the last
+        # record and once per atom round, whose count per step is the most
+        # atoms any jump row of the stack has in that step
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return nonlinear_term_batch(*args)
+
+        monkeypatch.setattr(integrate, "nonlinear_term_batch", counted)
+        sigma = saturating(0.5)
+        kernels = [build_jump_kernel(sigma, "annulus", theta, eps, NU1)
+                   for theta, eps in (("one", 0.05), ("cosine", 0.02))]
+        cfg = SolverConfig(t_end=0.1, dt=0.01)
+        u0 = random_field(basis2, np.random.default_rng(14), norm_h=0.5)
+
+        def streams(arm, j):
+            return [derive_stream(71, arm, j, p) for p in range(6)]
+
+        simulate_arms(basis2, cfg, u0,
+                      [(None, streams("brownian", 0))]
+                      + [(k, streams("jump", j)) for j, k in enumerate(kernels)],
+                      BrownianNoiseSpec(sigma))
+        most = np.zeros(cfg.n_steps, dtype=int)
+        for j, kernel in enumerate(kernels):
+            for g in streams("jump", j):
+                times = sample_prm(kernel, cfg.t_end, g).times
+                step = np.minimum((times / cfg.dt).astype(int),
+                                  cfg.n_steps - 1)
+                most = np.maximum(most, np.bincount(step,
+                                                    minlength=cfg.n_steps))
+        assert most.sum() > cfg.n_steps
+        assert calls[0] == cfg.n_steps + 1 + most.sum()
 
     def test_two_maps_in_one_stack_refused(self, basis2):
         # equal maps built twice are two objects: the arms must share one
