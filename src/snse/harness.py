@@ -18,9 +18,10 @@ every output byte for a given numpy/BLAS build and BLAS thread setting;
 persisted files carry no timestamps.  Linear runs are also byte-stable
 across BLAS thread counts (tested), and each linear arm has the bits of its
 one-arm run (tested); nonlinear runs are not: B(u) on P = 512 random rows
-at n_max = 4 differs in 30,318 of 40,960 entries (<= 5.2e-16 of the largest)
-at 1 and 2 threads, and in the atom rounds of a stack its gemm sees another
-batch shape, so a nonlinear arm can move in the last bits.
+at n_max = 8 differs in 117,460 of 147,456 entries (<= 1.1e-15 of the
+largest) at 1 and 2 threads (at n_max = 4 in none, untested), and in the
+atom rounds of a stack its gemm sees another batch shape, so a nonlinear
+arm can move in the last bits.
 
 A chunk's jump atoms are planned all at once, so a run whose chunk
 expects more than ATOM_BUDGET atoms is refused before it starts.

@@ -228,16 +228,20 @@ class ArmTraces:
         self.terminal[...] = u.reshape(rows + u.shape[1:])
 
 
-def _compensator(v, s, coef, gains) -> np.ndarray:
+def _compensator(v, s, coef, gains, zero) -> np.ndarray:
     """The compensator at rows v, given s = sigma(v): one coefficient per
     row times s, coef on the theta = one rows and the first gain moment on
-    the (rows, channel) of gains, so each row has the bits of
+    the (rows, channel) of gains, and an exact 0 on the rows of zero (None
+    or a mask), which s may hold non-finite, so each row has the bits of
     kernels.compensator_drift."""
     if gains:
         coef = coef.copy()
         for rows, ch in gains:
             coef[rows] = gain_moment(ch, v[rows], 1)
-    return 0.0 + coef[:, None] * s
+    out = 0.0 + coef[:, None] * s
+    if zero is not None:
+        out[zero] = 0.0
+    return out
 
 
 class _AtomPlan:
@@ -245,29 +249,31 @@ class _AtomPlan:
 
     The jump rows of the stack lie in span; coef holds, per row there, the
     theta = one compensator coefficient h_integral (0 for theta != one or
-    an odd profile), and gains the (rows, channel) of every theta != one
-    arm, rows a slice of span.  Atoms sit sorted by (step, rank, row), rank
-    being an atom's place among its row's atoms in the same step.  For step
-    n, atoms bounds[n] to bounds[n+1] - 1 fall in it, rows[n] holds its
-    rows with atoms (ascending) and tails[n] the rest of the step after
-    each row's last atom, and rounds[n] its rank rounds as (lo, hi, s_lo,
-    s_hi, gains): atoms lo to hi - 1, the substeps s_lo to s_hi - 1 up to
-    them, and the (rows, channel) of the theta != one arms, rows being a
-    slice of the round.  Per atom: at is its place in its step's rows, h
-    and theta the kernel values at its mark (theta 1.0 for theta = one,
-    where the product is exact), and atom_coef its row's coef.  Per
-    substep: sub_at is the place of its row and sub_delta its length, from
-    the step start or the row's previous atom up to the atom; substeps
-    sub_bounds[n] to sub_bounds[n+1] - 1 fall in step n.  An atom at its
-    row's previous time, or at a step start that rounding put after it, has
-    no substep.  h_zero tells whether any atom's mark lies off the h
-    support.
+    an odd profile), zero masks the rows of a theta = one arm with an odd
+    profile (None if there are none), and gains the (rows, channel) of
+    every theta != one arm, rows a slice of span.  Atoms sit sorted by
+    (step, rank, row), rank being an atom's place among its row's atoms in
+    the same step.  For step n, atoms bounds[n] to bounds[n+1] - 1 fall in
+    it, rows[n] holds its rows with atoms (ascending) and tails[n] the rest
+    of the step after each row's last atom, and rounds[n] its rank rounds
+    as (lo, hi, s_lo, s_hi, gains): atoms lo to hi - 1, the substeps s_lo
+    to s_hi - 1 up to them, and the (rows, channel) of the theta != one
+    arms, rows being a slice of the round.  Per atom: at is its place in
+    its step's rows, h and theta the kernel values at its mark (theta 1.0
+    for theta = one, where the product is exact), and atom_coef and
+    atom_zero its row's coef and zero.  Per substep: sub_at is the place of
+    its row and sub_delta its length, from the step start or the row's
+    previous atom up to the atom; substeps sub_bounds[n] to
+    sub_bounds[n+1] - 1 fall in step n.  An atom at its row's previous
+    time, or at a step start that rounding put after it, has no substep.
+    h_zero tells whether any atom's mark lies off the h support.
     """
 
     def __init__(self, cfg: SolverConfig, jumpy):
         n_steps, dt = cfg.n_steps, cfg.dt
         self.span = span = slice(jumpy[0][0].start, jumpy[-1][0].stop)
         self.coef = np.zeros(span.stop - span.start)
+        zero = np.zeros(self.coef.size, dtype=bool)
         self.gains = []
         row, times, hv, tv = [], [], [], []
         for block, kernel, streams in jumpy:
@@ -275,6 +281,7 @@ class _AtomPlan:
             rows = slice(block.start - span.start, block.stop - span.start)
             if ch.theta.family == "one":
                 self.coef[rows] = ch.h_integral
+                zero[rows] = ch.h_integral == 0.0
             else:
                 self.gains.append((rows, ch))
             drawn, counts = sample_prm_paths(kernel, cfg.t_end, streams)
@@ -318,6 +325,9 @@ class _AtomPlan:
         # does a jump need its zero forced (sigma may be non-finite there)
         self.h_zero = bool(np.any(self.h == 0.0))
         self.atom_coef = self.coef[self.row - span.start]
+        self.zero, self.atom_zero = None, None
+        if zero.any():
+            self.zero, self.atom_zero = zero, zero[self.row - span.start]
         rank, step, tail = rank[order], step[order], tail[order]
 
         n_rows = np.bincount(step[rank == 0], minlength=n_steps)
@@ -456,7 +466,9 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
             u_cur[at] = v
             np.add.reduce(v * v, axis=1, out=atom_h2[lo - a0:hi - a0])
             dv = explicit(v)
-            dv -= _compensator(v, sigma(v), plan.atom_coef[lo:hi], gains)
+            dv -= _compensator(v, sigma(v), plan.atom_coef[lo:hi], gains,
+                               None if plan.atom_zero is None
+                               else plan.atom_zero[lo:hi])
             drift[at] = dv
         piece = np.zeros(len(u_cur))
         np.add.at(piece, plan.sub_at[s0:s1], sub_v2)
@@ -485,7 +497,8 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
             su = sigma(u) if sigma is not None else None
             if plan is not None:
                 jr = plan.span
-                expl[jr] -= _compensator(u[jr], su[jr], plan.coef, plan.gains)
+                expl[jr] -= _compensator(u[jr], su[jr], plan.coef, plan.gains,
+                                         plan.zero)
             atoms = plan is not None and plan.bounds[n] < plan.bounds[n + 1]
             if atoms:
                 rows = plan.rows[n]

@@ -19,15 +19,28 @@ It is computed in stress-divergence form. Since div u = 0,
 Split u (x) u into its traceless part D = [[a, b], [b, -a]], with
 a = (u_x^2 - u_y^2) / 2 and b = u_x u_y, plus the isotropic part
 |u|^2 / 2 * I. The isotropic part pairs with grad e_l to give
--<|u|^2 / 2, div e_l> = 0, because every mode is divergence free. So B(u)
-is one synthesis of u, the two stress components formed pointwise, and one
-projection gemm against a table of mode gradients: half the gemm flops of
-synthesizing u, d_x u and d_y u and projecting (u . grad) u. Every
-integrand above is a trigonometric polynomial of degree at most 3 n_max in
-each variable, which the grid integrates exactly. The identities therefore
-hold on the grid, and the two forms agree to round-off. `bilinear_b_batch`
-keeps the advective form, since it evaluates b(u, v, w) for three
-different fields.
+-<|u|^2 / 2, div e_l> = 0, because every mode is divergence free. As a
+complex number, D = a + i b = w^2 / 2 with w = u_x + i u_y.
+
+The sum over the grid runs on one point of each +-x pair. Under x -> -x
+every cos mode is even and every sin mode odd, and the even-M grid maps
+onto itself, with H = M^2 / 2 + 2 orbits: the pairs and the 4 fixed
+points, where every odd function is 0. Let E and O be w of the cos part
+and of the sin part of u on the H representatives, so w(+-x) = E +- O and
+
+    D(x) - D(-x) = 2 E O,    D(x) + D(-x) = E^2 + O^2.
+
+The gradients of cos modes are odd, so B_cos pairs with the difference;
+those of sin modes are even, so B_sin pairs with the sum, at weight 1/2 at
+the fixed points, where O = 0. The 2 and the 1/2 sit in the projection
+table. So B(u) is one stacked gemm that synthesizes E and O, one complex
+product and two squares, and one stacked gemm that projects E O onto the
+cos modes and E^2 + O^2 onto the sin modes: each gemm has half the flops
+of its full-grid form. Every integrand above is a trigonometric polynomial
+of degree at most 3 n_max in each variable, which the grid integrates
+exactly. The identities therefore hold on the grid, and the advective and
+stress forms agree to round-off. `bilinear_b_batch` keeps the advective
+form, since it evaluates b(u, v, w) for three different fields.
 """
 
 from __future__ import annotations
@@ -66,30 +79,49 @@ def bilinear_b_batch(basis: BasisSpec, cu, cv, cw) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _stress_table(basis: BasisSpec) -> np.ndarray:
-    """(2 M^2, dim) table G that projects the traceless stress onto the modes.
+def _half_grid_tables(basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesis (2, dim/2, 2H) and projection (2, 2H, dim/2) tables on the
+    H representatives of the +-x pairs of the grid.
 
-    Column l is -(d_x e_x - d_y e_y, d_x e_y + d_y e_x) / M^2 for mode e_l,
-    laid out like the synthesized grid, so (D @ G)_l = -<D, grad e_l>.
+    Index 0 holds the cos modes and index 1 the sin modes, in basis order.
+    Synthesis columns interleave the (x, y) values at each representative;
+    projection rows interleave the (a, b) weights, which are
+    -(d_x e_x - d_y e_y, d_x e_y + d_y e_x) / M^2 times 2 for a cos mode
+    and times 1/2 at the 4 fixed points for a sin mode.  The odd functions
+    (sin modes and the gradients of cos modes) are set to exact zeros at
+    the fixed points.
     """
-    vals = basis.mode_values()
+    m, h = basis.m_grid, basis.dim // 2
+    j = np.arange(m)
+    flat = j[:, None] * m + j
+    mirror = (-j % m)[:, None] * m + (-j % m)
+    keep = flat <= mirror
+    fixed = flat[keep] == mirror[keep]
+    vals = basis.mode_values().reshape(basis.dim, m * m, 2)[:, flat[keep]]
     p = basis.partner
     # d/dx_a e_l = deriv_factor[a, partner(l)] * e_partner(l)
-    dx = basis.deriv_factor[0, p][:, None, None, None] * vals[p]
-    dy = basis.deriv_factor[1, p][:, None, None, None] * vals[p]
+    dx = basis.deriv_factor[0, p][:, None, None] * vals[p]
+    dy = basis.deriv_factor[1, p][:, None, None] * vals[p]
     g = np.stack((dx[..., 0] - dy[..., 1], dx[..., 1] + dy[..., 0]), axis=-1)
-    g *= -1.0 / basis.m_grid**2
-    return np.ascontiguousarray(g.reshape(basis.dim, -1).T)
+    g *= -1.0 / m**2
+    vals[1::2, fixed] = 0.0
+    g[0::2, fixed] = 0.0
+    g[0::2] *= 2.0
+    g[1::2, fixed] *= 0.5
+    synth = np.stack((vals[0::2], vals[1::2])).reshape(2, h, -1)
+    proj = np.stack((g[0::2], g[1::2])).reshape(2, h, -1).transpose(0, 2, 1)
+    return synth, np.ascontiguousarray(proj)
 
 
 def nonlinear_term_batch(basis: BasisSpec, coeffs,
                          block: int | None = None) -> np.ndarray:
     """Galerkin projection of (u . grad) u for a coefficient batch.
 
-    Stress-divergence form: synthesize u, overwrite its grid values with the
-    traceless stress (a, b), project with the cached gradient table.  With
-    block, a (P, dim) batch goes through in runs of at most block rows, so
-    its grid temporaries and gemm shapes are those of a block-row batch.
+    Stress-divergence form on the half grid (see the module docstring):
+    synthesize the cos and sin parts of u, form E O and E^2 + O^2, project
+    with the cached gradient tables.  With block, a (P, dim) batch goes
+    through in runs of at most block rows, so its grid temporaries and gemm
+    shapes are those of a block-row batch.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if block is None or coeffs.ndim != 2 or coeffs.shape[0] <= block:
@@ -102,14 +134,23 @@ def nonlinear_term_batch(basis: BasisSpec, coeffs,
 
 
 def _stress_divergence(basis: BasisSpec, coeffs: np.ndarray) -> np.ndarray:
-    d = coeffs @ basis.synthesis_matrix()
-    ux, uy = d[..., 0::2], d[..., 1::2]  # grid components are interleaved
-    uxy = ux * uy
-    d *= d
-    ux -= uy
-    ux *= 0.5
-    uy[...] = uxy
-    return d @ _stress_table(basis)
+    synth, proj = _half_grid_tables(basis)
+    h = basis.dim // 2
+    c = coeffs.reshape(-1, h, 2)   # cos at even indices, sin at odd ones
+    # buf[1] and buf[2] take the cos and sin fields E and O, as complex
+    # x + i y on the representatives; then buf[0] takes E O and buf[1]
+    # E^2 + O^2, the two inputs of the projection
+    buf = np.empty((3, c.shape[0], synth.shape[2]))
+    np.matmul(c.transpose(2, 0, 1), synth, out=buf[1:])
+    z = buf.view(np.complex128)
+    even, odd = z[1], z[2]
+    np.multiply(even, odd, out=z[0])
+    even *= even
+    odd *= odd
+    even += odd
+    out = np.empty(coeffs.shape)
+    np.matmul(buf[:2], proj, out=out.reshape(-1, h, 2).transpose(2, 0, 1))
+    return out
 
 
 @dataclass

@@ -45,6 +45,16 @@ class TestBasisSpec:
         lams = basis2.eigenvalues
         assert np.all(np.diff(lams) >= 0)
 
+    @pytest.mark.parametrize("n_max", [1, 2, 4, 8])
+    def test_cos_even_sin_odd_indices(self, n_max):
+        # nonlinear splits a coefficient row into its cos and sin parts
+        # by reshaping (..., dim) to (..., dim / 2, 2)
+        basis = get_basis(n_max)
+        assert basis.is_cos[0::2].all()
+        assert not basis.is_cos[1::2].any()
+        assert np.array_equal(basis.partner[0::2],
+                              np.arange(1, basis.dim, 2))
+
     def test_half_plane_dedup(self, basis2):
         idx = basis2.mode_index(1, 0, "cos")
         assert basis2.mode_index(-1, 0, "cos") == idx

@@ -384,6 +384,29 @@ class TestJumpOracle:
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(ref, name), err_msg=name)
 
+    def test_odd_profile_compensator_skips_sigma(self, basis2):
+        # outer_linear under theta = one has h_integral 0, so the compensator
+        # is an exact 0 there and must not read sigma, which is non-finite
+        # beyond H norm 0.2: the paths start at 0.5 and live until an atom
+        sat = saturating(0.5)
+
+        def capped(u):
+            u = np.asarray(u, dtype=np.float64)
+            n = np.linalg.norm(u, axis=-1, keepdims=True)
+            return np.where(n <= 0.2, sat.fn(u), np.inf)
+
+        sigma = dataclasses.replace(sat, name="capped", fn=capped)
+        kernel = build_jump_kernel(sigma, "outer_linear", "one", 0.1, NU1)
+        assert kernel.channel.h_integral == 0.0
+        cfg = SolverConfig(t_end=0.5, dt=0.01, include_nonlinearity=False,
+                           track_modes=(0, 2))
+        u0 = random_field(basis2, np.random.default_rng(3), norm_h=0.5)
+        got, ref = self._both(basis2, cfg, u0, kernel, 8, 71)
+        assert np.isnan(ref.blowup_time).any()
+        for name in _FIELDS:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(ref, name), err_msg=name)
+
     def test_nonlinear_saturating_cosine(self, basis2):
         kernel = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
                                    NU1)

@@ -60,23 +60,23 @@ class TestIdentities:
 class TestStressForm:
     """B(u) in stress-divergence form against the advective projection."""
 
-    @pytest.mark.parametrize("n_rows", [None, 7, 128], ids=["1d", "7", "128"])
+    @pytest.mark.parametrize("lead", [(), (7,), (128,), (2, 3)],
+                             ids=["1d", "7", "128", "2x3"])
     @pytest.mark.parametrize("n_max", [1, 2, 4, 8])
-    def test_matches_advective_form(self, n_max, n_rows):
+    def test_matches_advective_form(self, n_max, lead):
         basis = get_basis(n_max)
-        rng = np.random.default_rng(100 * n_max + (n_rows or 1))
-        rows = 1 if n_rows is None else n_rows
+        rows = int(np.prod(lead))
+        rng = np.random.default_rng(100 * n_max + rows)
         decay = rng.uniform(0.0, 1.2, size=(rows, 1))
         c = (rng.standard_normal((rows, basis.dim))
              * basis.eigenvalues ** -decay
              * np.geomspace(0.1, 10.0, rows)[:, None])
-        if n_rows is None:
-            c = c[0]
+        c = c.reshape(lead + (basis.dim,))
         got = nonlinear_term_batch(basis, c)
         ref = reference_nonlinear_advective(basis, c)
         assert got.shape == c.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        c2, got2 = np.atleast_2d(c), np.atleast_2d(got)
+        c2, got2 = c.reshape(-1, basis.dim), got.reshape(-1, basis.dim)
         energy = np.abs(np.sum(got2 * c2, axis=1))
         norm_h = np.linalg.norm(c2, axis=1)
         norm_v2 = c2**2 @ basis.eigenvalues
@@ -85,9 +85,21 @@ class TestStressForm:
     @pytest.mark.parametrize("n_max", [1, 2, 4, 8])
     def test_zero_batch_gives_exact_zeros(self, n_max):
         basis = get_basis(n_max)
-        for shape in ((basis.dim,), (7, basis.dim)):
+        for shape in ((basis.dim,), (7, basis.dim), (2, 3, basis.dim)):
             got = nonlinear_term_batch(basis, np.zeros(shape))
             assert np.array_equal(got, np.zeros(shape))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 4, 8])
+    def test_one_parity_field_has_no_cos_component(self, n_max):
+        # B(u) pairs each cos mode with E O, the product of the cos and sin
+        # parts of u on the half grid, so it is an exact 0 when either is
+        basis = get_basis(n_max)
+        rng = np.random.default_rng(n_max)
+        c = rng.standard_normal((16, basis.dim)) * basis.eigenvalues ** -0.5
+        for keep in (basis.is_cos, ~basis.is_cos):
+            got = nonlinear_term_batch(basis, np.where(keep, c, 0.0))
+            assert np.all(got[:, basis.is_cos] == 0.0)
+            assert np.any(got[:, ~basis.is_cos] != 0.0)
 
 
 class TestAgainstConvolutionOracle:
