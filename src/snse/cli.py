@@ -157,6 +157,14 @@ def cmd_converge(args) -> int:
     cfg = run.experiment
     if not cfg.kernels:
         raise ConfigError("converge needs a [jump] section")
+    # refuse before simulating: persist would refuse only after every arm ran
+    out_dir = args.out or run.out_dir
+    if not out_dir:
+        raise ConfigError("no output directory: pass --out or set "
+                          "[output] dir in the run file")
+    target = Path(out_dir) / "summary.csv"
+    if target.exists() and not args.force:
+        raise FileExistsError(str(target))
     result = run_experiment(cfg, force=args.force)
 
     if result.forced:
@@ -176,10 +184,6 @@ def cmd_converge(args) -> int:
         print(f"{r.functional:<14}{eps:>9}{r.mean:>14.6g}{gap:>13}"
               f"{jse:>12}{ks:>9}  {kp}")
 
-    out_dir = args.out or run.out_dir
-    if not out_dir:
-        raise ConfigError("no output directory: pass --out or set "
-                          "[output] dir in the run file")
     persist(result, out_dir, dump_paths=run.dump_paths, overwrite=args.force)
     print(f"wrote {Path(out_dir) / 'summary.csv'}")
 

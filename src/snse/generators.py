@@ -20,12 +20,12 @@ def _outer(s: np.ndarray) -> np.ndarray:
 def jump_qv_matrix(kernel: JumpKernel, x) -> np.ndarray:
     """The integral of sigma_eps(x, z) outer sigma_eps(x, z) d(nu).
 
-    It is sigma(x) outer sigma(x) times the channel's second gain moment
+    It is sigma(x) outer sigma(x) times the kernel's second gain moment
     over the full-support node table; one block per row of x.
     """
     x = np.asarray(x, dtype=np.float64)
-    ch = kernel.channel
-    return gain_moment(ch, x, 2)[..., None, None] * _outer(ch.sigma.fn(x))
+    return (gain_moment(kernel, x, 2)[..., None, None]
+            * _outer(kernel.sigma.fn(x)))
 
 
 def generator_gap(kernel: JumpKernel, x):
@@ -35,5 +35,5 @@ def generator_gap(kernel: JumpKernel, x):
     variation block is sigma(x) outer sigma(x) for the kernel's base map.
     """
     x = np.asarray(x, dtype=np.float64)
-    diff = jump_qv_matrix(kernel, x) - _outer(kernel.channel.sigma.fn(x))
+    diff = jump_qv_matrix(kernel, x) - _outer(kernel.sigma.fn(x))
     return np.max(np.abs(diff), axis=(-2, -1))

@@ -138,9 +138,9 @@ class ExperimentConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("kernel grid must have strictly decreasing epsilon")
         for kern in self.kernels:
-            if kern.channel.sigma is not self.noise.sigma:
+            if kern.sigma is not self.noise.sigma:
                 raise ConfigError(
-                    f"jump base sigma {kern.channel.sigma.name!r} is not the "
+                    f"jump base sigma {kern.sigma.name!r} is not the "
                     f"Brownian sigma map {self.noise.sigma.name!r}")
 
     @property
@@ -168,12 +168,11 @@ class ExperimentConfig:
             f"chunk={self.chunk_size}",
         ]
         for kern in self.kernels:
-            ch = kern.channel
             # channels=1 stays in the text so that pinned hashes hold
             lines.append(
-                f"jump.eps={kern.epsilon!r}:h={ch.h.family}"
-                f":theta={ch.theta.family}:measure={ch.measure.label()}"
-                f":sigma={ch.sigma.name}:delta={ch.cutoff_delta!r}"
+                f"jump.eps={kern.epsilon!r}:h={kern.h.family}"
+                f":theta={kern.theta.family}:measure={kern.measure.label()}"
+                f":sigma={kern.sigma.name}:delta={kern.cutoff_delta!r}"
                 f":channels=1")
         return "\n".join(lines) + "\n"
 
@@ -204,7 +203,7 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
     n = config.n_paths
     size = min(n, config.chunk_size)
     atoms = size * config.solver.t_end * sum(
-        config.kernels[j].channel.activity for name, j in arms
+        config.kernels[j].activity for name, j in arms
         if name == "jump")
     if atoms > ATOM_BUDGET:
         raise ConfigError(
@@ -271,9 +270,6 @@ class ExperimentResult:
     def jump_rows(self, functional: str) -> list[FunctionalRow]:
         return [r for r in self.rows
                 if r.arm == "jump" and r.functional == functional]
-
-    def gaps(self, functional: str) -> list[float]:
-        return [r.gap_vs_bm for r in self.jump_rows(functional)]
 
 
 def _blowup_fraction(batch: PathBatch) -> float:

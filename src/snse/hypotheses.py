@@ -60,17 +60,15 @@ def kernel_grid(base_sigma: FieldMap, family_h: str, family_theta: str,
 def jump_l2_mass(kernel: JumpKernel, u):
     """Integral of |sigma_eps(u, z)|_H^2 d(nu), one value per row."""
     u = np.asarray(u, dtype=np.float64)
-    ch = kernel.channel
-    sig = ch.sigma.fn(u)
-    return gain_moment(ch, u, 2) * row_dot(sig, sig)
+    sig = kernel.sigma.fn(u)
+    return gain_moment(kernel, u, 2) * row_dot(sig, sig)
 
 
 def jump_l4_mass(kernel: JumpKernel, u):
     """Integral of |sigma_eps(u, z)|_H^4 d(nu), one value per row."""
     u = np.asarray(u, dtype=np.float64)
-    ch = kernel.channel
-    sig = ch.sigma.fn(u)
-    return gain_moment(ch, u, 4) * row_dot(sig, sig) ** 2
+    sig = kernel.sigma.fn(u)
+    return gain_moment(kernel, u, 4) * row_dot(sig, sig) ** 2
 
 
 def jump_l2_diff(kernel: JumpKernel, u, v):
@@ -90,13 +88,12 @@ def jump_l2_diff(kernel: JumpKernel, u, v):
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    ch = kernel.channel
-    sv = ch.sigma.fn(v)
-    d = ch.sigma.fn(u) - sv
+    sv = kernel.sigma.fn(v)
+    d = kernel.sigma.fn(u) - sv
     dd, ds, ss = (x[..., None] for x in (row_dot(d, d), row_dot(d, sv),
                                         row_dot(sv, sv)))
-    w, hv, gu = node_values(ch, u)
-    _, _, gv = node_values(ch, v)
+    w, hv, gu = node_values(kernel, u)
+    _, _, gv = node_values(kernel, v)
     dg = gu - gv
     node = gu * gu * dd + 2.0 * gu * dg * ds + dg * dg * ss
     # the -z half repeats these bits: theta and h^2 are even
@@ -107,15 +104,14 @@ def jump_l2_diff(kernel: JumpKernel, u, v):
 def jump_v2_mass(kernel: JumpKernel, u, eigenvalues):
     """Same as jump_l2_mass but in the V norm."""
     u = np.asarray(u, dtype=np.float64)
-    ch = kernel.channel
-    sig = ch.sigma.fn(u)
-    return gain_moment(ch, u, 2) * row_dot(sig * sig, eigenvalues)
+    sig = kernel.sigma.fn(u)
+    return gain_moment(kernel, u, 2) * row_dot(sig * sig, eigenvalues)
 
 
 def brownian_l2_mass(kernel: JumpKernel, u):
     """|sigma(u)|_H^2 of the matched Brownian noise, per row."""
     u = np.asarray(u, dtype=np.float64)
-    return np.sum(kernel.channel.sigma.fn(u) ** 2, axis=-1)
+    return np.sum(kernel.sigma.fn(u) ** 2, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def check_jump_size_decay(kernels) -> HypothesisReport:
     zero; the check fails when it does not decay.
     """
     eps = _grid_epsilons(kernels)
-    vals = [sup_jump_size(k.channel, 1.0) for k in kernels]
+    vals = [sup_jump_size(k, 1.0) for k in kernels]
     decaying = all(b < a for a, b in zip(vals, vals[1:])) or all(
         v == 0.0 for v in vals)
     rows = [CheckRow("sup_jump", e, v, -1, decaying)
@@ -362,10 +358,10 @@ def certify_kernels(basis: BasisSpec, kernels, forcing: FieldMap | None = None,
                     n_samples: int = 40,
                     label: str | None = None) -> CertificationReport:
     """Run every check on one kernel grid and bundle the verdicts."""
-    ch0 = kernels[0].channel
+    k0 = kernels[0]
     if label is None:
-        label = (f"sigma={ch0.sigma.name} theta={ch0.theta.family} "
-                 f"h={ch0.h.family} nu={ch0.measure.label()}")
+        label = (f"sigma={k0.sigma.name} theta={k0.theta.family} "
+                 f"h={k0.h.family} nu={k0.measure.label()}")
     growth = check_growth_lipschitz(basis, kernels, forcing, n_samples)
     jump_size = check_jump_size_decay(kernels)
     qv = check_qv_limit_v_growth(basis, kernels, n_samples)

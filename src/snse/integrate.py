@@ -231,13 +231,13 @@ class ArmTraces:
 def _compensator(v, s, coef, gains, zero) -> np.ndarray:
     """The compensator at rows v, given s = sigma(v): one coefficient per
     row times s, coef on the theta = one rows and the first gain moment on
-    the (rows, channel) of gains, and an exact 0 on the rows of zero (None
+    the (rows, kernel) of gains, and an exact 0 on the rows of zero (None
     or a mask), which s may hold non-finite, so each row has the bits of
     kernels.compensator_drift."""
     if gains:
         coef = coef.copy()
-        for rows, ch in gains:
-            coef[rows] = gain_moment(ch, v[rows], 1)
+        for rows, kernel in gains:
+            coef[rows] = gain_moment(kernel, v[rows], 1)
     out = 0.0 + coef[:, None] * s
     if zero is not None:
         out[zero] = 0.0
@@ -250,14 +250,14 @@ class _AtomPlan:
     The jump rows of the stack lie in span; coef holds, per row there, the
     theta = one compensator coefficient h_integral (0 for theta != one or
     an odd profile), zero masks the rows of a theta = one arm with an odd
-    profile (None if there are none), and gains the (rows, channel) of
+    profile (None if there are none), and gains the (rows, kernel) of
     every theta != one arm, rows a slice of span.  Atoms sit sorted by
     (step, rank, row), rank being an atom's place among its row's atoms in
     the same step.  For step n, atoms bounds[n] to bounds[n+1] - 1 fall in
     it, rows[n] holds its rows with atoms (ascending) and tails[n] the rest
     of the step after each row's last atom, and rounds[n] its rank rounds
     as (lo, hi, s_lo, s_hi, gains): atoms lo to hi - 1, the substeps s_lo
-    to s_hi - 1 up to them, and the (rows, channel) of the theta != one
+    to s_hi - 1 up to them, and the (rows, kernel) of the theta != one
     arms, rows being a slice of the round.  Per atom: at is its place in
     its step's rows, h and theta the kernel values at its mark (theta 1.0
     for theta = one, where the product is exact), and atom_coef and
@@ -277,18 +277,17 @@ class _AtomPlan:
         self.gains = []
         row, times, hv, tv = [], [], [], []
         for block, kernel, streams in jumpy:
-            ch = kernel.channel
             rows = slice(block.start - span.start, block.stop - span.start)
-            if ch.theta.family == "one":
-                self.coef[rows] = ch.h_integral
-                zero[rows] = ch.h_integral == 0.0
+            if kernel.theta.family == "one":
+                self.coef[rows] = kernel.h_integral
+                zero[rows] = kernel.h_integral == 0.0
             else:
-                self.gains.append((rows, ch))
+                self.gains.append((rows, kernel))
             drawn, counts = sample_prm_paths(kernel, cfg.t_end, streams)
             row.append(np.repeat(np.arange(block.start, block.stop), counts))
-            hv.append(ch.h.fn(drawn.marks))
-            tv.append(np.ones(len(drawn)) if ch.theta.family == "one"
-                      else ch.theta.fn(drawn.marks))
+            hv.append(kernel.h.fn(drawn.marks))
+            tv.append(np.ones(len(drawn)) if kernel.theta.family == "one"
+                      else kernel.theta.fn(drawn.marks))
             times.append(drawn.times)
         row = np.concatenate(row)
         times = np.concatenate(times)
@@ -347,15 +346,15 @@ class _AtomPlan:
                                    self._gains(r_lo, r_hi)))
 
     def _gains(self, lo: int, hi: int) -> list:
-        """(rows, channel) of the round's theta != one rows, rows being
+        """(rows, kernel) of the round's theta != one rows, rows being
         slices of the round (one arm's rows each)."""
         out = []
-        for rows, ch in self.gains:
+        for rows, kernel in self.gains:
             # a round's rows ascend, so one arm's rows are one run
             a, b = np.searchsorted(self.row[lo:hi] - self.span.start,
                                    (rows.start, rows.stop))
             if a < b:
-                out.append((slice(int(a), int(b)), ch))
+                out.append((slice(int(a), int(b)), kernel))
         return out
 
 
@@ -390,7 +389,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     n_paths = len(arms[0][1])
     if any(len(streams) != n_paths for _, streams in arms):
         raise ValueError("every arm needs the same number of paths")
-    maps = [noise.sigma if kernel is None else kernel.channel.sigma
+    maps = [noise.sigma if kernel is None else kernel.sigma
             for kernel, _ in arms if kernel is not None or noise is not None]
     if any(m is not maps[0] for m in maps):
         raise ValueError("the arms of a stack must share one sigma map object")

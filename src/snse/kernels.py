@@ -1,6 +1,6 @@
 """Jump-noise kernels.
 
-A channel's coefficient factorizes as
+A kernel's coefficient factorizes as
 
     sigma_eps(u, z) = sigma(theta_eps(z) u) * h_eps(z)
 
@@ -14,21 +14,21 @@ exactly 1. Built-in h families:
     inner_linear  z / sqrt(second moment over {0 < |z| <= eps})
 
 The Levy measure is a power law, so the normalizers, the activity, the
-cutoff and the integral of h have closed forms. Each channel carries one
+cutoff and the integral of h have closed forms. Each kernel carries one
 frozen Gauss-Legendre table over the full h support (24 log-spaced panels of
 10 nodes, split further at any support edge of the measure inside it)
 holding the density-weighted rule weights and the h and theta values at the
 nodes. The table stores the +z half only. The -z half is implied by the
 table's parity: theta and the density are even, and h(-z) = parity * h(z)
-with parity +1 for the annulus and -1 for the linear families. A channel
-whose kernel breaks this symmetry on the table's nodes is refused. Every
+with parity +1 for the annulus and -1 for the linear families. A kernel
+whose theta or h breaks this symmetry on the table's nodes is refused. Every
 nu-integral sums the half once and adds the sum to itself (or subtracts it,
 for an odd power of an odd h), which has the bits of the two-sign sum in
 sign order wherever the powers of h at -z mirror those at +z bit for bit
 (h and h^2 always; numpy's SIMD pow need not be exactly odd or even). The
 compensator, the certification masses and the jump quadratic variation all
 integrate against this table, so the kernel's callables are evaluated there
-once. A channel whose table misses more of the h^2 mass than the fixed qv
+once. A kernel whose table misses more of the h^2 mass than the fixed qv
 budget _QV_BUDGET = 1e-4 is refused.
 
 Every state map declares a scalar gain with sigma(t u) = gain(t, |u|_H) sigma(u).
@@ -65,8 +65,6 @@ class ThetaKernel:
     family: str
     epsilon: float
     fn: Callable
-    sup_dev: float   # sup_z |theta(z) - 1|
-    sup_abs: float   # sup_z |theta(z)|
 
 
 def build_theta(family: str, epsilon: float) -> ThetaKernel:
@@ -74,12 +72,10 @@ def build_theta(family: str, epsilon: float) -> ThetaKernel:
         raise ValueError("epsilon must lie in (0, 1)")
     if family == "one":
         return ThetaKernel("one", epsilon,
-                           lambda z: np.ones_like(np.asarray(z, dtype=np.float64)),
-                           0.0, 1.0)
+                           lambda z: np.ones_like(np.asarray(z, dtype=np.float64)))
     if family == "cosine":
         return ThetaKernel("cosine", epsilon,
-                           lambda z: 1.0 + epsilon * np.cos(np.asarray(z, dtype=np.float64)),
-                           epsilon, 1.0 + epsilon)
+                           lambda z: 1.0 + epsilon * np.cos(np.asarray(z, dtype=np.float64)))
     if family == "gaussian_dip":
         amp = epsilon / math.sqrt(2.0 * math.pi)
 
@@ -87,7 +83,7 @@ def build_theta(family: str, epsilon: float) -> ThetaKernel:
             z = np.asarray(z, dtype=np.float64)
             return 1.0 - amp * np.exp(-0.5 * (epsilon * z) ** 2)
 
-        return ThetaKernel("gaussian_dip", epsilon, dip, amp, 1.0)
+        return ThetaKernel("gaussian_dip", epsilon, dip)
     raise ValueError(f"unknown theta family {family!r}")
 
 
@@ -100,7 +96,6 @@ class HKernel:
     epsilon: float
     support: tuple[float, float]   # magnitudes
     scale: float                   # h = profile / scale
-    sup_abs: float
     profile: Callable
 
     def fn(self, z):
@@ -119,36 +114,31 @@ def _linear_profile(z):
 
 
 def build_h(family: str, epsilon: float, measure: LevyMeasure) -> HKernel:
-    """Construct and normalize an amplitude profile for one channel."""
+    """Construct and normalize an amplitude profile for one kernel."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if family == "annulus":
         support = (epsilon, 1.0)
         norm_sq = annulus_mass(measure, *support)
         profile = _flat_profile
-        sup_profile = 1.0
     elif family == "outer_linear":
         support = (1.0, 1.0 / epsilon)
         norm_sq = moment_mass(measure, *support, k=2)
         profile = _linear_profile
-        sup_profile = support[1]
     elif family == "inner_linear":
         support = (0.0, epsilon)
         norm_sq = moment_mass(measure, *support, k=2)
         profile = _linear_profile
-        sup_profile = support[1]
     else:
         raise ValueError(f"unknown h family {family!r}")
     if not np.isfinite(norm_sq) or norm_sq <= 0.0:
         raise InadmissibleKernelError(
             f"h family {family!r} has normalizer {norm_sq!r} on {measure.label()}")
-    scale = math.sqrt(norm_sq)
-    return HKernel(family, epsilon, support, scale, sup_profile / scale,
-                   profile)
+    return HKernel(family, epsilon, support, math.sqrt(norm_sq), profile)
 
 
 def h_norm_check(h: HKernel, measure: LevyMeasure) -> float:
-    """The h^2 integral on a channel's node rule; 1 up to the rule's error."""
+    """The h^2 integral on a kernel's node rule; 1 up to the rule's error."""
     z, w = _node_rule(h, measure)
     return _h2_mass(w * measure.density(z), h.fn(z))
 
@@ -163,7 +153,7 @@ class FieldMap:
     ball_sup(R) is the exact sup of |map(u)|_H over the H ball of radius R,
     used by the closed-form jump-size bound; it acts elementwise on an array
     of radii. gain(t, r) is the scalar with fn(t u) = gain(t, |u|_H) fn(u)
-    for every real t; it broadcasts t against r, and the jump-channel
+    for every real t; it broadcasts t against r, and the jump kernel's
     nu-integrals rely on it in place of evaluating fn at every mark. A gain
     may return a fresh array or t itself (the table's read-only theta, for
     the linear maps), so callers never write into it. It has at least t's
@@ -174,7 +164,6 @@ class FieldMap:
 
     name: str
     fn: Callable
-    lipschitz: float
     ball_sup: Callable
     gain: Callable
 
@@ -182,7 +171,7 @@ class FieldMap:
 def scaled_identity(c: float = 1.0) -> FieldMap:
     return FieldMap(f"identity:{float_label(c)}",
                     lambda u: c * np.asarray(u, dtype=np.float64),
-                    abs(c), lambda r: abs(c) * r, lambda t, r: t)
+                    lambda r: abs(c) * r, lambda t, r: t)
 
 
 def saturating(c: float = 1.0) -> FieldMap:
@@ -201,7 +190,7 @@ def saturating(c: float = 1.0) -> FieldMap:
         out /= den
         return out
 
-    return FieldMap(f"saturating:{float_label(c)}", fn, abs(c),
+    return FieldMap(f"saturating:{float_label(c)}", fn,
                     lambda r: abs(c) * r / (1.0 + r), gain)
 
 
@@ -224,7 +213,7 @@ def constant_field(coeffs, name: str | None = None) -> FieldMap:
         out[...] = g
         return out
 
-    return FieldMap(name, fn, 0.0, lambda r: gnorm,
+    return FieldMap(name, fn, lambda r: gnorm,
                     lambda t, r: np.ones_like(t))
 
 
@@ -232,16 +221,16 @@ def diagonal_map(diag, name: str | None = None) -> FieldMap:
     d = np.asarray(diag, dtype=np.float64)
     top = float(np.max(np.abs(d)))
     return FieldMap(name or "diagonal", lambda u: np.asarray(u, dtype=np.float64) * d,
-                    top, lambda r: top * r, lambda t, r: t)
+                    lambda r: top * r, lambda t, r: t)
 
 
 def zero_map() -> FieldMap:
     return FieldMap("zero", lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-                    0.0, lambda r: 0.0, lambda t, r: np.ones_like(t))
+                    lambda r: 0.0, lambda t, r: np.ones_like(t))
 
 
 # ---------------------------------------------------------------------------
-# composed jump channels
+# composed jump kernels
 
 _PANELS = 24
 _GL_ORDER = 10
@@ -257,7 +246,7 @@ class NodeTable:
     The marks z > 0 form the composite rule on log-spaced panels. w is the
     rule weight times the Levy density, h and theta the kernel values at the
     same marks. The -z half is implied: w and theta are even, and h at -z is
-    parity * h. Every nu-integral of a channel reads these arrays instead of
+    parity * h. Every nu-integral of a kernel reads these arrays instead of
     calling the kernel's callables.
     """
 
@@ -269,7 +258,11 @@ class NodeTable:
 
 
 @dataclass
-class JumpChannel:
+class JumpKernel:
+    """The jump noise at one epsilon: sigma(theta u) h on one Poisson random
+    measure."""
+
+    epsilon: float
     sigma: FieldMap
     theta: ThetaKernel
     h: HKernel
@@ -278,8 +271,12 @@ class JumpChannel:
     sample_range: tuple[float, float]
     activity: float
     h_integral: float
-    discarded_qv_fraction: float
     table: NodeTable
+
+    @property
+    def channels(self) -> tuple[JumpKernel]:
+        # read-only one-tuple, kept because perfbench/suite.py reads it
+        return (self,)
 
 
 @functools.cache
@@ -334,29 +331,28 @@ def _parity(h: HKernel) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _family_table(family_theta: str, family_h: str, epsilon: float,
-                  measure: LevyMeasure) -> NodeTable:
-    """The node table of a built-in (theta, h) pair.  It does not depend on
-    the state map, so the kernels of one (theta, h, epsilon, measure) under
-    several maps share one read-only table."""
+def _family_parts(family_theta: str, family_h: str, epsilon: float,
+                  measure: LevyMeasure):
+    """theta, h and the node table of a built-in (theta, h) pair.  They do
+    not depend on the state map, so the kernels of one (theta, h, epsilon,
+    measure) under several maps share them, the table read-only."""
+    theta = build_theta(family_theta, epsilon)
     h = build_h(family_h, epsilon, measure)
-    return _node_table(build_theta(family_theta, epsilon), h, measure,
-                       _parity(h))
+    return theta, h, _node_table(theta, h, measure, _parity(h))
 
 
-def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
-                 measure: LevyMeasure,
-                 table: NodeTable | None = None) -> JumpChannel:
-    """The channel sigma(theta u) h on measure; table, when given, must be
-    the node table of exactly this theta, h and measure."""
+def make_kernel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
+                measure: LevyMeasure,
+                table: NodeTable | None = None) -> JumpKernel:
+    """The kernel sigma(theta u) h on measure at h's epsilon, which theta
+    must share (ValueError otherwise); table, when given, must be the node
+    table of exactly this theta, h and measure."""
+    if theta.epsilon != h.epsilon:
+        raise ValueError("theta and h must share one epsilon")
     lo, hi = h.support
-    if lo > 0.0:
-        delta = discarded = 0.0
-    else:
-        # h^2 rho = c |z|^(power + 2) below eps: the largest delta whose
-        # discarded share (delta / eps)^(power + 3) stays within budget
-        delta = hi * _QV_BUDGET ** (1.0 / (measure.power + 3.0))
-        discarded = moment_mass(measure, lo, delta, k=2) / h.scale**2
+    # h^2 rho = c |z|^(power + 2) below eps: the largest delta whose
+    # discarded share (delta / eps)^(power + 3) stays within budget
+    delta = 0.0 if lo > 0.0 else hi * _QV_BUDGET ** (1.0 / (measure.power + 3.0))
     sample_lo = max(lo, delta)
     activity = annulus_mass(measure, sample_lo, hi)
     if not np.isfinite(activity):
@@ -371,33 +367,18 @@ def make_channel(sigma: FieldMap, theta: ThetaKernel, h: HKernel,
             f"node rule holds h^2 mass {qv:.10g} on {measure.label()}, "
             f"off by more than the qv budget {_QV_BUDGET:g}")
     h_integral = activity / h.scale if parity > 0.0 else 0.0
-    return JumpChannel(sigma, theta, h, measure, delta, (sample_lo, hi),
-                       activity, h_integral, discarded, table)
-
-
-@dataclass
-class JumpKernel:
-    """The jump noise at one epsilon: one channel, one Poisson random measure."""
-
-    epsilon: float
-    channel: JumpChannel
-
-    @property
-    def channels(self) -> tuple[JumpChannel]:
-        # read-only one-tuple, kept because perfbench/suite.py reads it
-        return (self.channel,)
+    return JumpKernel(h.epsilon, sigma, theta, h, measure, delta,
+                      (sample_lo, hi), activity, h_integral, table)
 
 
 def build_jump_kernel(base_sigma: FieldMap, family_h: str, family_theta: str,
                       epsilon: float, measure: LevyMeasure) -> JumpKernel:
-    theta = build_theta(family_theta, epsilon)
-    h = build_h(family_h, epsilon, measure)
-    table = _family_table(family_theta, family_h, float(epsilon), measure)
-    return JumpKernel(epsilon, make_channel(base_sigma, theta, h, measure,
-                                            table))
+    theta, h, table = _family_parts(family_theta, family_h, float(epsilon),
+                                    measure)
+    return make_kernel(base_sigma, theta, h, measure, table)
 
 
-def eval_sigma_eps(channel: JumpChannel, coeffs, z):
+def eval_sigma_eps(kernel: JumpKernel, coeffs, z):
     """sigma_eps(u, z) for one mark, or row by row for (P, dim) rows and P marks.
 
     The field is zero where the mark lies off the h support.
@@ -406,10 +387,10 @@ def eval_sigma_eps(channel: JumpChannel, coeffs, z):
     if np.any(z == 0.0):
         raise ValueError("marks must be nonzero")
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    hval = np.asarray(channel.h.fn(z))[..., None]
-    if channel.theta.family != "one":
-        coeffs = np.asarray(channel.theta.fn(z))[..., None] * coeffs
-    return np.where(hval == 0.0, 0.0, channel.sigma.fn(coeffs) * hval)
+    hval = np.asarray(kernel.h.fn(z))[..., None]
+    if kernel.theta.family != "one":
+        coeffs = np.asarray(kernel.theta.fn(z))[..., None] * coeffs
+    return np.where(hval == 0.0, 0.0, kernel.sigma.fn(coeffs) * hval)
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -422,23 +403,23 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def node_values(channel: JumpChannel, coeffs):
+def node_values(kernel: JumpKernel, coeffs):
     """Table weights w, h and the gains gain(theta(z), |u|_H) on the +z half.
 
     coeffs may carry leading row axes; the gains have shape (..., Q), so
     sigma(theta(z) u) is gain[..., q] * sigma(u) at node q, and at its
     mirror mark -z as well, since theta is even.
     """
-    t = channel.table
+    t = kernel.table
     r = np.linalg.norm(coeffs, axis=-1, keepdims=True)
-    g = channel.sigma.gain(t.theta, r)
+    g = kernel.sigma.gain(t.theta, r)
     shape = r.shape[:-1] + t.theta.shape
     if np.shape(g) != shape:
         g = np.broadcast_to(g, shape)
     return t.w, t.h, g
 
 
-def gain_moment(channel: JumpChannel, coeffs, k: int):
+def gain_moment(kernel: JumpKernel, coeffs, k: int):
     """sum_z w h^k gain(theta(z), |u|_H)^k over both signs, one value per row.
 
     With it, the nu-integral of |sigma_eps(u, z)|^k is |sigma(u)|^k times
@@ -446,9 +427,9 @@ def gain_moment(channel: JumpChannel, coeffs, k: int):
     half is summed once and the -z half is parity^k times that sum, added
     in sign order, so an odd power of an odd profile cancels exactly.
     """
-    w, hv, g = node_values(channel, coeffs)
+    w, hv, g = node_values(kernel, coeffs)
     half = row_dot(g if k == 1 else g**k, w * hv**k)
-    return 0.0 + half + channel.table.parity**k * half
+    return 0.0 + half + kernel.table.parity**k * half
 
 
 def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
@@ -459,24 +440,24 @@ def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
     odd profiles and is part of the absorbed drift otherwise.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    ch = kernel.channel
     total = np.zeros_like(coeffs)
-    if ch.theta.family != "one":
-        total += ch.sigma.fn(coeffs) * gain_moment(ch, coeffs, 1)[..., None]
-    elif ch.h_integral != 0.0:
-        total += ch.h_integral * ch.sigma.fn(coeffs)
+    if kernel.theta.family != "one":
+        total += (kernel.sigma.fn(coeffs)
+                  * gain_moment(kernel, coeffs, 1)[..., None])
+    elif kernel.h_integral != 0.0:
+        total += kernel.h_integral * kernel.sigma.fn(coeffs)
     return total
 
 
-def sup_jump_size(channel: JumpChannel, radius: float) -> float:
+def sup_jump_size(kernel: JumpKernel, radius: float) -> float:
     """sup over marks and over the H ball of radius M of |sigma_eps(u, z)|_H.
 
     Exact in the state (via ball_sup), gridded in the mark. The grid includes
     the support endpoints, where the built-in profiles attain their sup.
     """
-    lo, hi = channel.h.support
+    lo, hi = kernel.h.support
     z = np.linspace(max(lo, 1e-12 * hi), hi, _SUP_GRID)
     # |h| and |theta| are even, so the +z half holds the sup
-    hv = np.abs(np.asarray(channel.h.fn(z)))
-    tv = np.abs(np.asarray(channel.theta.fn(z)))
-    return float((hv * channel.sigma.ball_sup(tv * radius)).max())
+    hv = np.abs(np.asarray(kernel.h.fn(z)))
+    tv = np.abs(np.asarray(kernel.theta.fn(z)))
+    return float((hv * kernel.sigma.ball_sup(tv * radius)).max())

@@ -102,8 +102,7 @@ def sample_prm_paths(kernel: JumpKernel, horizon: float,
     of count each).  Sorting the times within each path, the magnitudes'
     inverse CDF and the signs then run once over all paths.
     """
-    ch = kernel.channel
-    rate = ch.activity * horizon
+    rate = kernel.activity * horizon
     counts, draws = [], []
     for rng in streams:
         count = int(rng.poisson(rate))
@@ -118,7 +117,7 @@ def sample_prm_paths(kernel: JumpKernel, horizon: float,
     draws = np.concatenate(draws) if draws else np.empty(0)
     ut = draws[at]
     times = ut[np.lexsort((ut, path))] * horizon
-    mags = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
+    mags = power_magnitude_ppf(kernel.measure.power, *kernel.sample_range,
                                draws[at + run])
     signs = np.where(draws[at + 2 * run] < 0.5, -1.0, 1.0)
     return Atoms(times, signs * mags), counts

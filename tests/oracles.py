@@ -179,7 +179,7 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
                 piece += delta * float((u_cur * u_cur) @ eigs)
                 u_cur = np.exp(-eigs * delta) * (u_cur + delta * drift)
                 sup2 = max(sup2, float(np.sum(u_cur * u_cur)))
-            u_cur = u_cur + eval_sigma_eps(kernel.channel, u_cur, a.marks[k])
+            u_cur = u_cur + eval_sigma_eps(kernel, u_cur, a.marks[k])
             sup2 = max(sup2, float(np.sum(u_cur * u_cur)))
             t = a.times[k]
             expl = _explicit_drift(basis, cfg, u_cur[None, :], forcing)[0]
@@ -229,44 +229,44 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
 
 
 # ---------------------------------------------------------------------------
-# nu-integrals with sigma evaluated at every node of the channel's table
+# nu-integrals with sigma evaluated at every node of the kernel's table
 
-def reference_node_values(channel, coeffs):
+def reference_node_values(kernel, coeffs):
     """Per sign: rule weights times the density, h and sigma(theta(z) u).
 
     Both signs come from the kernel's callables at the rule's nodes +z and
-    at their mirrors -z, never from the channel's one-sign table, so the
+    at their mirrors -z, never from the kernel's one-sign table, so the
     comparisons check the table's symmetry instead of assuming it. coeffs
     may carry leading row axes; the node axis sits before the last.
     """
     from snse.kernels import _node_rule
 
-    z, rule = _node_rule(channel.h, channel.measure)
+    z, rule = _node_rule(kernel.h, kernel.measure)
     for marks in (z, -z):
-        scaled = channel.theta.fn(marks)[:, None] * coeffs[..., None, :]
-        yield (rule * channel.measure.density(marks), channel.h.fn(marks),
-               channel.sigma.fn(scaled))
+        scaled = kernel.theta.fn(marks)[:, None] * coeffs[..., None, :]
+        yield (rule * kernel.measure.density(marks), kernel.h.fn(marks),
+               kernel.sigma.fn(scaled))
 
 
 def reference_compensator(kernel, coeffs):
     """Integral of sigma_eps(u, z) d(nu), node by node."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     total = np.zeros_like(coeffs)
-    for w, hv, vals in reference_node_values(kernel.channel, coeffs):
+    for w, hv, vals in reference_node_values(kernel, coeffs):
         total += np.einsum("q,...qn->...n", w * hv, vals)
     return total
 
 
 def reference_l2_mass(kernel, u):
     total = 0.0
-    for w, hv, sig in reference_node_values(kernel.channel, u):
+    for w, hv, sig in reference_node_values(kernel, u):
         total += float((w * hv * hv) @ np.sum(sig * sig, axis=1))
     return total
 
 
 def reference_l4_mass(kernel, u):
     total = 0.0
-    for w, hv, sig in reference_node_values(kernel.channel, u):
+    for w, hv, sig in reference_node_values(kernel, u):
         n2 = np.sum(sig * sig, axis=1)
         total += float((w * hv**4) @ (n2 * n2))
     return total
@@ -274,9 +274,8 @@ def reference_l4_mass(kernel, u):
 
 def reference_l2_diff(kernel, u, v):
     total = 0.0
-    ch = kernel.channel
-    for (w, hv, su), (_, _, sv) in zip(reference_node_values(ch, u),
-                                       reference_node_values(ch, v)):
+    for (w, hv, su), (_, _, sv) in zip(reference_node_values(kernel, u),
+                                       reference_node_values(kernel, v)):
         du = su - sv
         total += float((w * hv * hv) @ np.sum(du * du, axis=1))
     return total
@@ -284,14 +283,14 @@ def reference_l2_diff(kernel, u, v):
 
 def reference_v2_mass(kernel, u, eigenvalues):
     total = 0.0
-    for w, hv, sig in reference_node_values(kernel.channel, u):
+    for w, hv, sig in reference_node_values(kernel, u):
         total += float((w * hv * hv) @ ((sig * sig) @ eigenvalues))
     return total
 
 
 def reference_qv_matrix(kernel, x):
     total = np.zeros((x.size, x.size))
-    for w, hv, sig in reference_node_values(kernel.channel, x):
+    for w, hv, sig in reference_node_values(kernel, x):
         total += ((w * hv * hv)[:, None] * sig).T @ sig
     return total
 
@@ -355,7 +354,7 @@ def reference_qv_limit_v_growth(basis, kernels, n_samples=40, seed=202,
     for kern in kernels:
         qv, vg = [], []
         for u in fields:
-            bm = float(np.sum(kern.channel.sigma.fn(u) ** 2))
+            bm = float(np.sum(kern.sigma.fn(u) ** 2))
             qv.append(abs(float(jump_l2_mass(kern, u)) - bm)
                       / (1.0 + float(np.sum(u * u))))
             vg.append(float(jump_v2_mass(kern, u, eigs))

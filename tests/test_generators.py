@@ -27,7 +27,7 @@ def test_diffusion_qv_closed_form(basis2):
                               ("inner_linear", alpha_stable_measure(1.5),
                                False)):
         kern = build_jump_kernel(constant_field(g), family, "one", 0.1, nu)
-        t = kern.channel.table
+        t = kern.table
         m2 = 2.0 * np.sum(t.w * t.h**2)
         gap = generator_gap(kern, x)
         assert exact == (m2 == 1.0)
@@ -49,13 +49,12 @@ def test_jump_qv_cosine_theta_scalar_weight(basis2):
     eps = 0.2
     kern = build_jump_kernel(scaled_identity(1.0), "annulus", "cosine", eps,
                              NU1)
-    ch = kern.channel
 
     def integrand(z):
-        return ((1 + eps * np.cos(z)) ** 2 * float(ch.h.fn(z)) ** 2
+        return ((1 + eps * np.cos(z)) ** 2 * float(kern.h.fn(z)) ** 2
                 * z ** -2)
 
-    lo, hi = ch.h.support
+    lo, hi = kern.h.support
     w = sum(quad(integrand, lo, hi, epsrel=1e-12)[0] for _ in range(1))
     w *= 2.0  # both signs: cosine and h are even in z
     assert np.allclose(jump_qv_matrix(kern, x), w * np.outer(x, x),
@@ -67,7 +66,6 @@ def test_jump_qv_saturating_entrywise_quadrature(basis2):
     x = random_field(basis2, rng, norm_h=1.5)
     eps = 0.1
     kern = build_jump_kernel(saturating(0.8), "annulus", "cosine", eps, NU1)
-    ch = kern.channel
     nx = np.linalg.norm(x)
     q = jump_qv_matrix(kern, x)
 
@@ -75,9 +73,9 @@ def test_jump_qv_saturating_entrywise_quadrature(basis2):
         def integrand(z):
             t = 1 + eps * np.cos(z)
             s = 0.8 / (1.0 + abs(t) * nx)
-            return (t * s) ** 2 * x[k] * x[j] * float(ch.h.fn(z)) ** 2 * z ** -2
+            return (t * s) ** 2 * x[k] * x[j] * float(kern.h.fn(z)) ** 2 * z ** -2
 
-        lo, hi = ch.h.support
+        lo, hi = kern.h.support
         return 2.0 * quad(integrand, lo, hi, epsrel=1e-12)[0]
 
     for k, j in [(0, 0), (0, 3), (5, 2)]:

@@ -16,7 +16,8 @@ from snse.integrate import BrownianNoiseSpec, SolverConfig, \
     simulate_brownian_batch, simulate_jump_batch
 from snse.kernels import (build_jump_kernel, constant_field,
                           saturating, scaled_identity, sup_jump_size)
-from snse.measures import alpha_stable_measure, power_law_measure
+from snse.measures import (alpha_stable_measure, moment_mass,
+                           power_law_measure)
 from snse.sampling import derive_stream
 
 from oracles import (random_field, reference_growth_lipschitz,
@@ -53,9 +54,10 @@ class TestMassHelpers:
         u = random_field(basis2, rng, norm_h=1.3)
         kern = build_jump_kernel(scaled_identity(1.0), "inner_linear", "one",
                                  0.05, NU1)
-        ch = kern.channel
-        assert ch.cutoff_delta > 0.0
-        assert ch.discarded_qv_fraction > 0.5e-4
+        assert kern.cutoff_delta > 0.0
+        discarded = (moment_mass(NU1, 0.0, kern.cutoff_delta, k=2)
+                     / kern.h.scale**2)
+        assert discarded > 0.5e-4
         h2 = float(np.sum(u * u))
         assert abs(jump_l2_mass(kern, u) - h2) < 1e-8 * h2
 
@@ -65,15 +67,14 @@ class TestMassHelpers:
         eps = 0.05
         kern = build_jump_kernel(saturating(0.8), "annulus", "cosine", eps,
                                  NU1)
-        ch = kern.channel
         nu = np.linalg.norm(u)
 
         def integrand(z):
             t = 1 + eps * np.cos(z)
             s2 = (0.8 * t * nu / (1.0 + t * nu)) ** 2
-            return s2 * float(ch.h.fn(z)) ** 2 * z**-2
+            return s2 * float(kern.h.fn(z)) ** 2 * z**-2
 
-        lo, hi = ch.h.support
+        lo, hi = kern.h.support
         oracle = 2.0 * quad(integrand, lo, hi, epsrel=1e-11)[0]
         assert abs(jump_l2_mass(kern, u) - oracle) < 1e-6 * oracle
 
@@ -177,18 +178,17 @@ class TestJumpSizeDecay:
     def test_brute_force_within_one_percent(self, basis2):
         kern = build_jump_kernel(saturating(0.9), "annulus", "cosine", 0.1,
                                  NU1)
-        ch = kern.channel
-        closed = sup_jump_size(ch, 1.0)
+        closed = sup_jump_size(kern, 1.0)
         rng = np.random.default_rng(5)
         best = 0.0
-        zs = np.linspace(*ch.h.support, 1501)[1:]
+        zs = np.linspace(*kern.h.support, 1501)[1:]
         for _ in range(50):
             d = rng.standard_normal(24)
             u = d / np.linalg.norm(d)
             for sgn in (1.0, -1.0):
-                tv = np.asarray(ch.theta.fn(sgn * zs))
-                hv = np.asarray(ch.h.fn(sgn * zs))
-                sig = ch.sigma.fn(tv[:, None] * u[None, :])
+                tv = np.asarray(kern.theta.fn(sgn * zs))
+                hv = np.asarray(kern.h.fn(sgn * zs))
+                sig = kern.sigma.fn(tv[:, None] * u[None, :])
                 best = max(best, float(
                     (np.abs(hv) * np.linalg.norm(sig, axis=1)).max()))
         assert best <= closed * (1 + 1e-12)

@@ -10,9 +10,9 @@ from snse import integrate, sampling
 from snse.basis import get_basis
 from snse.integrate import (BrownianNoiseSpec, SolverConfig, simulate_arms,
                             simulate_brownian_batch, simulate_jump_batch)
-from snse.kernels import (JumpKernel, ThetaKernel, build_h,
-                          build_jump_kernel, constant_field, make_channel,
-                          saturating, scaled_identity)
+from snse.kernels import (ThetaKernel, build_h, build_jump_kernel,
+                          constant_field, make_kernel, saturating,
+                          scaled_identity)
 from snse.measures import alpha_stable_measure
 from snse.nonlinear import nonlinear_term_batch
 from snse.sampling import Atoms, derive_stream, sample_prm
@@ -201,7 +201,6 @@ class TestJump:
         """Jump-adapted macro stepping vs a fine event-driven integration."""
         sigma = saturating(0.6)
         kernel = build_jump_kernel(sigma, "annulus", "one", 0.1, NU1)
-        ch = kernel.channel
         rng = np.random.default_rng(8)
         u0 = random_field(basis2, rng, norm_h=0.8)
         t_end = 0.5
@@ -219,14 +218,14 @@ class TestJump:
             h = span / n
             f = np.exp(-eigs * h)
             for _ in range(n):
-                u = f * (u - h * ch.h_integral * sigma.fn(u))
+                u = f * (u - h * kernel.h_integral * sigma.fn(u))
             return u
 
         u = u0.copy()
         t = 0.0
         for time, mark in zip(atoms.times, atoms.marks):
             u = advance(u, time - t)
-            u = u + sigma.fn(float(ch.theta.fn(mark)) * u) * float(ch.h.fn(mark))
+            u = u + sigma.fn(float(kernel.theta.fn(mark)) * u) * float(kernel.h.fn(mark))
             t = time
         u = advance(u, t_end - t)
 
@@ -348,8 +347,7 @@ class TestJumpOracle:
         eps = 0.05
         theta = ThetaKernel(
             "bump", eps,
-            lambda z: np.where(np.abs(z) <= 1.0, 1.0 + eps * np.cos(z), 1e6),
-            1e6 - 1.0, 1e6)
+            lambda z: np.where(np.abs(z) <= 1.0, 1.0 + eps * np.cos(z), 1e6))
         sat = saturating(0.5)
 
         def capped(u):
@@ -358,8 +356,7 @@ class TestJumpOracle:
             return np.where(n <= 10.0, sat.fn(u), np.inf)
 
         sigma = dataclasses.replace(sat, name="capped", fn=capped)
-        kernel = JumpKernel(eps, make_channel(
-            sigma, theta, build_h("annulus", eps, NU1), NU1))
+        kernel = make_kernel(sigma, theta, build_h("annulus", eps, NU1), NU1)
         cfg = SolverConfig(t_end=0.5, dt=0.05, include_nonlinearity=False,
                            track_modes=(0, 2))
         moved = []
@@ -378,7 +375,7 @@ class TestJumpOracle:
         u0 = random_field(basis2, np.random.default_rng(9), norm_h=0.5)
         got, ref = self._both(basis2, cfg, u0, kernel, 16, 61)
         assert moved[0] == 16
-        assert kernel.channel.h.fn(np.nextafter(1.0, 2.0)) == 0.0
+        assert kernel.h.fn(np.nextafter(1.0, 2.0)) == 0.0
         assert np.isnan(got.blowup_time).all()
         for name in _FIELDS:
             np.testing.assert_array_equal(getattr(got, name),
@@ -397,7 +394,7 @@ class TestJumpOracle:
 
         sigma = dataclasses.replace(sat, name="capped", fn=capped)
         kernel = build_jump_kernel(sigma, "outer_linear", "one", 0.1, NU1)
-        assert kernel.channel.h_integral == 0.0
+        assert kernel.h_integral == 0.0
         cfg = SolverConfig(t_end=0.5, dt=0.01, include_nonlinearity=False,
                            track_modes=(0, 2))
         u0 = random_field(basis2, np.random.default_rng(3), norm_h=0.5)
@@ -625,7 +622,7 @@ class TestStackedArms:
         g[0] = 0.5
         kernel = build_jump_kernel(constant_field(g), "annulus", "one", 0.9,
                                    NU1)
-        comp = kernel.channel.h_integral * g
+        comp = kernel.h_integral * g
         cfg = SolverConfig(t_end=0.05, dt=0.01, include_nonlinearity=False)
         u0 = unit_vector(basis2, 0, amp=0.3)
         batch = simulate_jump_batch(basis2, cfg, u0,

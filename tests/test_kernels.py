@@ -21,10 +21,10 @@ from snse.hypotheses import (brownian_l2_mass, jump_l2_diff, jump_l2_mass,
 from snse.kernels import (
     HKernel, ThetaKernel, _node_rule, build_h, build_jump_kernel, build_theta,
     compensator_drift, constant_field, diagonal_map, eval_sigma_eps,
-    gain_moment, h_norm_check, make_channel, row_dot, saturating,
+    gain_moment, h_norm_check, make_kernel, row_dot, saturating,
     scaled_identity, sup_jump_size, zero_map,
 )
-from snse.measures import alpha_stable_measure, power_law_measure
+from snse.measures import alpha_stable_measure, moment_mass, power_law_measure
 
 NU1 = alpha_stable_measure(1.0)
 GAIN_DIM = 6
@@ -33,16 +33,30 @@ BUILTIN_MAPS = (scaled_identity(0.7), saturating(0.5),
                 constant_field(0.5 * np.eye(GAIN_DIM)[1]), zero_map())
 
 
+def _sup_h(h):
+    """sup |h|, attained at the support's upper end by every built-in
+    profile; checked against a grid over the support."""
+    lo, hi = h.support
+    sup = abs(float(h.fn(hi)))
+    assert np.max(np.abs(h.fn(np.linspace(lo, hi, 1001)))) <= sup
+    return sup
+
+
 class TestThetaFamilies:
     def test_declared_sups_on_grid(self):
         z = np.linspace(-50.0, 50.0, 100_001)
-        for family in ("one", "cosine", "gaussian_dip"):
+        # closed-form sup |theta - 1| and sup |theta| of each family
+        sups = {"one": lambda e: (0.0, 1.0),
+                "cosine": lambda e: (e, 1.0 + e),
+                "gaussian_dip": lambda e: (e / math.sqrt(2.0 * math.pi), 1.0)}
+        for family, sup in sups.items():
             for eps in (0.2, 0.05):
                 th = build_theta(family, eps)
+                sup_dev, sup_abs = sup(eps)
                 dev = np.max(np.abs(th.fn(z) - 1.0))
-                assert dev <= th.sup_dev + 1e-12
-                assert np.max(np.abs(th.fn(z))) <= th.sup_abs + 1e-12
-                assert th.sup_dev <= eps  # uniform closeness to 1
+                assert dev <= sup_dev + 1e-12
+                assert np.max(np.abs(th.fn(z))) <= sup_abs + 1e-12
+                assert sup_dev <= eps  # uniform closeness to 1
 
     def test_cosine_attains_eps(self):
         th = build_theta("cosine", 0.1)
@@ -62,14 +76,14 @@ class TestHFamilies:
     def test_annulus_frozen_sup(self):
         h = build_h("annulus", 0.01, NU1)
         assert h.scale**2 == pytest.approx(198.0, rel=1e-12)
-        assert h.sup_abs == pytest.approx(198.0**-0.5, rel=1e-12)
-        assert h.sup_abs == pytest.approx(0.07106690545187014, rel=1e-9)
+        assert _sup_h(h) == pytest.approx(198.0**-0.5, rel=1e-12)
+        assert _sup_h(h) == pytest.approx(0.07106690545187014, rel=1e-9)
 
     def test_inner_linear_frozen_sup(self):
         h = build_h("inner_linear", 0.1, NU1)
         assert h.scale**2 == pytest.approx(0.2, rel=1e-12)
-        assert h.sup_abs == pytest.approx(0.1 / math.sqrt(0.2), rel=1e-12)
-        assert h.sup_abs == pytest.approx(0.22360679774997896, rel=1e-9)
+        assert _sup_h(h) == pytest.approx(0.1 / math.sqrt(0.2), rel=1e-12)
+        assert _sup_h(h) == pytest.approx(0.22360679774997896, rel=1e-9)
 
     def test_normalization_independent_quadrature(self):
         # direct scipy route, no shared code with the builders
@@ -87,14 +101,15 @@ class TestHFamilies:
         for alpha in (0.5, 1.0, 1.5):
             nu = alpha_stable_measure(alpha)
             for family in ("annulus", "inner_linear"):
-                sups = [build_h(family, e, nu).sup_abs for e in grid]
+                sups = [_sup_h(build_h(family, e, nu)) for e in grid]
                 assert all(a > b for a, b in zip(sups, sups[1:]))
 
     def test_outer_linear_grows_for_stable_measures(self):
         # the documented failure mode: sup |h| increases as eps shrinks
         for alpha in (0.5, 1.0, 1.5):
             nu = alpha_stable_measure(alpha)
-            sups = [build_h("outer_linear", e, nu).sup_abs for e in (0.2, 0.1, 0.05)]
+            sups = [_sup_h(build_h("outer_linear", e, nu))
+                    for e in (0.2, 0.1, 0.05)]
             assert sups[0] < sups[1] < sups[2]
             for e, s in zip((0.2, 0.1, 0.05), sups):
                 closed = math.sqrt((2.0 - alpha) / (2.0 * (e**alpha - e**2)))
@@ -102,7 +117,8 @@ class TestHFamilies:
 
     def test_outer_linear_decays_for_tail_measure(self):
         nu = power_law_measure(-0.5, 1.0, math.inf)  # |z|^(beta-1), beta = 0.5
-        sups = [build_h("outer_linear", e, nu).sup_abs for e in (0.2, 0.1, 0.05)]
+        sups = [_sup_h(build_h("outer_linear", e, nu))
+                for e in (0.2, 0.1, 0.05)]
         assert sups[0] > sups[1] > sups[2]
 
     def test_empty_overlap_rejected(self):
@@ -120,16 +136,17 @@ class TestHFamilies:
 class TestFieldMaps:
     def test_zoo_shapes_and_lipschitz(self, basis2, rng):
         u = rng.standard_normal((3, basis2.dim))
-        for fm in (scaled_identity(0.5), saturating(), zero_map(),
-                   diagonal_map(np.linspace(1, 2, basis2.dim)),
-                   constant_field(np.eye(basis2.dim)[0])):
+        for fm, lipschitz in ((scaled_identity(0.5), 0.5), (saturating(), 1.0),
+                              (zero_map(), 0.0),
+                              (diagonal_map(np.linspace(1, 2, basis2.dim)), 2.0),
+                              (constant_field(np.eye(basis2.dim)[0]), 0.0)):
             out = fm.fn(u)
             assert out.shape == u.shape
-            # empirical Lipschitz ratio never exceeds the declared constant
+            # empirical Lipschitz ratio never exceeds the map's constant
             v = u + 0.1 * rng.standard_normal(u.shape)
             num = np.linalg.norm(fm.fn(u) - fm.fn(v), axis=-1)
             den = np.linalg.norm(u - v, axis=-1)
-            assert np.all(num <= fm.lipschitz * den + 1e-12)
+            assert np.all(num <= lipschitz * den + 1e-12)
 
     def test_saturating_bounded(self, basis2, rng):
         fm = saturating()
@@ -211,20 +228,19 @@ class TestGainMoments:
     def test_half_table_is_the_two_sign_sum(self, family, theta, eps):
         # the two-sign sum in sign order, (0 + S+) + S-, with every value at
         # +z and -z taken from the kernel's callables
-        ch = build_jump_kernel(saturating(0.5), family, theta, eps,
-                               NU1).channel
+        kern = build_jump_kernel(saturating(0.5), family, theta, eps, NU1)
         rng = np.random.default_rng(17)
         rows = (rng.standard_normal((9, GAIN_DIM))
                 * np.geomspace(0.05, 20.0, 9)[:, None])
         r = np.linalg.norm(rows, axis=-1, keepdims=True)
-        z, rule = _node_rule(ch.h, ch.measure)
+        z, rule = _node_rule(kern.h, kern.measure)
         (wp, hp, gp), (wm, hm, gm) = (
-            (rule * NU1.density(x), ch.h.fn(x),
-             ch.sigma.gain(ch.theta.fn(x), r)) for x in (z, -z))
+            (rule * NU1.density(x), kern.h.fn(x),
+             kern.sigma.gain(kern.theta.fn(x), r)) for x in (z, -z))
         odd = family != "annulus"
         for k in (1, 2, 3, 4):
             plus = row_dot(gp**k, wp * hp**k)
-            value = gain_moment(ch, rows, k)
+            value = gain_moment(kern, rows, k)
             # numpy's vectorized pow need not be exactly odd or even in its
             # base beyond the square, so from k = 3 the mirror's power is
             # the +z power times parity^k, and the sum with numpy's powers
@@ -262,15 +278,15 @@ class TestGainMoments:
         rows = (rng.standard_normal((128, basis.dim))
                 * np.geomspace(0.05, 20.0, 128)[:, None] / np.sqrt(basis.dim))
         u, v = rows[5], rows[90]
-        ch, t = kern.channel, kern.channel.table
+        t = kern.table
         for x in (u, rows[:1], rows[:7], rows):
             # k = 1 sums the gains as the map returns them, with the bits of
             # a sum over a full, contiguous array of gains
             r = np.linalg.norm(x, axis=-1, keepdims=True)
-            g = np.broadcast_to(ch.sigma.gain(t.theta, r),
+            g = np.broadcast_to(kern.sigma.gain(t.theta, r),
                                 r.shape[:-1] + t.theta.shape).copy()
             half = row_dot(g, t.w * t.h)
-            assert np.array_equal(gain_moment(ch, x, 1),
+            assert np.array_equal(gain_moment(kern, x, 1),
                                   0.0 + half + t.parity * half)
             drift = compensator_drift(kern, x)
             if odd:
@@ -346,14 +362,15 @@ class TestChannels:
     def test_auto_cutoff_closed_form(self):
         # power density: discarded share (delta/eps)^(2-alpha) = budget
         h = build_h("inner_linear", 0.1, NU1)
-        ch = make_channel(scaled_identity(), build_theta("one", 0.1), h, NU1)
-        assert ch.cutoff_delta == pytest.approx(0.1 * 1e-4, rel=1e-9)
-        assert ch.discarded_qv_fraction <= 1e-4 * 1.0001
-        assert ch.sample_range[0] == pytest.approx(1e-5, rel=1e-9)
+        kern = make_kernel(scaled_identity(), build_theta("one", 0.1), h, NU1)
+        assert kern.cutoff_delta == pytest.approx(0.1 * 1e-4, rel=1e-9)
+        discarded = moment_mass(NU1, 0.0, kern.cutoff_delta, k=2) / h.scale**2
+        assert discarded <= 1e-4 * 1.0001
+        assert kern.sample_range[0] == pytest.approx(1e-5, rel=1e-9)
 
     def test_activity_value(self):
         kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.1, NU1)
-        assert kern.channel.activity == pytest.approx(18.0, rel=1e-12)
+        assert kern.activity == pytest.approx(18.0, rel=1e-12)
 
     def test_compensator_annulus_identity(self, basis2):
         # int h dnu = sqrt(mass); with identity sigma the drift is sqrt(198) u
@@ -363,7 +380,7 @@ class TestChannels:
         drift = compensator_drift(kern, u)
         assert drift[0] == pytest.approx(math.sqrt(198.0), rel=1e-9)
         assert np.allclose(drift[1:], 0.0)
-        assert kern.channel.h_integral == pytest.approx(14.071247279470288, rel=1e-9)
+        assert kern.h_integral == pytest.approx(14.071247279470288, rel=1e-9)
 
     def test_h_integral_closed_form(self):
         # flat annulus profile: the integral of h against nu by direct
@@ -371,15 +388,15 @@ class TestChannels:
         for alpha in (0.5, 1.0, 1.5):
             nu = alpha_stable_measure(alpha)
             for eps in (0.2, 0.1, 0.05, 0.02, 0.01):
-                ch = build_jump_kernel(scaled_identity(), "annulus", "one",
-                                       eps, nu).channel
-                ref = 2.0 * quad(lambda r: float(ch.h.fn(r)) * r**nu.power,
+                kern = build_jump_kernel(scaled_identity(), "annulus", "one",
+                                         eps, nu)
+                ref = 2.0 * quad(lambda r: float(kern.h.fn(r)) * r**nu.power,
                                  eps, 1.0, epsabs=0.0, epsrel=1e-13,
                                  limit=200)[0]
-                assert ch.h_integral == pytest.approx(ref, rel=1e-12)
+                assert kern.h_integral == pytest.approx(ref, rel=1e-12)
                 for family in ("inner_linear", "outer_linear"):
                     odd = build_jump_kernel(scaled_identity(), family, "one",
-                                            eps, nu).channel
+                                            eps, nu)
                     assert odd.h_integral == 0.0
 
     def test_node_table_must_hold_h2_mass(self):
@@ -390,14 +407,14 @@ class TestChannels:
                               alpha_stable_measure(1.8))
         kern = build_jump_kernel(scaled_identity(), "inner_linear", "one",
                                  0.1, alpha_stable_measure(1.5))
-        h = kern.channel.h
+        h = kern.h
         assert abs(h_norm_check(h, alpha_stable_measure(1.5)) - 1.0) <= 1e-4
 
     def test_node_table_holds_the_plus_half(self):
         for family, parity in (("annulus", 1.0), ("inner_linear", -1.0),
                                ("outer_linear", -1.0)):
             t = build_jump_kernel(scaled_identity(), family, "cosine", 0.1,
-                                  NU1).channel.table
+                                  NU1).table
             assert t.parity == parity
             for arr in (t.z, t.w, t.h, t.theta):
                 assert arr.shape == (240,) and not arr.flags.writeable
@@ -406,21 +423,30 @@ class TestChannels:
     def test_asymmetric_theta_refused(self):
         # the one-sign sums need theta(-z) == theta(z) at every node
         eps = 0.1
-        odd = ThetaKernel("sine", eps, lambda z: 1.0 + eps * np.sin(z),
-                          eps, 1.0 + eps)
+        odd = ThetaKernel("sine", eps, lambda z: 1.0 + eps * np.sin(z))
         h = build_h("annulus", eps, NU1)
         with pytest.raises(InadmissibleKernelError, match="not symmetric"):
-            make_channel(scaled_identity(), odd, h, NU1)
+            make_kernel(scaled_identity(), odd, h, NU1)
+
+    def test_theta_epsilon_must_match_h(self):
+        # the kernel takes its epsilon from h, so theta must be built at it
+        h = build_h("annulus", 0.1, NU1)
+        with pytest.raises(ValueError, match="epsilon"):
+            make_kernel(scaled_identity(), build_theta("cosine", 0.2), h, NU1)
+        kern = make_kernel(scaled_identity(), build_theta("cosine", 0.1), h,
+                           NU1)
+        assert kern.epsilon == 0.1
+        assert kern.channels[0] is kern
 
     def test_measure_edge_inside_h_support_splits_a_panel(self):
         # the measure's support starts at 0.001, inside inner_linear's
         # support (0, 0.1): a panel edge there keeps the density smooth on
         # every panel, so the table holds the h^2 mass to rounding
         nu = power_law_measure(-1.5, 0.001, 10.0)
-        ch = build_jump_kernel(scaled_identity(), "inner_linear", "one", 0.1,
-                               nu).channel
-        assert ch.table.z.shape == (250,)
-        assert abs(h_norm_check(ch.h, nu) - 1.0) <= 1e-11
+        kern = build_jump_kernel(scaled_identity(), "inner_linear", "one", 0.1,
+                                 nu)
+        assert kern.table.z.shape == (250,)
+        assert abs(h_norm_check(kern.h, nu) - 1.0) <= 1e-11
 
     def test_compensator_zero_for_odd_profiles(self, basis2, rng):
         u = random_field(basis2, rng)
@@ -437,11 +463,10 @@ class TestChannels:
         u = np.zeros(basis2.dim)
         u[2] = 1.3
         drift = compensator_drift(kern, u)
-        ch = kern.channel
 
         def integrand(r):
             # even in z, so fold equals twice the positive side
-            return 2.0 * 0.7 * (1.0 + 0.2 * np.cos(r)) * 1.3 * float(ch.h.fn(r)) * r**-2
+            return 2.0 * 0.7 * (1.0 + 0.2 * np.cos(r)) * 1.3 * float(kern.h.fn(r)) * r**-2
 
         ref = quad(integrand, 0.2, 1.0, epsrel=1e-12)[0]
         assert drift[2] == pytest.approx(ref, rel=1e-8)
@@ -449,11 +474,10 @@ class TestChannels:
 
     def test_node_table_is_the_only_kernel_evaluation(self, basis2, rng,
                                                       monkeypatch):
-        # once the channel is built, the nu-integrals read the frozen table
+        # once the kernel is built, the nu-integrals read the frozen table
         # and never call h, theta or the density again
         kern = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.05,
                                  alpha_stable_measure(1.0))
-        ch = kern.channel
         u = random_field(basis2, rng)
         rows = np.stack([random_field(basis2, rng) for _ in range(3)])
 
@@ -467,43 +491,42 @@ class TestChannels:
             raise AssertionError("kernel callable evaluated")
 
         monkeypatch.setattr(HKernel, "fn", refuse)
-        object.__setattr__(ch.theta, "fn", refuse)
-        object.__setattr__(ch.measure, "density", refuse)
+        # theta is shared by every kernel of its family key: patch it
+        # through its frozen instance dict, which monkeypatch restores
+        monkeypatch.setitem(vars(kern.theta), "fn", refuse)
+        monkeypatch.setitem(vars(kern.measure), "density", refuse)
         for a, b in zip(before, values()):
             assert np.array_equal(a, b)
 
     def test_eval_sigma_eps(self, basis2, rng):
         kern = build_jump_kernel(saturating(), "annulus", "cosine", 0.2, NU1)
-        ch = kern.channel
         u = random_field(basis2, rng)
-        out = eval_sigma_eps(ch, u, 0.5)
+        out = eval_sigma_eps(kern, u, 0.5)
         tval = 1.0 + 0.2 * math.cos(0.5)
-        expect = ch.sigma.fn(tval * u) * float(ch.h.fn(0.5))
+        expect = kern.sigma.fn(tval * u) * float(kern.h.fn(0.5))
         assert np.allclose(out, expect)
-        assert np.all(eval_sigma_eps(ch, u, 5.0) == 0.0)
+        assert np.all(eval_sigma_eps(kern, u, 5.0) == 0.0)
         with pytest.raises(ValueError):
-            eval_sigma_eps(ch, u, 0.0)
+            eval_sigma_eps(kern, u, 0.0)
 
     def test_eval_sigma_eps_rows(self, basis2, rng):
         # one mark per row, each row equal to its one-mark value; the last
         # mark lies off the h support
         kern = build_jump_kernel(saturating(), "annulus", "cosine", 0.2, NU1)
-        ch = kern.channel
         rows = np.stack([random_field(basis2, rng) for _ in range(4)])
         marks = np.array([0.5, -0.3, 0.9, 5.0])
-        out = eval_sigma_eps(ch, rows, marks)
+        out = eval_sigma_eps(kern, rows, marks)
         assert out.shape == rows.shape
         for r, z in zip(range(4), marks):
-            assert np.array_equal(out[r], eval_sigma_eps(ch, rows[r], z))
+            assert np.array_equal(out[r], eval_sigma_eps(kern, rows[r], z))
         assert np.all(out[3] == 0.0)
         with pytest.raises(ValueError):
-            eval_sigma_eps(ch, rows, np.array([0.5, 0.0, 0.9, 0.4]))
+            eval_sigma_eps(kern, rows, np.array([0.5, 0.0, 0.9, 0.4]))
 
     def test_sup_jump_size_joint_grid_close_to_closed_form(self):
         # with theta == one the joint sup factorizes exactly
         for family, eps in (("annulus", 0.1), ("inner_linear", 0.05)):
             kern = build_jump_kernel(saturating(), family, "one", eps, NU1)
-            ch = kern.channel
-            joint = sup_jump_size(ch, radius=2.0)
-            closed = ch.h.sup_abs * ch.sigma.ball_sup(2.0)
+            joint = sup_jump_size(kern, radius=2.0)
+            closed = _sup_h(kern.h) * kern.sigma.ball_sup(2.0)
             assert joint == pytest.approx(closed, rel=1e-6)

@@ -107,7 +107,7 @@ class TestChunkSampler:
     def test_inner_linear_cutoff(self):
         kern = build_jump_kernel(scaled_identity(), "inner_linear", "cosine",
                                  0.1, NU1)
-        assert kern.channel.cutoff_delta > 0.0
+        assert kern.cutoff_delta > 0.0
         counts = self._check(kern, 2e-3, 12)
         assert counts.min() > 0
 
@@ -139,7 +139,7 @@ class TestEventSampling:
     def test_count_mean_matches_activity(self):
         # activity of the annulus family under the alpha=1 measure, eps=0.1
         kern = _kernel(eps=0.1)
-        assert kern.channel.activity == pytest.approx(18.0)
+        assert kern.activity == pytest.approx(18.0)
         counts = [len(sample_prm(kern, 1.0, derive_stream(11, "jump", 0, p)))
                   for p in range(3000)]
         mean = np.mean(counts)
@@ -149,7 +149,7 @@ class TestEventSampling:
     def test_marks_inside_sampled_support(self):
         # activity here is ~2e5 per unit time, so keep the horizon tiny
         kern = build_jump_kernel(scaled_identity(), "inner_linear", "one", 0.1, NU1)
-        lo, hi = kern.channel.sample_range
+        lo, hi = kern.sample_range
         events = sample_prm(kern, 0.02, derive_stream(2, "jump", 0, 0))
         marks = events.marks
         assert np.all((np.abs(marks) >= lo) & (np.abs(marks) <= hi))
@@ -177,12 +177,11 @@ class TestEventSampling:
         # count, sorted times, magnitudes, signs
         kern = build_jump_kernel(scaled_identity(), "annulus", "one", 0.05,
                                  NU1)
-        ch = kern.channel
         atoms = sample_prm(kern, 1.5, derive_stream(29, "jump", 0, 4))
         rng = derive_stream(29, "jump", 0, 4)
-        count = rng.poisson(ch.activity * 1.5)
+        count = rng.poisson(kern.activity * 1.5)
         times = np.sort(rng.random(count)) * 1.5
-        mags = power_magnitude_ppf(ch.measure.power, *ch.sample_range,
+        mags = power_magnitude_ppf(kern.measure.power, *kern.sample_range,
                                    rng.random(count))
         signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
         assert len(atoms) == count > 0
