@@ -90,11 +90,22 @@ def _require_config(args) -> str:
     return args.config
 
 
+def _target(out_dir, name: str, force: bool) -> Path:
+    """out_dir/name; refused (FileExistsError) before any work if it
+    exists and force is off."""
+    target = Path(out_dir) / name
+    if target.exists() and not force:
+        raise FileExistsError(str(target))
+    return target
+
+
 def cmd_check(args) -> int:
     run = load_config(_require_config(args), seed=_resolve_seed(args))
     cfg = run.experiment
     if not cfg.kernels:
         raise ConfigError("check needs a [jump] section")
+    if args.out:
+        target = _target(args.out, "check_report.csv", args.force)
     report = certify_kernels(cfg.basis, cfg.kernels, cfg.forcing,
                              label=cfg.label)
     for line in report.summary_lines():
@@ -103,12 +114,11 @@ def cmd_check(args) -> int:
         for note in rep.notes:
             print(f"note: {note}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
         lines = ["check,epsilon,value,witness,pass"]
         lines += [",".join(csv_cell(v) for v in row)
                   for row in report.csv_rows()]
-        (out / "check_report.csv").write_text("\n".join(lines) + "\n")
+        target.write_text("\n".join(lines) + "\n")
     return 0 if report.passed else 1
 
 
@@ -116,16 +126,18 @@ def cmd_simulate(args) -> int:
     run = load_config(_require_config(args), seed=_resolve_seed(args),
                       n_paths=args.paths)
     cfg = run.experiment
+    arm, idx = "brownian", 0
+    label, dump_name = "bm", "paths_bm.csv"
     if args.arm == "jump":
         if not cfg.kernels:
             raise ConfigError("simulate --arm jump needs a [jump] section")
-        idx = len(cfg.kernels) - 1
-        batch = run_arm(cfg, "jump", idx)
+        arm, idx = "jump", len(cfg.kernels) - 1
         eps = float_label(cfg.epsilons[idx])
         label, dump_name = f"jump eps={eps}", f"paths_eps{eps}.csv"
-    else:
-        batch = run_arm(cfg, "brownian", 0)
-        label, dump_name = "bm", "paths_bm.csv"
+    out_dir = args.out or run.out_dir
+    if out_dir:
+        target = _target(out_dir, dump_name, args.force)
+    batch = run_arm(cfg, arm, idx)
 
     frac = 1.0 - batch.valid_mask().mean()
     print(f"arm: {label}  paths: {batch.n_paths}  seed: {cfg.seed}  "
@@ -138,13 +150,11 @@ def cmd_simulate(args) -> int:
         mean, var, se = summarize(vals)
         print(f"{f}: mean={mean:.10g} se={se:.4g} var={var:.10g}")
 
-    out_dir = args.out or run.out_dir
     if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
         text = "\n".join(path_dump_lines(batch, cfg.solver.track_modes)) + "\n"
-        (out / dump_name).write_text(text)
-        print(f"wrote {out / dump_name}")
+        target.write_text(text)
+        print(f"wrote {target}")
     if frac > BLOWUP_BUDGET:
         print(f"numerical failure: {frac:.2%} of paths blew up "
               f"(budget {BLOWUP_BUDGET:.0%})", file=sys.stderr)
@@ -162,9 +172,7 @@ def cmd_converge(args) -> int:
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set "
                           "[output] dir in the run file")
-    target = Path(out_dir) / "summary.csv"
-    if target.exists() and not args.force:
-        raise FileExistsError(str(target))
+    _target(out_dir, "summary.csv", args.force)
     result = run_experiment(cfg, force=args.force)
 
     if result.forced:
@@ -214,12 +222,12 @@ def cmd_tensor_dump(args) -> int:
         print(f"refusing tensor dump for nmax={args.nmax}: entry count "
               f"grows like dim^3, cap is {MAX_DUMP_NMAX}", file=sys.stderr)
         return 1
+    if args.out:
+        target = _target(args.out, f"tensor_n{args.nmax}.csv", args.force)
     tensor = coupling_tensor(get_basis(args.nmax))
     lines = list(_tensor_csv_rows(tensor))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / f"tensor_n{args.nmax}.csv"
+        target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text("\n".join(lines) + "\n")
         print(f"wrote {target} ({len(lines) - 1} entries)")
     else:

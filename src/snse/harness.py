@@ -19,9 +19,9 @@ persisted files carry no timestamps.  Linear runs are also byte-stable
 across BLAS thread counts (tested), and each linear arm has the bits of its
 one-arm run (tested); nonlinear runs are not: B(u) on P = 512 random rows
 at n_max = 8 differs in 117,460 of 147,456 entries (<= 1.1e-15 of the
-largest) at 1 and 2 threads (at n_max = 4 in none, untested), and in the
-atom rounds of a stack its gemm sees another batch shape, so a nonlinear
-arm can move in the last bits.
+largest) at 1 and 2 threads (at n_max = 4 in none, untested), and a stack
+takes B(u) in fixed blocks of its rows across arms, the V-norm gemv arm by
+arm, so a nonlinear arm can move in the last bits against its one-arm run.
 
 A chunk's jump atoms are planned all at once, so a run whose chunk
 expects more than ATOM_BUDGET atoms is refused before it starts.

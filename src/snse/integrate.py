@@ -18,10 +18,10 @@ any row, not with the number of atoms or of arms.  A round only writes the
 norms of its substeps and jumps into buffers of its step; each row's
 integral of |u|_V^2 and sup of |u|_H^2 over the step are reduced once,
 after the last round.  Every arm of a stack takes one sigma map, evaluated
-once per state on all rows.  BLAS products run block by block, one arm's
-rows at a time, so every operation on a row has the bits it has when that
-arm runs alone, except B(u) in the atom rounds, where the rows of all jump
-arms meet and the gemm's rows can move in the last bits.
+once per state on all rows.  B(u) runs in fixed blocks of _B_ROWS of the
+stacked rows, whatever arm they belong to, and the V-norm gemv arm by arm,
+so a linear arm has the bits it has when it runs alone, while a gemm's rows
+can move in the last bits with the block shape.
 
 Per-path randomness contract (pinned by tests, do not reorder):
   * Brownian arm: one standard_normal(n_steps) call per path.
@@ -143,15 +143,20 @@ def _tile_initial(u0, n_paths: int, dim: int) -> np.ndarray:
     return u
 
 
+# B(u) takes the stacked rows in blocks of this many: OpenBLAS splits a gemm
+# this wide well across two threads (a 128-row call runs slower on two
+# threads than on one), while the block's grid buffer stays a few MB
+_B_ROWS = 512
+
+
 def _explicit_drift(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
-                    forcing: FieldMap | None,
-                    block: int | None = None) -> np.ndarray:
+                    forcing: FieldMap | None) -> np.ndarray:
     """-B(u) + F(u) on (P, dim) rows; the Stokes part lives in the semigroup.
 
-    B(u) runs in blocks of at most block rows.
+    B(u) runs in blocks of _B_ROWS rows.
     """
     if cfg.include_nonlinearity:
-        out = nonlinear_term_batch(basis, u, block)
+        out = nonlinear_term_batch(basis, u, _B_ROWS)
         np.negative(out, out=out)
     else:
         out = np.zeros(u.shape)
@@ -165,13 +170,19 @@ _TRACES = ("norm_h2", "norm_v2", "int_v2", "mode_traces", "drift_traces",
            "jump_counts", "sup_h4", "blowup_time", "terminal")
 
 
+# PathBatch fields with one entry per record, stored record-major
+_RECORDED = _TRACES[:6]
+
+
 class ArmTraces:
     """Preallocated traces of n_arms arms of n_paths paths each.
 
-    Every array has the PathBatch layout behind a leading arm axis, so a
-    record writes the stacked rows of all arms with one assignment per
-    trace, and arm a's PathBatch is a view of slot a.  window(lo, hi) is
-    the same store cut to paths lo..hi-1 of every arm, for one chunk.
+    The per-record traces are stored record-major, (records, arms, paths[,
+    k]), so a record writes the stacked rows of all arms as one contiguous
+    block per trace; sup_h4, blowup_time and terminal are (arms, paths[,
+    dim]).  Arm a's PathBatch holds views of slot a, with the record axis
+    moved behind the path axis.  window(lo, hi) is the same store cut to
+    paths lo..hi-1 of every arm, for one chunk.
     """
 
     def __init__(self, cfg: SolverConfig, n_arms: int, n_paths: int,
@@ -181,7 +192,7 @@ class ArmTraces:
                                 or self.track.max() >= dim):
             raise ValueError("track_modes index out of range")
         rows = (n_arms, n_paths)
-        recs = rows + (cfg.n_recorded,)
+        recs = (cfg.n_recorded,) + rows
         self.times = cfg.recorded_times()
         self.norm_h2 = np.empty(recs)
         self.norm_v2 = np.empty(recs)
@@ -196,33 +207,35 @@ class ArmTraces:
     def window(self, lo: int, hi: int) -> ArmTraces:
         view = copy.copy(self)
         for name in _TRACES:
-            setattr(view, name, getattr(self, name)[:, lo:hi])
+            cut = (slice(None),) * (2 if name in _RECORDED else 1)
+            setattr(view, name, getattr(self, name)[cut + (slice(lo, hi),)])
         return view
 
     def batches(self) -> list[PathBatch]:
-        return [PathBatch(self.times, *(getattr(self, name)[a]
-                                        for name in _TRACES))
-                for a in range(self.norm_h2.shape[0])]
+        return [PathBatch(self.times, *(
+            np.moveaxis(getattr(self, name)[:, a], 0, 1)
+            if name in _RECORDED else getattr(self, name)[a]
+            for name in _TRACES)) for a in range(self.sup_h4.shape[0])]
 
     def record(self, r: int, u, h2, v2, drift, eigs, iv2, counts):
-        """Record r of the stacked rows u, arm by arm."""
-        rows = self.norm_h2.shape[:2]
-        self.norm_h2[:, :, r] = h2.reshape(rows)
-        self.norm_v2[:, :, r] = v2.reshape(rows)
-        self.int_v2[:, :, r] = iv2.reshape(rows)
-        self.jump_counts[:, :, r] = counts.reshape(rows)
+        """Record r of the stacked rows u, one block per trace."""
+        rows = self.sup_h4.shape
+        self.norm_h2[r] = h2.reshape(rows)
+        self.norm_v2[r] = v2.reshape(rows)
+        self.int_v2[r] = iv2.reshape(rows)
+        self.jump_counts[r] = counts.reshape(rows)
         if self.track.size:
             k = self.track
             modes = rows + (k.size,)
             uk = u[:, k]
-            self.mode_traces[:, :, r] = uk.reshape(modes)
+            self.mode_traces[r] = uk.reshape(modes)
             # -lambda_k u_k + drift_k, built in the gathered copy
             uk *= -eigs[k]
             uk += drift[:, k]
-            self.drift_traces[:, :, r] = uk.reshape(modes)
+            self.drift_traces[r] = uk.reshape(modes)
 
     def finish(self, u, sup4, blow_t) -> None:
-        rows = self.norm_h2.shape[:2]
+        rows = self.sup_h4.shape
         self.sup_h4[...] = sup4.reshape(rows)
         self.blowup_time[...] = blow_t.reshape(rows)
         self.terminal[...] = u.reshape(rows + u.shape[1:])
@@ -242,6 +255,15 @@ def _compensator(v, s, coef, gains, zero) -> np.ndarray:
     if zero is not None:
         out[zero] = 0.0
     return out
+
+
+def _plan_order(step, rank, row) -> np.ndarray:
+    """np.lexsort((row, rank, step)) of unique triples, as one argsort of
+    the int64 key (step n_rank + rank) width + row while that fits."""
+    n_rank, width = int(rank.max(initial=0)) + 1, int(row.max(initial=0)) + 1
+    if (int(step.max(initial=0)) + 1) * n_rank * width >= 1 << 63:
+        return np.lexsort((row, rank, step))
+    return np.argsort((step * n_rank + rank) * width + row)
 
 
 class _AtomPlan:
@@ -307,7 +329,7 @@ class _AtomPlan:
         tail = np.zeros_like(times)
         tail[fresh] = (step[last] * dt + dt) - times[last]
 
-        order = np.lexsort((row, rank, step))
+        order = _plan_order(step, rank, row)
         place = np.empty_like(order)
         place[order] = np.arange(order.size)
         self.bounds = np.zeros(n_steps + 1, dtype=np.intp)
@@ -418,12 +440,8 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     efac = np.exp(neg_eigs * cfg.dt)
     n_rows = u.shape[0]
 
-    # BLAS products run in blocks of one arm's paths, as in a one-arm run:
-    # a gemv's or gemm's rows depend on the batch shape, and B(u)'s grid
-    # temporaries grow with it
-    def explicit(u):
-        return _explicit_drift(basis, cfg, u, forcing, n_paths)
-
+    # the V-norm gemv runs arm by arm, as in a one-arm run: its rows
+    # depend on the batch shape
     def norms(u):
         uu = u * u
         v2 = np.empty(uu.shape[0])
@@ -464,7 +482,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
             v += jump
             u_cur[at] = v
             np.add.reduce(v * v, axis=1, out=atom_h2[lo - a0:hi - a0])
-            dv = explicit(v)
+            dv = _explicit_drift(basis, cfg, v, forcing)
             dv -= _compensator(v, sigma(v), plan.atom_coef[lo:hi], gains,
                                None if plan.atom_zero is None
                                else plan.atom_zero[lo:hi])
@@ -488,7 +506,7 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(cfg.n_steps):
-            expl = explicit(u)
+            expl = _explicit_drift(basis, cfg, u, forcing)
             if n % cfg.record_stride == 0:
                 out.record(n // cfg.record_stride, u, h2, v2, expl, eigs,
                            iv2, counts)
@@ -539,8 +557,8 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
                 sup4[rows[keep]] = np.maximum(sup4[rows[keep]],
                                               sup2[keep] * sup2[keep])
             u = u_new
-        out.record(cfg.n_recorded - 1, u, h2, v2, explicit(u), eigs, iv2,
-                   counts)
+        out.record(cfg.n_recorded - 1, u, h2, v2,
+                   _explicit_drift(basis, cfg, u, forcing), eigs, iv2, counts)
     out.finish(u, sup4, blow_t)
     return out.batches()
 

@@ -107,14 +107,3 @@ def power_magnitude_ppf(p: float, a: float, b: float, u):
     if b == math.inf and q > 0:
         raise InfiniteMassError("magnitude law not normalizable")
     return (aq + u * (bq - aq)) ** (1.0 / q)
-
-
-def power_magnitude_cdf(p: float, a: float, b: float, x):
-    """CDF matching power_magnitude_ppf, used by sampler cross-checks."""
-    x = np.clip(np.asarray(x, dtype=np.float64), a, b)
-    q = p + 1.0
-    if q == 0.0:
-        return np.log(x / a) / np.log(b / a)
-    aq = a**q
-    bq = 0.0 if b == math.inf else b**q
-    return (x**q - aq) / (bq - aq)

@@ -112,11 +112,15 @@ def sample_prm_paths(kernel: JumpKernel, horizon: float,
     path = np.repeat(np.arange(counts.size), counts)
     start = np.cumsum(counts) - counts
     # the k-th atom of a path reads draws 3 start + k, + count, + 2 count
-    at = np.arange(path.size) + 2 * start[path]
+    k = np.arange(path.size) - start[path]
+    at = k + 3 * start[path]
     run = counts[path]
     draws = np.concatenate(draws) if draws else np.empty(0)
-    ut = draws[at]
-    times = ut[np.lexsort((ut, path))] * horizon
+    # sort each path's times in a row padded with +inf past its count
+    pad = np.full((counts.size, counts.max(initial=0)), np.inf)
+    pad[path, k] = draws[at]
+    pad.sort(axis=1)
+    times = pad[np.arange(pad.shape[1]) < counts[:, None]] * horizon
     mags = power_magnitude_ppf(kernel.measure.power, *kernel.sample_range,
                                draws[at + run])
     signs = np.where(draws[at + 2 * run] < 0.5, -1.0, 1.0)

@@ -12,6 +12,8 @@ package computations, kept to compare the current ones against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
@@ -370,3 +372,15 @@ def reference_qv_limit_v_growth(basis, kernels, n_samples=40, seed=202,
         if r[0] == "qv_gap":
             r[4] = bool(trend_ok and gaps[-1] <= qv_tol)
     return [tuple(r) for r in rows]
+
+
+def power_magnitude_cdf(p: float, a: float, b: float, x):
+    """CDF of the magnitude law with density prop. to r^p on [a, b], the
+    inverse of measures.power_magnitude_ppf, for sampler cross-checks."""
+    x = np.clip(np.asarray(x, dtype=np.float64), a, b)
+    q = p + 1.0
+    if q == 0.0:
+        return np.log(x / a) / np.log(b / a)
+    aq = a**q
+    bq = 0.0 if b == math.inf else b**q
+    return (x**q - aq) / (bq - aq)

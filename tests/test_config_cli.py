@@ -287,6 +287,10 @@ functionals = normH2, mode:0
 BAD_JUMP = GOOD_JUMP.replace("family_h = annulus", "family_h = outer_linear")
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("ran before refusing an existing output file")
+
+
 class TestCliCheck:
     def test_pass_writes_report(self, tmp_path, capsys):
         cfg = _write(tmp_path, GOOD_JUMP)
@@ -315,6 +319,22 @@ class TestCliCheck:
         assert "FAILED" in out
         assert "note:" in out
 
+    def test_existing_report_refused_before_work(self, tmp_path, capsys,
+                                                 monkeypatch):
+        cfg = _write(tmp_path, GOOD_JUMP)
+        rep = tmp_path / "rep"
+        rep.mkdir()
+        (rep / "check_report.csv").write_text("old\n")
+        monkeypatch.setattr(snse.cli, "certify_kernels", _no_work)
+        assert main(["check", "--config", cfg, "--out", str(rep)]) == 2
+        assert "output exists" in capsys.readouterr().err
+        assert (rep / "check_report.csv").read_text() == "old\n"
+        monkeypatch.undo()
+        assert main(["check", "--config", cfg, "--out", str(rep),
+                     "--force"]) == 0
+        capsys.readouterr()
+        assert (rep / "check_report.csv").read_text().startswith("check,")
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert main(["check"]) == 2
@@ -338,6 +358,23 @@ class TestCliSimulate:
                      "--out", str(out_b)]) == 0
         capsys.readouterr()
         assert dump_a == (out_b / "paths_bm.csv").read_bytes()
+
+    def test_existing_dump_refused_before_work(self, tmp_path, capsys,
+                                               monkeypatch):
+        cfg = _write(tmp_path, GOOD_JUMP)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "paths_bm.csv").write_text("old\n")
+        monkeypatch.setattr(snse.cli, "run_arm", _no_work)
+        assert main(["simulate", "--config", cfg, "--paths", "2",
+                     "--out", str(out)]) == 2
+        assert "output exists" in capsys.readouterr().err
+        assert (out / "paths_bm.csv").read_text() == "old\n"
+        monkeypatch.undo()
+        assert main(["simulate", "--config", cfg, "--paths", "2",
+                     "--out", str(out), "--force"]) == 0
+        capsys.readouterr()
+        assert (out / "paths_bm.csv").read_text().startswith("path_id,")
 
     def test_jump_arm_uses_smallest_epsilon(self, tmp_path, capsys):
         cfg = _write(tmp_path, GOOD_JUMP)
@@ -485,6 +522,20 @@ class TestCliTensorDump:
         lines = (tmp_path / "tensor_n1.csv").read_text().splitlines()
         assert lines[0] == "i,j,l,b_ijl"
         assert len(lines) > 1
+
+    def test_existing_dump_refused_before_work(self, tmp_path, capsys,
+                                               monkeypatch):
+        (tmp_path / "tensor_n1.csv").write_text("old\n")
+        monkeypatch.setattr(snse.cli, "coupling_tensor", _no_work)
+        assert main(["tensor-dump", "--nmax", "1",
+                     "--out", str(tmp_path)]) == 2
+        assert "output exists" in capsys.readouterr().err
+        assert (tmp_path / "tensor_n1.csv").read_text() == "old\n"
+        monkeypatch.undo()
+        assert main(["tensor-dump", "--nmax", "1", "--out", str(tmp_path),
+                     "--force"]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "tensor_n1.csv").read_text().startswith("i,j,l,")
 
     def test_dump_to_stdout(self, capsys):
         assert main(["tensor-dump", "--nmax", "1"]) == 0

@@ -442,6 +442,32 @@ _FIELDS = ("norm_h2", "norm_v2", "int_v2", "mode_traces", "drift_traces",
            "jump_counts", "sup_h4", "blowup_time", "terminal")
 
 
+class TestPlanOrder:
+    @pytest.mark.parametrize("n_rows, n_steps, rate", [
+        (40, 7, 0.8), (25, 50, 4.0), (1, 5, 3.0), (9, 3, 0.0)])
+    def test_matches_lexsort(self, n_rows, n_steps, rate):
+        # (step, rank, row) triples as a plan makes them, shuffled: rows
+        # from an offset, zero-atom rows, a single row, no atom at all
+        rng = np.random.default_rng(n_rows)
+        per = rng.poisson(rate, size=(n_rows, n_steps)).ravel()
+        row = np.repeat(np.repeat(np.arange(n_rows), n_steps), per) + 7
+        step = np.repeat(np.tile(np.arange(n_steps), n_rows), per)
+        rank = np.concatenate([np.arange(k) for k in per]
+                              + [np.empty(0, dtype=int)])
+        mix = rng.permutation(row.size)
+        row, step, rank = row[mix], step[mix], rank[mix]
+        assert (per == 0).any() or n_rows == 1
+        np.testing.assert_array_equal(integrate._plan_order(step, rank, row),
+                                      np.lexsort((row, rank, step)))
+
+    def test_key_overflow_falls_back(self):
+        step = np.array([2**40, 5, 2**40, 0])
+        rank = np.array([0, 1, 0, 3])
+        row = np.array([2**22, 9, 3, 2**22])
+        np.testing.assert_array_equal(integrate._plan_order(step, rank, row),
+                                      np.lexsort((row, rank, step)))
+
+
 class TestStackedArms:
     def test_blowup_inside_atom_steps(self, basis2):
         # the outer_linear oracle config, stacked behind a Brownian arm
@@ -573,6 +599,61 @@ class TestStackedArms:
         assert most.sum() > cfg.n_steps
         assert calls[0] == cfg.n_steps + 1 + most.sum()
 
+    def test_b_blocks_cross_arm_boundaries(self, basis2, monkeypatch):
+        # 3 arms of 300 paths stack 900 rows: every B(u) call takes them in
+        # blocks of _B_ROWS whatever arm they belong to, and each nonlinear
+        # arm stays within round-off of its one-arm run
+        from snse import nonlinear
+
+        log = []   # per B(u) call: its rows, then the rows of each block
+        term = integrate.nonlinear_term_batch
+        stress = nonlinear._stress_divergence
+
+        def outer(basis, u, block):
+            log.append([len(u)])
+            return term(basis, u, block)
+
+        def inner(basis, c):
+            log[-1].append(len(c))
+            return stress(basis, c)
+
+        sigma = saturating(0.5)
+        kernels = [build_jump_kernel(sigma, "annulus", "cosine", eps, NU1)
+                   for eps in (0.2, 0.1)]
+        cfg = SolverConfig(t_end=0.05, dt=0.01)
+        u0 = random_field(basis2, np.random.default_rng(3), norm_h=0.6)
+        noise = BrownianNoiseSpec(sigma)
+
+        def streams(arm, j):
+            return [derive_stream(61, arm, j, p) for p in range(300)]
+
+        monkeypatch.setattr(integrate, "nonlinear_term_batch", outer)
+        monkeypatch.setattr(nonlinear, "_stress_divergence", inner)
+        stacked = simulate_arms(basis2, cfg, u0,
+                                [(None, streams("brownian", 0))]
+                                + [(k, streams("jump", j))
+                                   for j, k in enumerate(kernels)], noise)
+        monkeypatch.undo()
+        b = integrate._B_ROWS
+        assert b < 900
+        for rows, *blocks in log:
+            assert blocks == [min(b, rows - lo) for lo in range(0, rows, b)]
+        # every main step and the last record see the whole stack
+        assert sum(rows == 900 for rows, *_ in log) == cfg.n_steps + 1
+        alone = [simulate_brownian_batch(basis2, cfg, u0,
+                                         streams("brownian", 0), noise)]
+        alone += [simulate_jump_batch(basis2, cfg, u0, streams("jump", j), k)
+                  for j, k in enumerate(kernels)]
+        for got, ref in zip(stacked, alone):
+            for name in ("terminal", "norm_h2", "int_v2", "sup_h4"):
+                want = getattr(ref, name)
+                np.testing.assert_allclose(
+                    getattr(got, name), want, rtol=1e-13,
+                    atol=1e-13 * np.max(np.abs(want)), err_msg=name)
+            np.testing.assert_array_equal(got.jump_counts, ref.jump_counts)
+            np.testing.assert_array_equal(got.blowup_time, ref.blowup_time)
+        assert stacked[2].jump_counts[:, -1].sum() > 0
+
     def test_two_maps_in_one_stack_refused(self, basis2):
         # equal maps built twice are two objects: the arms must share one
         kernel = build_jump_kernel(saturating(0.5), "annulus", "one", 0.1,
@@ -635,6 +716,74 @@ class TestStackedArms:
             u = efac * ((0.0 - comp) * cfg.dt + u)
         for p in range(4):
             assert np.array_equal(batch.terminal[p], u)
+
+
+class TestArmTraces:
+    def test_chunks_write_every_entry_once(self, basis2, monkeypatch):
+        # chunks of 7 over 30 paths write a record-major store through
+        # windows: each chunk's window starts at the sentinel, ends with
+        # every entry written, each record once, and nothing outside it
+        # changes
+        sigma = saturating(0.5)
+        kernel = build_jump_kernel(sigma, "annulus", "one", 0.1, NU1)
+        cfg = SolverConfig(t_end=0.06, dt=0.01, record_stride=2,
+                           track_modes=(0, 3))
+        u0 = random_field(basis2, np.random.default_rng(4), norm_h=0.5)
+        traces = integrate.ArmTraces(cfg, 2, 30, basis2.dim)
+        assert traces.norm_h2.shape == (cfg.n_recorded, 2, 30)
+        assert traces.mode_traces.shape == (cfg.n_recorded, 2, 30, 2)
+        sentinel = {"jump_counts": -1, "blowup_time": -1.0}
+        for name in integrate._TRACES:
+            getattr(traces, name)[...] = sentinel.get(name, np.nan)
+        written = []
+        record = integrate.ArmTraces.record
+
+        def counted(self, r, *args):
+            written.append(r)
+            return record(self, r, *args)
+
+        monkeypatch.setattr(integrate.ArmTraces, "record", counted)
+        for lo in range(0, 30, 7):
+            hi = min(lo + 7, 30)
+            window = traces.window(lo, hi)
+            before = {name: getattr(traces, name).copy()
+                      for name in integrate._TRACES}
+            for name in integrate._TRACES:
+                fresh = getattr(window, name) == sentinel.get(name, np.nan)
+                if name not in sentinel:
+                    fresh = np.isnan(getattr(window, name))
+                assert fresh.all(), name
+            arms = [(None, sampling.PathStreams(9, "brownian", 0,
+                                                range(lo, hi))),
+                    (kernel, sampling.PathStreams(9, "jump", 0,
+                                                  range(lo, hi)))]
+            written.clear()
+            simulate_arms(basis2, cfg, u0, arms, BrownianNoiseSpec(sigma),
+                          None, window)
+            assert sorted(written) == list(range(cfg.n_recorded))
+            for name in integrate._TRACES:
+                got = getattr(window, name)
+                if name == "blowup_time":
+                    assert np.isnan(got).all()
+                elif name == "jump_counts":
+                    assert (got >= 0).all()
+                else:
+                    assert np.isfinite(got).all(), name
+                # outside the window the store keeps what it had
+                cut = (slice(None),) * (2 if name in integrate._RECORDED
+                                        else 1)
+                now, old = getattr(traces, name), before[name]
+                for part in (slice(0, lo), slice(hi, None)):
+                    np.testing.assert_array_equal(now[cut + (part,)],
+                                                  old[cut + (part,)])
+        batches = traces.batches()
+        assert batches[1].jump_counts[:, -1].sum() > 0
+        for batch in batches:
+            assert batch.norm_h2.shape == (30, cfg.n_recorded)
+            assert batch.mode_traces.shape == (30, cfg.n_recorded, 2)
+            assert batch.terminal.shape == (30, basis2.dim)
+            np.testing.assert_array_equal(batch.mode_traces[:, 0],
+                                          np.tile(u0[[0, 3]], (30, 1)))
 
 
 class TestBlowUpAndExit:

@@ -5,9 +5,8 @@ import pytest
 from scipy import stats
 
 from snse.kernels import build_jump_kernel, scaled_identity
-from snse.measures import (
-    alpha_stable_measure, power_magnitude_cdf, power_magnitude_ppf,
-)
+from oracles import power_magnitude_cdf
+from snse.measures import alpha_stable_measure, power_magnitude_ppf
 from snse.sampling import (ARM_CODES, PathStreams, derive_stream,
                            sample_prm, sample_prm_paths, stream_key)
 
@@ -120,6 +119,33 @@ class TestChunkSampler:
         assert (counts == 0).any() and (counts > 0).any()
         atoms, counts = sample_prm_paths(kern, 0.2, [])
         assert len(atoms) == 0 and counts.size == 0
+
+    @pytest.mark.parametrize("eps, horizon, n_paths", [
+        (0.05, 1.0, 40),    # about 38 atoms per path
+        (0.5, 0.2, 40),     # most paths without atoms
+        (0.9, 0.01, 5),     # no atom on any path
+        (0.05, 1.0, 1),     # a single path
+    ])
+    def test_time_sort_matches_lexsort(self, eps, horizon, n_paths):
+        # the padded per-path sort gives the times of the former
+        # lexsort over (path, time), bit for bit
+        kern = build_jump_kernel(scaled_identity(), "annulus", "one", eps,
+                                 NU1)
+        streams = [derive_stream(31, "jump", 0, p) for p in range(n_paths)]
+        atoms, counts = sample_prm_paths(kern, horizon, streams)
+        ut, path = [np.empty(0)], [np.empty(0, dtype=int)]
+        for p in range(n_paths):
+            g = derive_stream(31, "jump", 0, p)
+            count = int(g.poisson(kern.activity * horizon))
+            ut.append(g.random(3 * count)[:count])
+            path.append(np.full(count, p))
+        ut, path = np.concatenate(ut), np.concatenate(path)
+        assert np.array_equal(atoms.times,
+                              ut[np.lexsort((ut, path))] * horizon)
+        if eps == 0.9:
+            assert counts.sum() == 0
+        if eps == 0.5:
+            assert (counts == 0).any() and (counts > 1).any()
 
 
 class TestEventSampling:
