@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 certification or convergence failure, 2 usage or
 configuration error, 3 numerical failure (blow-up over budget).
 
 Seed precedence: --seed beats the SNSE_SEED environment variable, which
-beats the seed in the run file.
+beats the seed in the run file.  Output files are named, refused and
+written by harness; this module parses, prints and calls.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .basis import get_basis
 from .config import load_config
 from .errors import CertificationError, ConfigError
-from .harness import (BLOWUP_BUDGET, csv_cell, functional_samples,
-                      path_dump_lines, persist, run_arm, run_experiment)
+from .harness import (BLOWUP_BUDGET, csv_lines, dump_name,
+                      functional_samples, output_names, path_dump_lines,
+                      persist, refuse_existing, run_arm, run_experiment,
+                      write_lines)
 from .hypotheses import certify_kernels
 from .measures import float_label
 from .nonlinear import coupling_tensor
@@ -90,35 +92,21 @@ def _require_config(args) -> str:
     return args.config
 
 
-def _target(out_dir, name: str, force: bool) -> Path:
-    """out_dir/name; refused (FileExistsError) before any work if it
-    exists and force is off."""
-    target = Path(out_dir) / name
-    if target.exists() and not force:
-        raise FileExistsError(str(target))
-    return target
-
-
 def cmd_check(args) -> int:
     run = load_config(_require_config(args), seed=_resolve_seed(args))
     cfg = run.experiment
     if not cfg.kernels:
         raise ConfigError("check needs a [jump] section")
     if args.out:
-        target = _target(args.out, "check_report.csv", args.force)
+        refuse_existing(args.out, ["check_report.csv"], args.force)
     report = certify_kernels(cfg.basis, cfg.kernels, cfg.forcing,
                              label=cfg.label)
     for line in report.summary_lines():
         print(line)
-    for rep in (report.growth, report.jump_size, report.qv):
-        for note in rep.notes:
-            print(f"note: {note}")
     if args.out:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["check,epsilon,value,witness,pass"]
-        lines += [",".join(csv_cell(v) for v in row)
-                  for row in report.csv_rows()]
-        target.write_text("\n".join(lines) + "\n")
+        write_lines(args.out, "check_report.csv",
+                    csv_lines("check,epsilon,value,witness,pass",
+                              report.csv_rows()))
     return 0 if report.passed else 1
 
 
@@ -126,17 +114,15 @@ def cmd_simulate(args) -> int:
     run = load_config(_require_config(args), seed=_resolve_seed(args),
                       n_paths=args.paths)
     cfg = run.experiment
-    arm, idx = "brownian", 0
-    label, dump_name = "bm", "paths_bm.csv"
+    arm, idx, eps, label = "brownian", 0, None, "bm"
     if args.arm == "jump":
         if not cfg.kernels:
             raise ConfigError("simulate --arm jump needs a [jump] section")
-        arm, idx = "jump", len(cfg.kernels) - 1
-        eps = float_label(cfg.epsilons[idx])
-        label, dump_name = f"jump eps={eps}", f"paths_eps{eps}.csv"
+        arm, idx, eps = "jump", len(cfg.kernels) - 1, cfg.epsilons[-1]
+        label = f"jump eps={float_label(eps)}"
     out_dir = args.out or run.out_dir
     if out_dir:
-        target = _target(out_dir, dump_name, args.force)
+        refuse_existing(out_dir, [dump_name(eps)], args.force)
     batch = run_arm(cfg, arm, idx)
 
     frac = 1.0 - batch.valid_mask().mean()
@@ -151,10 +137,9 @@ def cmd_simulate(args) -> int:
         print(f"{f}: mean={mean:.10g} se={se:.4g} var={var:.10g}")
 
     if out_dir:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        text = "\n".join(path_dump_lines(batch, cfg.solver.track_modes)) + "\n"
-        target.write_text(text)
-        print(f"wrote {target}")
+        path = write_lines(out_dir, dump_name(eps),
+                           path_dump_lines(batch, cfg.solver.track_modes))
+        print(f"wrote {path}")
     if frac > BLOWUP_BUDGET:
         print(f"numerical failure: {frac:.2%} of paths blew up "
               f"(budget {BLOWUP_BUDGET:.0%})", file=sys.stderr)
@@ -172,7 +157,7 @@ def cmd_converge(args) -> int:
     if not out_dir:
         raise ConfigError("no output directory: pass --out or set "
                           "[output] dir in the run file")
-    _target(out_dir, "summary.csv", args.force)
+    refuse_existing(out_dir, output_names(cfg, run.dump_paths), args.force)
     result = run_experiment(cfg, force=args.force)
 
     if result.forced:
@@ -192,8 +177,8 @@ def cmd_converge(args) -> int:
         print(f"{r.functional:<14}{eps:>9}{r.mean:>14.6g}{gap:>13}"
               f"{jse:>12}{ks:>9}  {kp}")
 
-    persist(result, out_dir, dump_paths=run.dump_paths, overwrite=args.force)
-    print(f"wrote {Path(out_dir) / 'summary.csv'}")
+    out = persist(result, out_dir, run.dump_paths, overwrite=args.force)
+    print(f"wrote {out / 'summary.csv'}")
 
     if result.invalid:
         print("numerical failure: blow-up fraction above budget",
@@ -209,12 +194,6 @@ def cmd_converge(args) -> int:
     return 0 if ok else 1
 
 
-def _tensor_csv_rows(tensor):
-    yield "i,j,l,b_ijl"
-    for i, j, l, v in zip(tensor.i, tensor.j, tensor.l, tensor.vals):
-        yield f"{i},{j},{l},{v!r}"
-
-
 def cmd_tensor_dump(args) -> int:
     if args.nmax < 1:
         raise ConfigError("--nmax must be positive")
@@ -222,17 +201,16 @@ def cmd_tensor_dump(args) -> int:
         print(f"refusing tensor dump for nmax={args.nmax}: entry count "
               f"grows like dim^3, cap is {MAX_DUMP_NMAX}", file=sys.stderr)
         return 1
+    name = f"tensor_n{args.nmax}.csv"
     if args.out:
-        target = _target(args.out, f"tensor_n{args.nmax}.csv", args.force)
-    tensor = coupling_tensor(get_basis(args.nmax))
-    lines = list(_tensor_csv_rows(tensor))
+        refuse_existing(args.out, [name], args.force)
+    t = coupling_tensor(get_basis(args.nmax))
+    lines = csv_lines("i,j,l,b_ijl", zip(t.i, t.j, t.l, t.vals))
     if args.out:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text("\n".join(lines) + "\n")
-        print(f"wrote {target} ({len(lines) - 1} entries)")
+        path = write_lines(args.out, name, lines)
+        print(f"wrote {path} ({len(lines) - 1} entries)")
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
     return 0
 
 

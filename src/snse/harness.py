@@ -368,7 +368,8 @@ def _moments_of(batch: PathBatch) -> tuple[float, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: every file a command writes is named, refused when it
+# exists and written here, and every CSV cell is a csv_cell
 
 
 def csv_cell(x) -> str:
@@ -384,28 +385,23 @@ def csv_cell(x) -> str:
     return repr(float(x))
 
 
-def _write_text(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+def csv_lines(header: str, rows) -> list[str]:
+    """The header, then one line of csv_cell fields per row."""
+    return [header] + [",".join(map(csv_cell, row)) for row in rows]
 
 
 def summary_lines(result: ExperimentResult) -> list[str]:
-    header = "arm,epsilon,functional,mean,se,gap_vs_bm,joint_se,ks_stat,ks_pass"
-    out = [header]
-    for r in result.rows:
-        out.append(",".join(csv_cell(v) for v in (
-            r.arm, r.epsilon, r.functional, r.mean, r.se,
-            r.gap_vs_bm, r.joint_se, r.ks_stat, r.ks_pass)))
-    return out
+    return csv_lines(
+        "arm,epsilon,functional,mean,se,gap_vs_bm,joint_se,ks_stat,ks_pass",
+        ((r.arm, r.epsilon, r.functional, r.mean, r.se, r.gap_vs_bm,
+          r.joint_se, r.ks_stat, r.ks_pass) for r in result.rows))
 
 
 def moment_lines(result: ExperimentResult) -> list[str]:
-    header = "arm,epsilon,supH4,supH4_se,intV2sq,intV2sq_se,uniformity_flag"
-    out = [header]
-    for m in result.moments:
-        out.append(",".join(csv_cell(v) for v in (
-            m.arm, m.epsilon, m.sup_h4, m.sup_h4_se,
-            m.int_v2_sq, m.int_v2_sq_se, m.uniform)))
-    return out
+    return csv_lines(
+        "arm,epsilon,supH4,supH4_se,intV2sq,intV2sq_se,uniformity_flag",
+        ((m.arm, m.epsilon, m.sup_h4, m.sup_h4_se, m.int_v2_sq,
+          m.int_v2_sq_se, m.uniform) for m in result.moments))
 
 
 def manifest_lines(result: ExperimentResult) -> list[str]:
@@ -425,46 +421,72 @@ def manifest_lines(result: ExperimentResult) -> list[str]:
         f"invalid: {csv_cell(result.invalid)}",
         f"blowup_bm: {result.blowup_bm!r}",
     ]
-    for eps, frac in zip(cfg.epsilons, result.blowup_jump):
-        lines.append(f"blowup_eps={float_label(eps)}: {frac!r}")
-    for note in result.notes:
-        lines.append(f"note: {note}")
-    return lines
+    lines += [f"blowup_eps={float_label(eps)}: {frac!r}"
+              for eps, frac in zip(cfg.epsilons, result.blowup_jump)]
+    return lines + [f"note: {note}" for note in result.notes]
 
 
 def path_dump_lines(batch: PathBatch, track_modes) -> list[str]:
-    cols = ["path_id", "t", "normH2", "normV2"]
-    cols += [f"u_e{k}" for k in track_modes]
-    cols.append("n_jumps_so_far")
-    out = [",".join(cols)]
-    for p in range(batch.n_paths):
-        for r in range(batch.n_recorded):
-            row = [str(p), repr(float(batch.times[r])),
-                   repr(float(batch.norm_h2[p, r])),
-                   repr(float(batch.norm_v2[p, r]))]
-            row += [repr(float(batch.mode_traces[p, r, i]))
-                    for i in range(len(track_modes))]
-            row.append(str(int(batch.jump_counts[p, r])))
-            out.append(",".join(row))
-    return out
+    """One row per (path, record); repr of a Python number is its csv_cell."""
+    n, recs = batch.n_paths, batch.n_recorded
+    fields = [np.broadcast_to(np.arange(n)[:, None], (n, recs)),
+              np.broadcast_to(batch.times, (n, recs)), batch.norm_h2,
+              batch.norm_v2, *(batch.mode_traces[:, :, i]
+                               for i in range(len(track_modes))),
+              batch.jump_counts]
+    lines = [",".join(["path_id", "t", "normH2", "normV2",
+                       *(f"u_e{k}" for k in track_modes), "n_jumps_so_far"])]
+    # about 16k rows at a time, so few Python numbers are alive at once
+    step = 1 + (1 << 14) // recs
+    for lo in range(0, n, step):
+        columns = [map(repr, f[lo:lo + step].ravel().tolist()) for f in fields]
+        lines += map(",".join, zip(*columns))
+    return lines
+
+
+def dump_name(epsilon: float | None) -> str:
+    """Path-dump file of the Brownian arm (None) or of a jump arm."""
+    return ("paths_bm.csv" if epsilon is None
+            else f"paths_eps{float_label(epsilon)}.csv")
+
+
+def output_names(config: ExperimentConfig, dump_paths: bool) -> list[str]:
+    """Every file persist writes for this config."""
+    names = ["summary.csv", "moments.csv", "manifest.txt"]
+    if dump_paths:
+        names += [dump_name(e) for e in (None,) + config.epsilons]
+    return names
+
+
+def refuse_existing(out_dir, names, force: bool) -> None:
+    """FileExistsError(path) for the first out_dir/name that exists,
+    unless force; commands call it before any work."""
+    for name in names:
+        path = Path(out_dir) / name
+        if path.exists() and not force:
+            raise FileExistsError(str(path))
+
+
+def write_lines(out_dir, name: str, lines) -> Path:
+    """Write lines to out_dir/name, making the directory; return the path."""
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def persist(result: ExperimentResult, out_dir, dump_paths: bool = False,
             overwrite: bool = False) -> Path:
-    """Write summary.csv, moments.csv, manifest.txt (and optional dumps)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "summary.csv"
-    if target.exists() and not overwrite:
-        raise FileExistsError(f"{target} exists; pass overwrite to replace")
-    _write_text(target, summary_lines(result))
-    _write_text(out / "moments.csv", moment_lines(result))
-    _write_text(out / "manifest.txt", manifest_lines(result))
-    if dump_paths:
-        track = result.config.solver.track_modes
-        _write_text(out / "paths_bm.csv",
-                    path_dump_lines(result.bm_batch, track))
-        for eps, batch in zip(result.config.epsilons, result.jump_batches):
-            _write_text(out / f"paths_eps{float_label(eps)}.csv",
-                        path_dump_lines(batch, track))
-    return out
+    """Write summary.csv, moments.csv, manifest.txt (and optional dumps),
+    after refusing them all if any exists and overwrite is off."""
+    cfg = result.config
+    names = output_names(cfg, dump_paths)
+    refuse_existing(out_dir, names, overwrite)
+    write_lines(out_dir, "summary.csv", summary_lines(result))
+    write_lines(out_dir, "moments.csv", moment_lines(result))
+    write_lines(out_dir, "manifest.txt", manifest_lines(result))
+    # the dump names, if any, follow the three tables, one per arm
+    for name, batch in zip(names[3:], [result.bm_batch, *result.jump_batches]):
+        write_lines(out_dir, name,
+                    path_dump_lines(batch, cfg.solver.track_modes))
+    return Path(out_dir)

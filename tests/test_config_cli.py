@@ -319,6 +319,14 @@ class TestCliCheck:
         assert "FAILED" in out
         assert "note:" in out
 
+    def test_each_note_printed_once(self, tmp_path, capsys):
+        # a note belongs to its report's lines and is not repeated after
+        cfg = _write(tmp_path, BAD_JUMP)
+        assert main(["check", "--config", cfg]) == 1
+        notes = [line.strip() for line in capsys.readouterr().out.splitlines()
+                 if "note:" in line]
+        assert notes and len(notes) == len(set(notes))
+
     def test_existing_report_refused_before_work(self, tmp_path, capsys,
                                                  monkeypatch):
         cfg = _write(tmp_path, GOOD_JUMP)
@@ -513,6 +521,25 @@ class TestCliConverge:
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
         assert "output exists" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["moments.csv", "manifest.txt",
+                                      "paths_bm.csv", "paths_eps0.1.csv"])
+    def test_refuses_every_output_before_simulating(self, tmp_path, capsys,
+                                                    monkeypatch, name):
+        # not only summary.csv: every file the run would write, dumps too
+        out = tmp_path / "run"
+        cfg = _write(tmp_path, GOOD_JUMP + f"""
+[output]
+dir = {out}
+dump_paths = true
+""")
+        out.mkdir()
+        (out / name).write_text("old\n")
+        monkeypatch.setattr(snse.cli, "run_experiment", _no_work)
+        assert main(["converge", "--config", cfg]) == 2
+        assert f"output exists: {out / name}" in capsys.readouterr().err
+        assert (out / name).read_text() == "old\n"
+        assert [p.name for p in out.iterdir()] == [name]
+
 
 class TestCliTensorDump:
     def test_dump_to_file(self, tmp_path, capsys):
@@ -540,6 +567,20 @@ class TestCliTensorDump:
     def test_dump_to_stdout(self, capsys):
         assert main(["tensor-dump", "--nmax", "1"]) == 0
         assert capsys.readouterr().out.startswith("i,j,l,b_ijl")
+
+    def test_rows_are_plain_numbers(self, capsys):
+        # every row is int,int,int,float, and the float is the entry's bits
+        assert main(["tensor-dump", "--nmax", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        tensor = snse.coupling_tensor(snse.get_basis(2))
+        assert lines[0] == "i,j,l,b_ijl"
+        assert len(lines) == 1 + tensor.vals.size
+        for line, i, j, l, v in zip(lines[1:], tensor.i, tensor.j, tensor.l,
+                                    tensor.vals):
+            cells = line.split(",")
+            assert re.fullmatch(r"\d+,\d+,\d+,[-+.\deE]+", line), line
+            assert [int(c) for c in cells[:3]] == [i, j, l]
+            assert float(cells[3]) == v
 
     def test_guard_rails(self, capsys):
         assert main(["tensor-dump", "--nmax", "9"]) == 1

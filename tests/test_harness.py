@@ -6,8 +6,9 @@ import pytest
 from snse import harness
 from snse.basis import get_basis
 from snse.errors import CertificationError, ConfigError
-from snse.harness import (ExperimentConfig, functional_samples, manifest_lines,
-                          path_dump_lines, persist, run_arm, run_experiment)
+from snse.harness import (ExperimentConfig, csv_cell, functional_samples,
+                          manifest_lines, path_dump_lines, persist, run_arm,
+                          run_experiment)
 from snse.hypotheses import kernel_grid
 from snse.integrate import BrownianNoiseSpec, SolverConfig
 from snse.kernels import (constant_field, saturating, scaled_identity,
@@ -335,6 +336,41 @@ class TestPersist:
         with pytest.raises(FileExistsError):
             persist(res, tmp_path)
         persist(res, tmp_path, overwrite=True)
+
+    @pytest.mark.parametrize("name", ["summary.csv", "moments.csv",
+                                      "manifest.txt", "paths_bm.csv",
+                                      "paths_eps0.2.csv", "paths_eps0.1.csv"])
+    def test_refuses_any_existing_output(self, basis1, tmp_path, name):
+        res = run_experiment(_config(basis1, n_paths=100))
+        assert name in harness.output_names(res.config, dump_paths=True)
+        (tmp_path / name).write_text("old\n")
+        with pytest.raises(FileExistsError, match=name):
+            persist(res, tmp_path, dump_paths=True)
+        # refused before anything is written
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).read_text() == "old\n"
+
+    def test_path_dump_cells_are_csv_cells(self, basis1):
+        # a per-cell reference over a jump arm where some paths blow up
+        # (their later norms and modes are nan) and two modes are tracked;
+        # 501 records a path, so the dump's blocks of about 16k rows split
+        # the 40 paths unevenly
+        solver = SolverConfig(0.5, 1e-3, record_stride=1,
+                              include_nonlinearity=False, track_modes=(2, 0),
+                              blowup_norm=0.6)
+        cfg = _config(basis1, sigma=_sigma(basis1, amp=1.0), n_paths=40,
+                      solver=solver)
+        batch = run_arm(cfg, "jump", 1)
+        assert 0 < np.isfinite(batch.blowup_time).sum() < batch.n_paths
+        assert batch.jump_counts[:, -1].any()
+        ref = ["path_id,t,normH2,normV2,u_e2,u_e0,n_jumps_so_far"]
+        for p in range(batch.n_paths):
+            for r in range(batch.n_recorded):
+                cells = [p, batch.times[r], batch.norm_h2[p, r],
+                         batch.norm_v2[p, r], *batch.mode_traces[p, r],
+                         batch.jump_counts[p, r]]
+                ref.append(",".join(map(csv_cell, cells)))
+        assert path_dump_lines(batch, solver.track_modes) == ref
 
     def test_manifest_contents(self, basis1, tmp_path):
         cfg = _config(basis1, n_paths=100, seed=23)
