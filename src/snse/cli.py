@@ -24,7 +24,7 @@ from .basis import get_basis
 from .config import load_config
 from .errors import CertificationError, ConfigError
 from .harness import (BLOWUP_BUDGET, csv_lines, dump_name,
-                      functional_samples, output_names, path_dump_lines,
+                      functional_samples, output_names, path_dump_blocks,
                       persist, refuse_existing, run_arm, run_experiment,
                       write_lines)
 from .hypotheses import certify_kernels
@@ -138,7 +138,7 @@ def cmd_simulate(args) -> int:
 
     if out_dir:
         path = write_lines(out_dir, dump_name(eps),
-                           path_dump_lines(batch, cfg.solver.track_modes))
+                           path_dump_blocks(batch, cfg.solver.track_modes))
         print(f"wrote {path}")
     if frac > BLOWUP_BUDGET:
         print(f"numerical failure: {frac:.2%} of paths blew up "

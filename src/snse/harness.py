@@ -426,22 +426,29 @@ def manifest_lines(result: ExperimentResult) -> list[str]:
     return lines + [f"note: {note}" for note in result.notes]
 
 
-def path_dump_lines(batch: PathBatch, track_modes) -> list[str]:
-    """One row per (path, record); repr of a Python number is its csv_cell."""
+def path_dump_blocks(batch: PathBatch, track_modes):
+    """A path dump's header line, then its rows, one per (path, record),
+    about 16k at a time as one string of lines; repr of a Python number is
+    its csv_cell."""
     n, recs = batch.n_paths, batch.n_recorded
     fields = [np.broadcast_to(np.arange(n)[:, None], (n, recs)),
               np.broadcast_to(batch.times, (n, recs)), batch.norm_h2,
               batch.norm_v2, *(batch.mode_traces[:, :, i]
                                for i in range(len(track_modes))),
               batch.jump_counts]
-    lines = [",".join(["path_id", "t", "normH2", "normV2",
-                       *(f"u_e{k}" for k in track_modes), "n_jumps_so_far"])]
-    # about 16k rows at a time, so few Python numbers are alive at once
+    yield ",".join(["path_id", "t", "normH2", "normV2",
+                    *(f"u_e{k}" for k in track_modes), "n_jumps_so_far"])
+    # about 16k rows at a time, so few Python numbers and lines are alive
     step = 1 + (1 << 14) // recs
     for lo in range(0, n, step):
         columns = [map(repr, f[lo:lo + step].ravel().tolist()) for f in fields]
-        lines += map(",".join, zip(*columns))
-    return lines
+        yield "\n".join(map(",".join, zip(*columns)))
+
+
+def path_dump_lines(batch: PathBatch, track_modes) -> list[str]:
+    """Every line of a path dump as one list."""
+    return [line for block in path_dump_blocks(batch, track_modes)
+            for line in block.split("\n")]
 
 
 def dump_name(epsilon: float | None) -> str:
@@ -468,10 +475,14 @@ def refuse_existing(out_dir, names, force: bool) -> None:
 
 
 def write_lines(out_dir, name: str, lines) -> Path:
-    """Write lines to out_dir/name, making the directory; return the path."""
+    """Write lines to out_dir/name as they come, each (a string of one
+    line or more) ended by a newline, making the directory; return the
+    path."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        for line in lines:
+            f.write(line + "\n")
     return path
 
 
@@ -488,5 +499,5 @@ def persist(result: ExperimentResult, out_dir, dump_paths: bool = False,
     # the dump names, if any, follow the three tables, one per arm
     for name, batch in zip(names[3:], [result.bm_batch, *result.jump_batches]):
         write_lines(out_dir, name,
-                    path_dump_lines(batch, cfg.solver.track_modes))
+                    path_dump_blocks(batch, cfg.solver.track_modes))
     return Path(out_dir)

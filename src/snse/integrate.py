@@ -278,17 +278,15 @@ class _AtomPlan:
     the same step.  For step n, atoms bounds[n] to bounds[n+1] - 1 fall in
     it, rows[n] holds its rows with atoms (ascending) and tails[n] the rest
     of the step after each row's last atom, and rounds[n] its rank rounds
-    as (lo, hi, s_lo, s_hi, gains): atoms lo to hi - 1, the substeps s_lo
-    to s_hi - 1 up to them, and the (rows, kernel) of the theta != one
-    arms, rows being a slice of the round.  Per atom: at is its place in
-    its step's rows, h and theta the kernel values at its mark (theta 1.0
-    for theta = one, where the product is exact), and atom_coef and
-    atom_zero its row's coef and zero.  Per substep: sub_at is the place of
-    its row and sub_delta its length, from the step start or the row's
-    previous atom up to the atom; substeps sub_bounds[n] to
-    sub_bounds[n+1] - 1 fall in step n.  An atom at its row's previous
-    time, or at a step start that rounding put after it, has no substep.
-    h_zero tells whether any atom's mark lies off the h support.
+    as (lo, hi, gains): atoms lo to hi - 1 and the (rows, kernel) of the
+    theta != one arms, rows being a slice of the round.  Per atom: at is
+    its place in its step's rows, delta the length of its substep, from
+    the step start or the row's previous atom up to the atom (0 for an atom
+    at its row's previous time, or at a step start that rounding put after
+    it), h and theta the kernel values at its mark (theta 1.0 for theta =
+    one, where the product is exact), and atom_coef and atom_zero its row's
+    coef and zero.  h_zero tells whether any atom's mark lies off the h
+    support.
     """
 
     def __init__(self, cfg: SolverConfig, jumpy):
@@ -336,10 +334,7 @@ class _AtomPlan:
         np.cumsum(np.bincount(step, minlength=n_steps), out=self.bounds[1:])
         self.at = (place[first] - self.bounds[step])[order]
         self.row = row[order]
-        delta = (times - prev)[order]
-        sub = np.flatnonzero(delta > 0.0)
-        self.sub_at, self.sub_delta = self.at[sub], delta[sub]
-        self.sub_bounds = np.searchsorted(sub, self.bounds)
+        self.delta = np.maximum(times - prev, 0.0)[order]
         self.h = np.concatenate(hv)[order]
         self.theta = np.concatenate(tv)[order]
         # decided once: a mark off the h support is rare, and only then
@@ -361,11 +356,9 @@ class _AtomPlan:
         lo = np.flatnonzero(new_round)
         hi = np.append(lo[1:], key.size)
         self.rounds = [[] for _ in range(n_steps)]
-        for r_lo, r_hi, s_lo, s_hi, n in zip(
-                lo.tolist(), hi.tolist(), np.searchsorted(sub, lo).tolist(),
-                np.searchsorted(sub, hi).tolist(), step[lo].tolist()):
-            self.rounds[n].append((r_lo, r_hi, s_lo, s_hi,
-                                   self._gains(r_lo, r_hi)))
+        for r_lo, r_hi, n in zip(lo.tolist(), hi.tolist(),
+                                 step[lo].tolist()):
+            self.rounds[n].append((r_lo, r_hi, self._gains(r_lo, r_hi)))
 
     def _gains(self, lo: int, hi: int) -> list:
         """(rows, kernel) of the round's theta != one rows, rows being
@@ -452,28 +445,23 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     def split_step(n, u_cur, drift):
         # step n of the rows with atoms, split at their atoms: end states,
         # integral of |u|_V^2 over the step and sup of |u|_H^2 inside it.
-        # The rounds write d |w|_V^2 and |w|_H^2 of each substep and |v|_H^2
-        # of each jump into step buffers; the per-row sums and maxima are
-        # taken once after the last round.  The substeps sit in (rank, row)
-        # order, so each row still sums its pieces in rank order.
+        # Every atom ends one substep; one of length 0 (see _AtomPlan)
+        # moves its row to (u + 0 drift) e^0 = u, the same bits.  A round
+        # gathers its rows once, and writes d |v|_V^2 of each substep and
+        # the larger of |v|_H^2 before and after each jump into step
+        # buffers; the per-row sums and maxima are taken once after the
+        # last round.  The atoms sit in (rank, row) order, so each row
+        # still sums its pieces in rank order.
         a0, a1 = plan.bounds[n], plan.bounds[n + 1]
-        s0, s1 = plan.sub_bounds[n], plan.sub_bounds[n + 1]
-        sub_v2, sub_h2 = np.empty(s1 - s0), np.empty(s1 - s0)
-        atom_h2 = np.empty(a1 - a0)
-        for lo, hi, s_lo, s_hi, gains in plan.rounds[n]:
-            a, d = plan.sub_at[s_lo:s_hi], plan.sub_delta[s_lo:s_hi, None]
-            here = slice(s_lo - s0, s_hi - s0)
-            w = u_cur[a]
-            np.multiply(d[:, 0], row_dot(w * w, eigs), out=sub_v2[here])
-            w += d * drift[a]
-            w *= np.exp(neg_eigs * d)
-            np.add.reduce(w * w, axis=1, out=sub_h2[here])
-            at = plan.at[lo:hi]
-            if s_hi - s_lo == hi - lo:
-                v = w   # every atom of the round has its substep: a is at
-            else:
-                u_cur[a] = w
-                v = u_cur[at]
+        sub_v2, step_h2 = np.empty(a1 - a0), np.empty(a1 - a0)
+        for lo, hi, gains in plan.rounds[n]:
+            at, d = plan.at[lo:hi], plan.delta[lo:hi, None]
+            here = slice(lo - a0, hi - a0)
+            v = u_cur[at]
+            np.multiply(d[:, 0], row_dot(v * v, eigs), out=sub_v2[here])
+            v += d * drift[at]
+            v *= np.exp(neg_eigs * d)
+            sub_h2 = np.add.reduce(v * v, axis=1)
             h = plan.h[lo:hi, None]
             # 1.0 * v is v, so theta multiplies only where some arm needs it
             jump = sigma(plan.theta[lo:hi, None] * v if plan.gains else v) * h
@@ -481,17 +469,16 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
                 jump[h[:, 0] == 0.0] = 0.0
             v += jump
             u_cur[at] = v
-            np.add.reduce(v * v, axis=1, out=atom_h2[lo - a0:hi - a0])
+            np.fmax(sub_h2, np.add.reduce(v * v, axis=1), out=step_h2[here])
             dv = _explicit_drift(basis, cfg, v, forcing)
             dv -= _compensator(v, sigma(v), plan.atom_coef[lo:hi], gains,
                                None if plan.atom_zero is None
                                else plan.atom_zero[lo:hi])
             drift[at] = dv
         piece = np.zeros(len(u_cur))
-        np.add.at(piece, plan.sub_at[s0:s1], sub_v2)
+        np.add.at(piece, plan.at[a0:a1], sub_v2)
         sup2 = np.full(len(u_cur), -np.inf)   # fmax skips NaN states
-        np.fmax.at(sup2, plan.sub_at[s0:s1], sub_h2)
-        np.fmax.at(sup2, plan.at[a0:a1], atom_h2)
+        np.fmax.at(sup2, plan.at[a0:a1], step_h2)
         delta = plan.tails[n][:, None]
         piece += delta[:, 0] * row_dot(u_cur * u_cur, eigs)
         return np.exp(neg_eigs * delta) * (u_cur + delta * drift), piece, sup2

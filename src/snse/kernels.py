@@ -194,13 +194,11 @@ def saturating(c: float = 1.0) -> FieldMap:
                     lambda r: abs(c) * r / (1.0 + r), gain)
 
 
-def constant_field(coeffs, name: str | None = None) -> FieldMap:
+def constant_field(coeffs) -> FieldMap:
     g = np.asarray(coeffs, dtype=np.float64)
     gnorm = float(np.linalg.norm(g))
-    if name is None:
-        nz = np.nonzero(g)[0]
-        name = "constant:" + ";".join(f"{float_label(g[i])}@{i}"
-                                      for i in nz)
+    name = "constant:" + ";".join(f"{float_label(g[i])}@{i}"
+                                  for i in np.nonzero(g)[0])
 
     g_ro = g.view()
     g_ro.setflags(write=False)
@@ -217,10 +215,10 @@ def constant_field(coeffs, name: str | None = None) -> FieldMap:
                     lambda t, r: np.ones_like(t))
 
 
-def diagonal_map(diag, name: str | None = None) -> FieldMap:
+def diagonal_map(diag) -> FieldMap:
     d = np.asarray(diag, dtype=np.float64)
     top = float(np.max(np.abs(d)))
-    return FieldMap(name or "diagonal", lambda u: np.asarray(u, dtype=np.float64) * d,
+    return FieldMap("diagonal", lambda u: np.asarray(u, dtype=np.float64) * d,
                     lambda r: top * r, lambda t, r: t)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,24 @@ class TestPersist:
                          batch.jump_counts[p, r]]
                 ref.append(",".join(map(csv_cell, cells)))
         assert path_dump_lines(batch, solver.track_modes) == ref
+
+    def test_path_dumps_stream(self, basis1, tmp_path):
+        # two dumps of 200,200 rows each: holding one dump's lines and text
+        # at once takes about 25 MB, a block of about 16k rows a few MB
+        solver = SolverConfig(1.0, 1e-3, record_stride=1,
+                              include_nonlinearity=False, track_modes=(0,))
+        res = run_experiment(_config(basis1, eps=(0.2,), n_paths=200,
+                                     solver=solver))
+        assert res.bm_batch.n_paths * res.bm_batch.n_recorded >= 200_000
+        tracemalloc.start()
+        try:
+            persist(res, tmp_path, dump_paths=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        text = "\n".join(path_dump_lines(res.bm_batch, (0,))) + "\n"
+        assert (tmp_path / "paths_bm.csv").read_text() == text
 
     def test_manifest_contents(self, basis1, tmp_path):
         cfg = _config(basis1, n_paths=100, seed=23)

@@ -263,6 +263,18 @@ class TestMartingale:
         with pytest.raises(ValueError):
             martingale_diagnostic(batch, trace_index=5)
 
+    def test_trace_index_in_range(self, basis2):
+        # enough paths, so only the index can be refused; a negative index
+        # would otherwise count from the end and grade another mode
+        cfg = SolverConfig(t_end=0.01, dt=1e-3, track_modes=(0, 2))
+        batch = simulate_brownian_batch(
+            basis2, cfg, np.zeros(basis2.dim),
+            [derive_stream(0, "diagnostic", 0, p) for p in range(100)])
+        for bad in (-1, -2, 2):
+            with pytest.raises(ValueError, match="trace_index"):
+                martingale_diagnostic(batch, trace_index=bad)
+        assert martingale_diagnostic(batch, trace_index=1).n_paths == 100
+
     def test_deterministic_paths_have_small_defect(self, basis2):
         rng = np.random.default_rng(9)
         u0 = random_field(basis2, rng, norm_h=0.8)

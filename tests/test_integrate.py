@@ -340,6 +340,43 @@ class TestJumpOracle:
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(ref, name), err_msg=name)
 
+    def test_zero_length_substeps(self, basis2, monkeypatch):
+        # four atoms of every path moved to times whose substep has length
+        # 0: exactly at the step start 0.25, twice at 0.42 (the second at
+        # its row's previous time) and at 0.85, where int(0.85 / dt) = 17
+        # puts it in a step whose start 17 dt lies after it
+        g = np.zeros(basis2.dim)
+        g[2] = 0.5
+        kernel = build_jump_kernel(constant_field(g), "annulus", "one", 0.05,
+                                   NU1)
+        cfg = SolverConfig(t_end=1.0, dt=0.05, include_nonlinearity=False,
+                           track_modes=(0, 2))
+        placed = np.array([0.25, 0.42, 0.42, 0.85])
+        assert int(0.25 / cfg.dt) * cfg.dt == 0.25
+        assert int(0.85 / cfg.dt) == 17 and 17 * cfg.dt > 0.85
+        moved = []
+
+        def placing(kernel, horizon, streams):
+            atoms, counts = sampling_prm_paths(kernel, horizon, streams)
+            times = atoms.times.copy()
+            for lo, k in zip((np.cumsum(counts) - counts).tolist(),
+                             counts.tolist()):
+                if k >= placed.size:
+                    times[lo:lo + placed.size] = placed
+                    times[lo:lo + k].sort()
+                    moved.append(lo)
+            return Atoms(times, atoms.marks), counts
+
+        sampling_prm_paths = sampling.sample_prm_paths
+        monkeypatch.setattr(sampling, "sample_prm_paths", placing)
+        monkeypatch.setattr(integrate, "sample_prm_paths", placing)
+        u0 = random_field(basis2, np.random.default_rng(9), norm_h=0.5)
+        got, ref = self._both(basis2, cfg, u0, kernel, 16, 83)
+        assert len(moved) == 2 * 16
+        for name in _FIELDS:
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(ref, name), err_msg=name)
+
     def test_mark_off_the_h_support(self, basis2, monkeypatch):
         # the first mark of every path moves just past the annulus edge 1,
         # where h is 0 and theta is 1e6; sigma is non-finite beyond H norm
