@@ -10,18 +10,19 @@ take one sigma map object, as the paired arms share one diffusion limit.
 Reproducibility contract: every path owns a counter-based stream keyed by
 (seed, arm, eps-index, path-index), served by one Philox generator per arm
 and chunk that is re-keyed to each path's key in turn (the same draws as a
-fresh generator per path); the paths run in chunks of `chunk_size`
-per arm (the size is in the config hash) serially in path order, and a chunk
-advances those paths of every arm together as one stacked batch, so its
-working memory scales with 1 + the number of epsilons.  (config, seed) fix
-every output byte for a given numpy/BLAS build and BLAS thread setting;
-persisted files carry no timestamps.  Linear runs are also byte-stable
-across BLAS thread counts (tested), and each linear arm has the bits of its
-one-arm run (tested); nonlinear runs are not: B(u) on P = 512 random rows
-at n_max = 8 differs in 117,460 of 147,456 entries (<= 1.1e-15 of the
-largest) at 1 and 2 threads (at n_max = 4 in none, untested), and a stack
-takes B(u) in fixed blocks of its rows across arms, the V-norm gemv arm by
-arm, so a nonlinear arm can move in the last bits against its one-arm run.
+fresh generator per path); the paths run in chunks of `chunk_size` per arm
+(the size is in the config hash), on worker threads for B(u) at n_max >= 3
+(run_arm), and a chunk advances those paths of every arm together as one
+stacked batch, so its working memory scales with 1 + the number of epsilons.
+(config, seed) fix every output byte for a given numpy/BLAS build and BLAS
+thread setting (1 on worker threads), whatever the worker count; persisted
+files carry no timestamps.  Linear runs are also byte-stable across BLAS
+thread counts (tested), and each linear arm has the bits of its one-arm run
+(tested); serial nonlinear runs are not: B(u) on P = 512 random rows at
+n_max = 8 differs in 117,460 of 147,456 entries (<= 1.1e-15 of the largest)
+at 1 and 2 threads (at n_max = 4 in none, untested), and a stack takes B(u)
+in fixed blocks of its rows across arms, the V-norm gemv arm by arm, so a
+nonlinear arm can move in the last bits against its one-arm run.
 
 A chunk's jump atoms are planned all at once, so a run whose chunk
 expects more than ATOM_BUDGET atoms is refused before it starts.
@@ -34,7 +35,11 @@ UNCERTIFIED in the manifest.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,10 +60,12 @@ from .sampling import PathStreams, derive_stream  # noqa: F401
 from .stats import compare_laws, summarize
 
 BLOWUP_BUDGET = 0.01
-# expected atoms per chunk; planning one takes about 210 bytes per atom
+# expected atoms per chunk, each worker planning one at ~210 bytes per atom
 ATOM_BUDGET = 2_000_000
 
 _KNOWN_FUNCTIONALS = ("normH2", "normV2", "sup_normH2")
+_BLAS_THREAD_FNS = tuple(f"{lib}_{{}}_num_threads{abi}" for abi in ("64_", "")
+                         for lib in ("scipy_openblas", "openblas"))
 
 
 def functional_mode(name: str) -> int | None:
@@ -184,16 +191,34 @@ def _chunk_bounds(n: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
+def _blas_thread_fns() -> list:
+    """(get, set) thread counts of each OpenBLAS in the process, by the names
+    of _BLAS_THREAD_FNS; [] if the map is unreadable or a library has none."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {ln.split()[-1] for ln in maps if "openblas" in ln}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return []
+    fns = [next(((getattr(lib, f.format("get")), getattr(lib, f.format("set")))
+                 for f in _BLAS_THREAD_FNS if hasattr(lib, f.format("set"))),
+                None) for lib in libs]
+    return fns if fns and None not in fns else []
+
+
 def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
     """One full arm as a PathBatch, or every arm as a list for arm="all".
 
     arm is "brownian", "jump" (the kernel at eps_index) or "all": the
     Brownian arm, then one jump arm per epsilon.  Paths run in chunks of
-    chunk_size in path order, and a chunk advances those paths of every
-    requested arm as one stacked batch, written straight into each arm's
-    preallocated traces.  Each arm of a chunk draws from one Philox
-    generator, re-keyed to each path's stream in turn
-    (sampling.PathStreams).
+    chunk_size, and a chunk advances those paths of every requested arm as
+    one stacked batch, written straight into each arm's preallocated
+    traces.  Each arm of a chunk draws from one Philox generator, re-keyed
+    to each path's stream in turn (sampling.PathStreams).  Worker w of W
+    runs chunks w, w + W, ...: worker 0 on the caller's thread, the others
+    on threads in copies of the caller's context (numpy's error state
+    included) with every OpenBLAS at one thread.  The first exception
+    stops every worker taking chunks and is raised once all have finished.
 
     Raises ConfigError, before any chunk is planned, when a chunk's jump
     arms expect more than ATOM_BUDGET atoms (activity * t_end * paths).
@@ -211,12 +236,45 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
             f"the budget of {ATOM_BUDGET:.3g}; lower chunk_size or t_end, "
             "or pick a kernel of lower activity")
     traces = ArmTraces(config.solver, len(arms), n, config.basis.dim)
-    for lo, hi in _chunk_bounds(n, config.chunk_size):
-        chunk = [(None if name == "brownian" else config.kernels[j],
-                  PathStreams(config.seed, name, j, range(lo, hi)))
-                 for name, j in arms]
-        simulate_arms(config.basis, config.solver, config.initial, chunk,
-                      config.noise, config.forcing, traces.window(lo, hi))
+    bounds = _chunk_bounds(n, config.chunk_size)
+    # threads pay only where B(u)'s gemms, which release the GIL, dominate
+    workers = min(len(bounds), len(os.sched_getaffinity(0))) if (
+        config.solver.include_nonlinearity and config.basis.n_max >= 3
+        and hasattr(os, "sched_getaffinity")) else 1
+    blas = _blas_thread_fns() if workers > 1 else []
+    workers = workers if blas else 1
+    errors: list[BaseException] = []
+
+    def work(w: int) -> None:
+        try:
+            for lo, hi in bounds[w::workers]:
+                if errors:
+                    return
+                chunk = [(None if name == "brownian" else config.kernels[j],
+                          PathStreams(config.seed, name, j, range(lo, hi)))
+                         for name, j in arms]
+                simulate_arms(config.basis, config.solver, config.initial,
+                              chunk, config.noise, config.forcing,
+                              traces.window(lo, hi))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work, w)) for w in range(1, workers)]
+    old = [get() for get, _ in blas]
+    try:
+        for _, put in blas:
+            put(1)
+        for t in threads:
+            t.start()
+        work(0)
+        for t in threads:
+            t.join()
+    finally:
+        for (_, put), count in zip(blas, old):
+            put(count)
+    if errors:
+        raise errors[0]
     batches = traces.batches()
     return batches if arm == "all" else batches[0]
 

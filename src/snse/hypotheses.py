@@ -389,16 +389,18 @@ def martingale_diagnostic(batch, trace_index: int = 0) -> MartingaleReport:
 
     Builds M(t) = x_k(t) - x_k(0) - trapezoid integral of the recorded
     generator drift, per path, and requires |sample mean| <= 3 SE at every
-    recorded time.  Needs at least 100 non-blown paths, and trace_index
-    must index a tracked mode, 0 <= trace_index < len(track_modes).
+    recorded time.  Needs at least 100 non-blown paths and two records (one
+    record gives M = 0 and passes vacuously), and trace_index must index a
+    tracked mode, 0 <= trace_index < len(track_modes).
     """
     n_tracked = batch.mode_traces.shape[2]
     if not 0 <= trace_index < n_tracked:
         raise ValueError(f"trace_index {trace_index} is outside the "
                          f"{n_tracked} recorded traces")
     valid = batch.valid_mask()
-    if valid.sum() < 100:
-        raise ValueError("martingale diagnostic needs at least 100 paths")
+    if valid.sum() < 100 or batch.n_recorded < 2:
+        raise ValueError("martingale diagnostic needs at least 100 paths "
+                         "and two records")
     x = batch.mode_traces[valid, :, trace_index]
     drift = batch.drift_traces[valid, :, trace_index]
     dt_rec = np.diff(batch.times)

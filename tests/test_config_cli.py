@@ -602,6 +602,19 @@ cfg.solver = dataclasses.replace(cfg.solver, t_end=0.2)
 persist(run_experiment(cfg), sys.argv[2], dump_paths=True)
 """
 
+# digests of every PathBatch field of a two-chunk run of a config's arms
+NONLINEAR_DIGESTS = """
+import dataclasses, hashlib, sys
+from snse.config import load_config
+from snse.harness import run_arm
+cfg = load_config(sys.argv[1], n_paths=256).experiment
+cfg = dataclasses.replace(cfg, chunk_size=128, solver=dataclasses.replace(
+    cfg.solver, t_end=0.01, record_stride=1))
+for batch in run_arm(cfg, "all"):
+    print(hashlib.sha256(b"".join(
+        field.tobytes() for field in vars(batch).values())).hexdigest())
+"""
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("path, digest", [
@@ -673,15 +686,38 @@ class TestShippedConfigs:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes()), name
 
+    def test_worker_bytes_independent_of_blas_threads(self, tmp_path):
+        # B(u) at n_max = 8 has other last bits at 1 and 2 BLAS threads, but
+        # a run of two chunks on two workers takes every gemm at one thread
+        if (len(os.sched_getaffinity(0)) < 2
+                or not snse.harness._blas_thread_fns()):
+            pytest.skip("needs two CPUs and an OpenBLAS thread setter")
+        cfg = tmp_path / "desk8.cfg"
+        text = (EXAMPLES / "desk_convergence.cfg").read_text()
+        cfg.write_text(text.replace("n_max = 4", "n_max = 8"))
+        src = str(Path(snse.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            digests.append(subprocess.run(
+                [sys.executable, "-c", NONLINEAR_DIGESTS, str(cfg)], env=env,
+                check=True, capture_output=True, text=True).stdout)
+        assert len(digests[0].split()) == 4
+        assert digests[0] == digests[1]
+
     def test_import_loads_no_scipy(self):
-        # scipy is a test dependency only; the package must not pull it in
+        # scipy is a test dependency only; the package must not pull it in,
+        # nor the pool and logging modules that would lengthen its import
         src = str(Path(snse.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, snse; print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))"],
+             "for r in ('scipy', 'concurrent.futures', 'multiprocessing', "
+             "'logging') if m == r or m.startswith(r + '.')))"],
             env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 

@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -118,8 +121,153 @@ class TestRunArm:
         assert np.array_equal(a.terminal, b.terminal, equal_nan=True)
         assert np.array_equal(a.jump_counts, b.jump_counts)
 
+    # worker threads: W = min(#chunks, #CPUs) for B(u) at n_max >= 3, so an
+    # affinity of n CPUs forces W = n on three chunks, for n <= 3
 
-_FIELDS = ("norm_h2", "norm_v2", "int_v2", "mode_traces", "drift_traces",
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+
+    @staticmethod
+    def _spy(monkeypatch, before=None):
+        """Patch simulate_arms to record (first path, thread, error state)
+        of each chunk, then call before(first path)."""
+        calls = []
+        real = harness.simulate_arms
+
+        def spy(basis, solver, u0, chunk, *rest):
+            lo = chunk[0][1].paths[0]
+            calls.append((lo, threading.current_thread(), np.geterr()))
+            if before is not None:
+                before(lo)
+            return real(basis, solver, u0, chunk, *rest)
+
+        monkeypatch.setattr(harness, "simulate_arms", spy)
+        return calls
+
+    @staticmethod
+    def _nonlinear(basis, t_end=0.05):
+        # 100 paths in chunks of 34: three chunks, so W = 2 gives worker 0
+        # two chunks and worker 1 one
+        sigma = saturating(0.5)
+        kernels = kernel_grid(sigma, "annulus", "one", (0.2, 0.1),
+                              alpha_stable_measure(1.0))
+        u0 = np.zeros(basis.dim)
+        u0[0], u0[4] = 0.3, 0.3
+        return ExperimentConfig(
+            basis=basis, solver=SolverConfig(t_end, 0.01, track_modes=(0, 4)),
+            initial=u0, noise=BrownianNoiseSpec(sigma),
+            kernels=tuple(kernels), functionals=("normH2", "mode:0"),
+            n_paths=100, seed=7, chunk_size=34)
+
+    @staticmethod
+    def _blas_counts():
+        return [get() for get, _ in harness._blas_thread_fns()]
+
+    def test_workers_give_serial_bytes(self, basis4, monkeypatch, tmp_path):
+        if not harness._blas_thread_fns():
+            pytest.skip("no OpenBLAS thread setter: every run is serial")
+        cfg = self._nonlinear(basis4)
+        out = {}
+        # three workers on three chunks are more workers than the host's
+        # two cores; a short switch interval interleaves them more often
+        interval = sys.getswitchinterval()
+        for cpus in (1, 2, 3):
+            self._cpus(monkeypatch, cpus)
+            calls = self._spy(monkeypatch)
+            sys.setswitchinterval(1e-5 if cpus == 3 else interval)
+            try:
+                res = run_experiment(cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            persist(res, tmp_path / str(cpus), dump_paths=True)
+            out[cpus] = [res.bm_batch] + res.jump_batches
+            assert sorted(lo for lo, _, _ in calls) == [0, 34, 68]
+            assert len({thread for _, thread, _ in calls}) == cpus
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert len(names) == 6
+        for cpus in (2, 3):
+            for one, other in zip(out[1], out[cpus]):
+                for name in ("times",) + _FIELDS:
+                    np.testing.assert_array_equal(getattr(one, name),
+                                                  getattr(other, name),
+                                                  err_msg=name)
+            assert names == sorted(
+                p.name for p in (tmp_path / str(cpus)).iterdir())
+            for name in names:
+                assert ((tmp_path / "1" / name).read_bytes()
+                        == (tmp_path / str(cpus) / name).read_bytes()), name
+
+    def test_worker_failure_reaches_caller(self, basis4, monkeypatch,
+                                           tmp_path, request):
+        if not harness._blas_thread_fns():
+            pytest.skip("no OpenBLAS thread setter: every run is serial")
+        self._cpus(monkeypatch, 2)
+        cfg = self._nonlinear(basis4, t_end=0.01)
+        # start at 2 BLAS threads, not the workers' 1, whatever an earlier
+        # run left; the old counts come back after the test
+        for get, put in harness._blas_thread_fns():
+            request.addfinalizer(functools.partial(put, get()))
+            put(2)
+        before = self._blas_counts()
+        assert set(before) == {2}
+        run_arm(cfg, "brownian")
+        assert self._blas_counts() == before
+        # chunk 34 fails on worker 1's thread once the caller has taken
+        # chunk 0, and chunk 0 waits for that thread to end, so worker 0
+        # sees the failure before it could take chunk 68
+        failed, both_taken = [], threading.Barrier(2, timeout=60)
+
+        def before_chunk(lo):
+            if lo == 34:
+                failed.append(threading.current_thread())
+                both_taken.wait()
+                raise RuntimeError("chunk 34 failed")
+            if lo == 0:
+                both_taken.wait()
+                failed[0].join(60)
+
+        calls = self._spy(monkeypatch, before_chunk)
+        with pytest.raises(RuntimeError, match="chunk 34 failed"):
+            persist(run_experiment(cfg), tmp_path / "out")
+        assert sorted(lo for lo, _, _ in calls) == [0, 34]
+        assert failed[0] is not threading.current_thread()
+        assert not failed[0].is_alive()
+        assert not (tmp_path / "out").exists()
+        assert self._blas_counts() == before
+
+    def test_workers_keep_callers_error_state(self, basis4, monkeypatch):
+        if not harness._blas_thread_fns():
+            pytest.skip("no OpenBLAS thread setter: every run is serial")
+        self._cpus(monkeypatch, 2)
+        calls = self._spy(monkeypatch)
+        with np.errstate(over="ignore", under="warn"):
+            run_arm(self._nonlinear(basis4, t_end=0.01), "all")
+        assert len({thread for _, thread, _ in calls}) == 2
+        for _, _, state in calls:
+            assert state["over"] == "ignore" and state["under"] == "warn"
+
+    def test_small_and_linear_runs_start_no_thread(self, basis1, basis2,
+                                                   basis4, monkeypatch):
+        # steps bound by Python: threads would only contend for the GIL
+        self._cpus(monkeypatch, 2)
+        calls = self._spy(monkeypatch)
+        started = []
+        monkeypatch.setattr(harness.threading.Thread, "start",
+                            lambda t: started.append(t))
+        run_arm(self._nonlinear(basis2, t_end=0.01), "all")
+        run_arm(_config(basis1, n_paths=50, chunk_size=10), "all")
+        linear4 = self._nonlinear(basis4, t_end=0.01)
+        linear4.solver = dataclasses.replace(linear4.solver,
+                                             include_nonlinearity=False)
+        run_arm(linear4, "all")
+        assert started == []
+        assert len(calls) == 3 + 5 + 3
+        assert {thread for _, thread, _ in calls} == {threading.current_thread()}
+
+
+_FIELDS =("norm_h2", "norm_v2", "int_v2", "mode_traces", "drift_traces",
            "jump_counts", "sup_h4", "blowup_time", "terminal")
 
 

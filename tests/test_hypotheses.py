@@ -1,5 +1,7 @@
 """Certification checks vs closed forms, dense quadrature, and brute force."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -262,6 +264,16 @@ class TestMartingale:
             martingale_diagnostic(batch)
         with pytest.raises(ValueError):
             martingale_diagnostic(batch, trace_index=5)
+        # one record: every mean and SE is 0, so the check passed vacuously
+        batch = simulate_brownian_batch(
+            basis2, cfg, np.zeros(basis2.dim),
+            [derive_stream(0, "diagnostic", 0, p) for p in range(100)])
+        assert martingale_diagnostic(batch).n_paths == 100
+        one = dataclasses.replace(batch, times=batch.times[:1],
+                                  mode_traces=batch.mode_traces[:, :1],
+                                  drift_traces=batch.drift_traces[:, :1])
+        with pytest.raises(ValueError, match="two records"):
+            martingale_diagnostic(one)
 
     def test_trace_index_in_range(self, basis2):
         # enough paths, so only the index can be refused; a negative index
