@@ -503,12 +503,6 @@ def path_dump_blocks(batch: PathBatch, track_modes):
         yield "\n".join(map(",".join, zip(*columns)))
 
 
-def path_dump_lines(batch: PathBatch, track_modes) -> list[str]:
-    """Every line of a path dump as one list."""
-    return [line for block in path_dump_blocks(batch, track_modes)
-            for line in block.split("\n")]
-
-
 def dump_name(epsilon: float | None) -> str:
     """Path-dump file of the Brownian arm (None) or of a jump arm."""
     return ("paths_bm.csv" if epsilon is None

@@ -34,7 +34,7 @@ budget _QV_BUDGET = 1e-4 is refused.
 Every state map declares a scalar gain with sigma(t u) = gain(t, |u|_H) sigma(u).
 A nu-integral of sigma(theta(z) u) h(z) therefore needs sigma(u) once and the
 table's scalar gain moments sum_z w h^k gain(theta(z), |u|)^k, never sigma at
-the nodes.
+the nodes; each map gives these moments in closed form, next to its gain.
 
 The inner_linear family has infinite activity. The cutoff applies to path
 sampling only: marks are drawn from {delta <= |z| <= eps} with delta chosen
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -156,22 +156,60 @@ class FieldMap:
     for every real t; it broadcasts t against r, and the jump kernel's
     nu-integrals rely on it in place of evaluating fn at every mark. A gain
     may return a fresh array or t itself (the table's read-only theta, for
-    the linear maps), so callers never write into it. It has at least t's
-    shape, even where it is constant in t: the first gain moment sums the
-    gains as returned, and a scalar broadcast along the node axis would sum
-    in a different order than a real array.
+    the linear maps), so callers never write into it.
+
+    moment(t, a, k) takes node vectors t and a and returns the function
+    that maps rows u to the gain moment sum_q a_q gain(t_q, |u|_H)^k, one
+    value per row, in closed form, never through a (rows, nodes) array of
+    gains. Where the gain does not depend on |u|_H that is one dot, taken
+    once. Each row has the bits of its one-row call, and a value may be a
+    read-only broadcast, so callers never write into it.
     """
 
     name: str
     fn: Callable
     ball_sup: Callable
     gain: Callable
+    moment: Callable
+
+
+def _every_row(value):
+    """The moment of a gain constant in |u|: value on each row of u."""
+    return lambda u: np.broadcast_to(value, np.shape(u)[:-1])
+
+
+def _linear_moment(t, a, k):
+    # gain(t, r) = t
+    return _every_row(row_dot(t if k == 1 else t**k, a))
+
+
+def _flat_moment(t, a, k):
+    # gain(t, r) = 1: the weights' sum, as a dot with ones
+    return _every_row(row_dot(np.ones_like(t), a))
+
+
+def _power_in_place(x: np.ndarray, k: int) -> np.ndarray:
+    """x^k by products, written into x: x * x * x for k = 3 and
+    (x * x) * (x * x) for k = 4.
+
+    numpy's pow may round an element of a long array differently from the
+    same element of a short one, so a row would lose the bits of its
+    one-row call; products are correctly rounded everywhere.
+    """
+    if k % 2 == 0:
+        _power_in_place(x, k // 2)
+        x *= x
+    elif k > 1:
+        base = x.copy()
+        _power_in_place(x, k - 1)
+        x *= base
+    return x
 
 
 def scaled_identity(c: float = 1.0) -> FieldMap:
     return FieldMap(f"identity:{float_label(c)}",
                     lambda u: c * np.asarray(u, dtype=np.float64),
-                    lambda r: abs(c) * r, lambda t, r: t)
+                    lambda r: abs(c) * r, lambda t, r: t, _linear_moment)
 
 
 def saturating(c: float = 1.0) -> FieldMap:
@@ -190,8 +228,24 @@ def saturating(c: float = 1.0) -> FieldMap:
         out /= den
         return out
 
+    def moment(t, a, k):
+        # gain = t / y with y = (1 + |t| r) / (1 + r) = 1 + (|t| - 1) rho,
+        # rho = r / (1 + r): one outer product, one add and one reciprocal
+        # pass per call. y lies between 1 and |t|, so no power of it
+        # overflows at any finite r; r = inf gives NaN, as the gain does.
+        d, at = np.abs(t) - 1.0, a * _power_in_place(t.copy(), k)
+
+        def half(u):
+            r = np.sqrt(np.add.reduce(u * u, axis=-1))
+            y = np.einsum("...,q->...q", r / (1.0 + r), d)
+            y += 1.0
+            np.reciprocal(y, out=y)
+            return row_dot(_power_in_place(y, k), at)
+
+        return half
+
     return FieldMap(f"saturating:{float_label(c)}", fn,
-                    lambda r: abs(c) * r / (1.0 + r), gain)
+                    lambda r: abs(c) * r / (1.0 + r), gain, moment)
 
 
 def constant_field(coeffs) -> FieldMap:
@@ -212,19 +266,12 @@ def constant_field(coeffs) -> FieldMap:
         return out
 
     return FieldMap(name, fn, lambda r: gnorm,
-                    lambda t, r: np.ones_like(t))
-
-
-def diagonal_map(diag) -> FieldMap:
-    d = np.asarray(diag, dtype=np.float64)
-    top = float(np.max(np.abs(d)))
-    return FieldMap("diagonal", lambda u: np.asarray(u, dtype=np.float64) * d,
-                    lambda r: top * r, lambda t, r: t)
+                    lambda t, r: np.ones_like(t), _flat_moment)
 
 
 def zero_map() -> FieldMap:
     return FieldMap("zero", lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
-                    lambda r: 0.0, lambda t, r: np.ones_like(t))
+                    lambda r: 0.0, lambda t, r: np.ones_like(t), _flat_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +317,10 @@ class JumpKernel:
     activity: float
     h_integral: float
     table: NodeTable
+    # k -> the +z half of gain moment k as a function of the rows, built on
+    # first use by gain_moment
+    halves: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def channels(self) -> tuple[JumpKernel]:
@@ -406,7 +457,8 @@ def node_values(kernel: JumpKernel, coeffs):
 
     coeffs may carry leading row axes; the gains have shape (..., Q), so
     sigma(theta(z) u) is gain[..., q] * sigma(u) at node q, and at its
-    mirror mark -z as well, since theta is even.
+    mirror mark -z as well, since theta is even. Only jump_l2_diff needs
+    gains node by node; every other nu-integral takes gain moments.
     """
     t = kernel.table
     r = np.linalg.norm(coeffs, axis=-1, keepdims=True)
@@ -422,11 +474,21 @@ def gain_moment(kernel: JumpKernel, coeffs, k: int):
 
     With it, the nu-integral of |sigma_eps(u, z)|^k is |sigma(u)|^k times
     this moment (and for k = 1 the integral of sigma_eps itself). The +z
-    half is summed once and the -z half is parity^k times that sum, added
-    in sign order, so an odd power of an odd profile cancels exactly.
+    half is the state map's moment of the table's theta and a = w h^k, in
+    closed form; under theta = one every gain is exactly 1, so it is the
+    dot of a with the table's theta, one value for every row. The kernel
+    keeps each k's moment function after its first call. The -z half
+    is parity^k times the +z half, added in sign order, so an odd power of
+    an odd profile cancels exactly.
     """
-    w, hv, g = node_values(kernel, coeffs)
-    half = row_dot(g if k == 1 else g**k, w * hv**k)
+    moment = kernel.halves.get(k)
+    if moment is None:
+        t = kernel.table
+        a = t.w * t.h**k
+        moment = kernel.halves[k] = (
+            _every_row(row_dot(t.theta, a)) if kernel.theta.family == "one"
+            else kernel.sigma.moment(t.theta, a, k))
+    half = moment(np.asarray(coeffs, dtype=np.float64))
     return 0.0 + half + kernel.table.parity**k * half
 
 

@@ -8,6 +8,8 @@ metadata. The `reference_*` functions are the plain or former forms of
 package computations, kept to compare the current ones against.
 `random_field` draws test fields as coefficient rows, and the grid helpers
 (`max_divergence`, `grid_l2_integral`, `embed`) check a row's synthesis.
+`path_dump_lines` and `diagonal_map` serve tests only: a path dump as one
+list of lines, and a linear state map outside the built-in ones.
 """
 
 from __future__ import annotations
@@ -228,6 +230,51 @@ def reference_jump_batch(basis, cfg, u0, streams, kernel, forcing=None):
                    (u * u) @ eigs, expl, eigs, iv2, counts)
     rec.finish(u, sup4, blow_t)
     return rec.batches()[0]
+
+
+# ---------------------------------------------------------------------------
+# a path dump as one list of lines
+
+def path_dump_lines(batch, track_modes) -> list[str]:
+    """Every line of a path dump as one list: the list form of
+    harness.path_dump_blocks."""
+    from snse.harness import path_dump_blocks
+
+    return [line for block in path_dump_blocks(batch, track_modes)
+            for line in block.split("\n")]
+
+
+# ---------------------------------------------------------------------------
+# a linear state map outside the package's built-in maps
+
+def diagonal_map(diag):
+    """The FieldMap u -> diag * u. It is linear, so its gain is t and its
+    gain moment is scaled_identity's."""
+    from snse.kernels import FieldMap, scaled_identity
+
+    d = np.asarray(diag, dtype=np.float64)
+    top = float(np.max(np.abs(d)))
+    return FieldMap("diagonal", lambda u: np.asarray(u, dtype=np.float64) * d,
+                    lambda r: top * r, lambda t, r: t,
+                    scaled_identity().moment)
+
+
+# ---------------------------------------------------------------------------
+# gain moments as a sum over the (rows, nodes) array of gains
+
+def reference_moment_half(kernel, coeffs, k):
+    """The +z half of kernels.gain_moment summed node by node, and its scale.
+
+    The half is row_dot(g^k, w h^k) over the gains g = gain(theta(z),
+    |u|_H) of node_values, as gain_moment summed it before the state maps
+    had closed-form moments (numpy's pow for k > 1). The scale is
+    sum_q |w h^k g^k| per row, the size of the sum's round-off.
+    """
+    from snse.kernels import node_values, row_dot
+
+    w, hv, g = node_values(kernel, coeffs)
+    gk, a = (g if k == 1 else g**k), w * hv**k
+    return row_dot(gk, a), row_dot(np.abs(gk), np.abs(a))
 
 
 # ---------------------------------------------------------------------------

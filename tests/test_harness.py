@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import path_dump_lines
 from snse import harness
 from snse.basis import get_basis
 from snse.errors import CertificationError, ConfigError
 from snse.harness import (ExperimentConfig, csv_cell, functional_samples,
-                          manifest_lines, path_dump_lines, persist, run_arm,
-                          run_experiment)
+                          manifest_lines, persist, run_arm, run_experiment)
 from snse.hypotheses import kernel_grid
 from snse.integrate import BrownianNoiseSpec, SolverConfig
 from snse.kernels import (constant_field, saturating, scaled_identity,

@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from oracles import (
-    random_field, reference_compensator, reference_l2_diff, reference_l2_mass,
-    reference_l4_mass, reference_qv_matrix, reference_v2_mass,
+    diagonal_map, random_field, reference_compensator, reference_l2_diff,
+    reference_l2_mass, reference_l4_mass, reference_moment_half,
+    reference_qv_matrix, reference_v2_mass,
 )
 from snse.basis import get_basis
 from snse.errors import InadmissibleKernelError
@@ -20,8 +21,8 @@ from snse.hypotheses import (brownian_l2_mass, jump_l2_diff, jump_l2_mass,
                              jump_l4_mass, jump_v2_mass)
 from snse.kernels import (
     HKernel, ThetaKernel, _node_rule, build_h, build_jump_kernel, build_theta,
-    compensator_drift, constant_field, diagonal_map, eval_sigma_eps,
-    gain_moment, h_norm_check, make_kernel, row_dot, saturating,
+    compensator_drift, constant_field, eval_sigma_eps, gain_moment,
+    h_norm_check, make_kernel, row_dot, saturating,
     scaled_identity, sup_jump_size, zero_map,
 )
 from snse.measures import alpha_stable_measure, moment_mass, power_law_measure
@@ -219,7 +220,8 @@ class TestGainMoments:
                  "constant": constant_field(0.5 * np.eye(dim)[3])}[map_name]
         kern = build_jump_kernel(sigma, family, theta, 0.05,
                                  alpha_stable_measure(alpha))
-        self._check(kern, basis2, odd=family != "annulus")
+        self._check(kern, basis2, odd=family != "annulus",
+                    exact=map_name != "saturating")
 
     @pytest.mark.parametrize("eps", [0.1, 0.02])
     @pytest.mark.parametrize("theta", ["one", "cosine", "gaussian_dip"])
@@ -238,6 +240,7 @@ class TestGainMoments:
             (rule * NU1.density(x), kern.h.fn(x),
              kern.sigma.gain(kern.theta.fn(x), r)) for x in (z, -z))
         odd = family != "annulus"
+        t = kern.table
         for k in (1, 2, 3, 4):
             plus = row_dot(gp**k, wp * hp**k)
             value = gain_moment(kern, rows, k)
@@ -246,11 +249,65 @@ class TestGainMoments:
             # the +z power times parity^k, and the sum with numpy's powers
             # at -z is checked to the last bits only
             hmk = hm**k if k <= 2 else (-1.0 if odd else 1.0) ** k * hp**k
-            assert np.array_equal(value, (0.0 + plus) + row_dot(gm**k, wm * hmk))
+            if theta == "one":
+                assert np.array_equal(value,
+                                      (0.0 + plus) + row_dot(gm**k, wm * hmk))
+            else:
+                # the map's closed-form half, added in sign order, and
+                # within round-off of the node-gain sum
+                half = kern.sigma.moment(t.theta, t.w * t.h**k, k)(rows)
+                assert np.array_equal(
+                    value, (0.0 + half) + (-1.0 if odd else 1.0) ** k * half)
+                ref, scale = reference_moment_half(kern, rows, k)
+                assert np.all(np.abs(half - ref) <= 1e-14 * scale)
             two_sign = (0.0 + plus) + row_dot(gm**k, wm * hm**k)
             assert np.all(np.abs(value - two_sign) <= 1e-14 * np.abs(plus))
             if odd and k % 2:
                 assert np.all(value == 0.0) and not np.signbit(value).any()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("family", ["annulus", "inner_linear",
+                                        "outer_linear"])
+    @pytest.mark.parametrize("theta", ["cosine", "gaussian_dip"])
+    def test_closed_form_moments(self, theta, family, alpha):
+        # every map's moment against the node-gain sum for k = 1..4 and |u|
+        # over fourteen decades: exact where the gain is constant in |u|,
+        # within 1e-14 of sum_q |a_q gain_q^k| for saturating. The negated
+        # theta makes saturating's |theta| differ from theta.
+        nu = alpha_stable_measure(alpha)
+        h = build_h(family, 0.05, nu)
+        base = build_theta(theta, 0.05)
+        negated = ThetaKernel("negated", 0.05, lambda z: -base.fn(z))
+        rng = np.random.default_rng(41)
+        d = rng.standard_normal((57, GAIN_DIM))
+        rows = (d / np.linalg.norm(d, axis=1, keepdims=True)
+                * np.geomspace(1e-8, 1e6, 57)[:, None])
+        bad = np.full((3, GAIN_DIM), 0.5)
+        bad[0], bad[1, 2], bad[2, 4] = np.inf, -np.inf, np.nan
+        for sigma in BUILTIN_MAPS:
+            closed = sigma.name.startswith("saturating")
+            for th in (base, negated):
+                kern = make_kernel(sigma, th, h, nu)
+                t = kern.table
+                for k in (1, 2, 3, 4):
+                    a = t.w * t.h**k
+                    moment = sigma.moment(t.theta, a, k)
+                    half = moment(rows)
+                    ref, scale = reference_moment_half(kern, rows, k)
+                    if closed:
+                        assert np.all(np.abs(half - ref) <= 1e-14 * scale)
+                    else:
+                        assert np.array_equal(half, ref)
+                    # rows of non-finite norm: NaN through saturating's
+                    # gain, finite where the gain is constant, as the sum
+                    with np.errstate(invalid="ignore"):
+                        off = moment(bad)
+                        ref = reference_moment_half(kern, bad, k)[0]
+                    assert np.array_equal(off, ref, equal_nan=True)
+                    if closed:
+                        assert np.all(np.isnan(off))
+                    else:
+                        assert np.all(np.isfinite(off))
 
     @pytest.mark.parametrize("theta", ["one", "cosine", "gaussian_dip"])
     @pytest.mark.parametrize("family", ["annulus", "inner_linear",
@@ -273,21 +330,28 @@ class TestGainMoments:
                 assert err <= 1e-14 * math.sqrt(ref * jump_l2_mass(kern, u))
 
     @staticmethod
-    def _check(kern, basis, odd):
+    def _check(kern, basis, odd, exact):
         rng = np.random.default_rng(31)
         rows = (rng.standard_normal((128, basis.dim))
                 * np.geomspace(0.05, 20.0, 128)[:, None] / np.sqrt(basis.dim))
         u, v = rows[5], rows[90]
         t = kern.table
         for x in (u, rows[:1], rows[:7], rows):
-            # k = 1 sums the gains as the map returns them, with the bits of
-            # a sum over a full, contiguous array of gains
-            r = np.linalg.norm(x, axis=-1, keepdims=True)
-            g = np.broadcast_to(kern.sigma.gain(t.theta, r),
-                                r.shape[:-1] + t.theta.shape).copy()
-            half = row_dot(g, t.w * t.h)
+            # k = 1 is the map's own moment, added in sign order; where the
+            # gain is constant in |u| it has the bits of a sum over a full,
+            # contiguous array of gains, and saturating's closed form is
+            # within round-off of that sum
+            half = kern.sigma.moment(t.theta, t.w * t.h, 1)(x)
             assert np.array_equal(gain_moment(kern, x, 1),
                                   0.0 + half + t.parity * half)
+            if exact:
+                r = np.linalg.norm(x, axis=-1, keepdims=True)
+                g = np.broadcast_to(kern.sigma.gain(t.theta, r),
+                                    r.shape[:-1] + t.theta.shape).copy()
+                assert np.array_equal(half, row_dot(g, t.w * t.h))
+            else:
+                ref, scale = reference_moment_half(kern, x, 1)
+                assert np.all(np.abs(half - ref) <= 1e-14 * scale)
             drift = compensator_drift(kern, x)
             if odd:
                 # odd profile, even theta: the two signs cancel exactly
