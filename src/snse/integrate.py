@@ -18,10 +18,11 @@ any row, not with the number of atoms or of arms.  A round only writes the
 norms of its substeps and jumps into buffers of its step; each row's
 integral of |u|_V^2 and sup of |u|_H^2 over the step are reduced once,
 after the last round.  Every arm of a stack takes one sigma map, evaluated
-once per state on all rows.  B(u) runs in fixed blocks of _B_ROWS of the
-stacked rows, whatever arm they belong to, and the V-norm gemv arm by arm,
-so a linear arm has the bits it has when it runs alone, while a gemm's rows
-can move in the last bits with the block shape.
+once per state on all rows.  B(u) runs in fixed blocks of
+nonlinear._B_ROWS of the stacked rows, whatever arm they belong to, and
+the V-norm gemv arm by arm, so a linear arm has the bits it has when it
+runs alone, while a gemm's rows can move in the last bits with the block
+shape.
 
 Per-path randomness contract (pinned by tests, do not reorder):
   * Brownian arm: one standard_normal(n_steps) call per path.
@@ -143,20 +144,14 @@ def _tile_initial(u0, n_paths: int, dim: int) -> np.ndarray:
     return u
 
 
-# B(u) takes the stacked rows in blocks of this many: OpenBLAS splits a gemm
-# this wide well across two threads (a 128-row call runs slower on two
-# threads than on one), while the block's grid buffer stays a few MB
-_B_ROWS = 512
-
-
 def _explicit_drift(basis: BasisSpec, cfg: SolverConfig, u: np.ndarray,
                     forcing: FieldMap | None) -> np.ndarray:
     """-B(u) + F(u) on (P, dim) rows; the Stokes part lives in the semigroup.
 
-    B(u) runs in blocks of _B_ROWS rows.
+    B(u) runs in blocks of nonlinear._B_ROWS rows.
     """
     if cfg.include_nonlinearity:
-        out = nonlinear_term_batch(basis, u, _B_ROWS)
+        out = nonlinear_term_batch(basis, u)
         np.negative(out, out=out)
     else:
         out = np.zeros(u.shape)

@@ -34,7 +34,13 @@ budget _QV_BUDGET = 1e-4 is refused.
 Every state map declares a scalar gain with sigma(t u) = gain(t, |u|_H) sigma(u).
 A nu-integral of sigma(theta(z) u) h(z) therefore needs sigma(u) once and the
 table's scalar gain moments sum_z w h^k gain(theta(z), |u|)^k, never sigma at
-the nodes; each map gives these moments in closed form, next to its gain.
+the nodes; each map gives these moments next to its gain: one dot per kernel
+and k where the gain is constant in |u|, and for saturating a series of J
+terms in x = r / (1 + m r), with r = |u| and m the largest |theta| on the
+table, whose coefficients are summed over the nodes once per kernel and k.
+J is the least count whose tail bound is at most 2^-60 of the value: for
+the built-in families at most 41 on eps 0.2 ... 0.01 and 59 on
+0.3 ... 0.99, against 240 nodes.
 
 The inner_linear family has infinite activity. The cutoff applies to path
 sampling only: marks are drawn from {delta <= |z| <= eps} with delta chosen
@@ -160,10 +166,13 @@ class FieldMap:
 
     moment(t, a, k) takes node vectors t and a and returns the function
     that maps rows u to the gain moment sum_q a_q gain(t_q, |u|_H)^k, one
-    value per row, in closed form, never through a (rows, nodes) array of
-    gains. Where the gain does not depend on |u|_H that is one dot, taken
-    once. Each row has the bits of its one-row call, and a value may be a
-    read-only broadcast, so callers never write into it.
+    value per row. Where the gain does not depend on |u|_H that is one dot,
+    taken once. saturating's is a J-term series in x = r / (1 + m r)
+    (_saturating_series), one (rows, J) table and one dot per call; it sums
+    a (rows, nodes) array of gains only where J would exceed the node
+    count, which no built-in theta does. Each row has the bits of its
+    one-row call, and a value may be a read-only broadcast, so callers never
+    write into it.
     """
 
     name: str
@@ -206,6 +215,36 @@ def _power_in_place(x: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
+def _saturating_series(t: np.ndarray, a: np.ndarray, k: int):
+    """saturating's gain moment of node vectors t and a as a series: the
+    centre m and the J coefficients c_j = C(j + k - 1, k - 1)
+    sum_q a_q t_q^k (m - |t_q|)^j, or c None where J would exceed the
+    node count.
+
+    m is the largest |t_q| over the nodes with a_q t_q^k != 0, and q =
+    1 - min |t_q| / m over the same nodes bounds the ratio (m - |t|) x. J
+    is the least count with C(J + k - 1, k - 1) q^J / (1 - q)^k <= 2^-60,
+    which bounds the tail past J terms of sum_j C(j + k - 1, k - 1) y^j =
+    (1 - y)^-k, relative to its value, for every 0 <= y <= q.
+    """
+    at = a * _power_in_place(t.copy(), k)
+    live = np.abs(t[at != 0.0])
+    m = live.max(initial=0.0)
+    q = 1.0 - live.min() / m if live.size else 0.0
+    n = 1
+    while n <= t.size and (math.comb(n + k - 1, k - 1) * q**n
+                           > 2.0**-60 * (1.0 - q)**k):
+        n += 1
+    if n > t.size:
+        return m, None
+    powers = np.empty((n, t.size))
+    powers[0] = at
+    powers[1:] = m - np.abs(t)
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    binom = [math.comb(j + k - 1, k - 1) for j in range(n)]
+    return m, np.add.reduce(powers, axis=1) * binom
+
+
 def scaled_identity(c: float = 1.0) -> FieldMap:
     return FieldMap(f"identity:{float_label(c)}",
                     lambda u: c * np.asarray(u, dtype=np.float64),
@@ -229,18 +268,33 @@ def saturating(c: float = 1.0) -> FieldMap:
         return out
 
     def moment(t, a, k):
-        # gain = t / y with y = (1 + |t| r) / (1 + r) = 1 + (|t| - 1) rho,
-        # rho = r / (1 + r): one outer product, one add and one reciprocal
-        # pass per call. y lies between 1 and |t|, so no power of it
-        # overflows at any finite r; r = inf gives NaN, as the gain does.
-        d, at = np.abs(t) - 1.0, a * _power_in_place(t.copy(), k)
+        # centred at m = max |t|: 1 + |t| r = (1 + m r)(1 - (m - |t|) x), so
+        # gain^k = t^k s^k sum_j C(j + k - 1, k - 1) ((m - |t|) x)^j with
+        # w = 1 / (1 + m r), x = r w and s = (1 + r) w, every term >= 0
+        m, c = _saturating_series(t, a, k)
+        if c is None:
+            # more terms than nodes: sum the nodes' gains
+            return lambda u: row_dot(_power_in_place(
+                gain(t, np.linalg.norm(u, axis=-1, keepdims=True)), k), a)
+        c = np.concatenate((np.zeros(k - 1), c))
 
         def half(u):
-            r = np.sqrt(np.add.reduce(u * u, axis=-1))
-            y = np.einsum("...,q->...q", r / (1.0 + r), d)
-            y += 1.0
-            np.reciprocal(y, out=y)
-            return row_dot(_power_in_place(y, k), at)
+            # rows of s, ..., s, x, ..., x (k times s, J - 1 times x): their
+            # running products are s, ..., s^k, s^k x, ..., s^k x^(J-1), and
+            # c puts zeros against s, ..., s^(k-1). r is kept as a (..., 1)
+            # array, so a (dim,) row is written in place too; r = inf gives
+            # x = s = NaN, as the gain does
+            r = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
+            terms = np.empty(r.shape[:-1] + c.shape)
+            w = m * r
+            w += 1.0
+            np.divide(1.0, w, out=w)
+            r *= w
+            terms[..., k:] = r
+            w += r   # (1 + r) w
+            terms[..., :k] = w
+            np.multiply.accumulate(terms, axis=-1, out=terms)
+            return row_dot(terms, c)
 
         return half
 
@@ -474,10 +528,14 @@ def gain_moment(kernel: JumpKernel, coeffs, k: int):
 
     With it, the nu-integral of |sigma_eps(u, z)|^k is |sigma(u)|^k times
     this moment (and for k = 1 the integral of sigma_eps itself). The +z
-    half is the state map's moment of the table's theta and a = w h^k, in
-    closed form; under theta = one every gain is exactly 1, so it is the
-    dot of a with the table's theta, one value for every row. The kernel
-    keeps each k's moment function after its first call. The -z half
+    half is the state map's moment of the table's theta and a = w h^k: one
+    dot where the gain is constant in |u|_H, and for saturating a series
+    of J terms in x = r / (1 + m r), m = max |theta|, with J the least
+    count whose tail bound C(J + k - 1, k - 1) q^J / (1 - q)^k is at most
+    2^-60, q = 1 - min |theta| / m. Under theta = one every gain is exactly
+    1, so it is the dot of a with the table's theta, one value for every
+    row. The kernel keeps each k's moment function, with its series
+    coefficients, after its first call. The -z half
     is parity^k times the +z half, added in sign order, so an odd power of
     an odd profile cancels exactly.
     """

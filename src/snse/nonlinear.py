@@ -54,6 +54,11 @@ from .basis import BasisSpec
 
 _TENSOR_TOL = 1e-12   # coupling entries at or below this are dropped as zero
 _B_BATCH = 2000       # random triples per verify_b_estimates batch
+# nonlinear_term_batch takes (P, dim) rows in blocks of this many: OpenBLAS
+# splits a gemm this wide well across two threads (a 128-row call runs
+# slower on two threads than on one), while the block's grid buffer stays a
+# few MB
+_B_ROWS = 512
 
 
 def _synth(basis: BasisSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -113,23 +118,21 @@ def _half_grid_tables(basis: BasisSpec) -> tuple[np.ndarray, np.ndarray]:
     return synth, np.ascontiguousarray(proj)
 
 
-def nonlinear_term_batch(basis: BasisSpec, coeffs,
-                         block: int | None = None) -> np.ndarray:
+def nonlinear_term_batch(basis: BasisSpec, coeffs) -> np.ndarray:
     """Galerkin projection of (u . grad) u for a coefficient batch.
 
     Stress-divergence form on the half grid (see the module docstring):
     synthesize the cos and sin parts of u, form E O and E^2 + O^2, project
-    with the cached gradient tables.  With block, a (P, dim) batch goes
-    through in runs of at most block rows, so its grid temporaries and gemm
-    shapes are those of a block-row batch.
+    with the cached gradient tables.  A (P, dim) batch goes through in runs
+    of at most _B_ROWS rows.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if block is None or coeffs.ndim != 2 or coeffs.shape[0] <= block:
+    if coeffs.ndim != 2 or coeffs.shape[0] <= _B_ROWS:
         return _stress_divergence(basis, coeffs)
     out = np.empty_like(coeffs)
-    for lo in range(0, coeffs.shape[0], block):
-        out[lo:lo + block] = _stress_divergence(basis,
-                                                coeffs[lo:lo + block])
+    for lo in range(0, coeffs.shape[0], _B_ROWS):
+        out[lo:lo + _B_ROWS] = _stress_divergence(basis,
+                                                  coeffs[lo:lo + _B_ROWS])
     return out
 
 

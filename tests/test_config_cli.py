@@ -709,7 +709,8 @@ class TestShippedConfigs:
 
     def test_import_loads_no_scipy(self):
         # scipy is a test dependency only; the package must not pull it in,
-        # nor the pool and logging modules that would lengthen its import
+        # nor the pool and logging modules that would lengthen its import,
+        # nor numpy.polynomial, which kernels load on first use
         src = str(Path(snse.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
@@ -717,7 +718,8 @@ class TestShippedConfigs:
             [sys.executable, "-c",
              "import sys, snse; print(sorted(m for m in sys.modules "
              "for r in ('scipy', 'concurrent.futures', 'multiprocessing', "
-             "'logging') if m == r or m.startswith(r + '.')))"],
+             "'logging', 'numpy.polynomial') "
+             "if m == r or m.startswith(r + '.')))"],
             env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 

@@ -646,9 +646,9 @@ class TestStackedArms:
         term = integrate.nonlinear_term_batch
         stress = nonlinear._stress_divergence
 
-        def outer(basis, u, block):
+        def outer(basis, u):
             log.append([len(u)])
-            return term(basis, u, block)
+            return term(basis, u)
 
         def inner(basis, c):
             log[-1].append(len(c))
@@ -671,7 +671,7 @@ class TestStackedArms:
                                 + [(k, streams("jump", j))
                                    for j, k in enumerate(kernels)], noise)
         monkeypatch.undo()
-        b = integrate._B_ROWS
+        b = nonlinear._B_ROWS
         assert b < 900
         for rows, *blocks in log:
             assert blocks == [min(b, rows - lo) for lo in range(0, rows, b)]

@@ -20,7 +20,8 @@ from snse.generators import generator_gap, jump_qv_matrix
 from snse.hypotheses import (brownian_l2_mass, jump_l2_diff, jump_l2_mass,
                              jump_l4_mass, jump_v2_mass)
 from snse.kernels import (
-    HKernel, ThetaKernel, _node_rule, build_h, build_jump_kernel, build_theta,
+    HKernel, ThetaKernel, _node_rule, _saturating_series, build_h,
+    build_jump_kernel, build_theta,
     compensator_drift, constant_field, eval_sigma_eps, gain_moment,
     h_norm_check, make_kernel, row_dot, saturating,
     scaled_identity, sup_jump_size, zero_map,
@@ -28,6 +29,7 @@ from snse.kernels import (
 from snse.measures import alpha_stable_measure, moment_mass, power_law_measure
 
 NU1 = alpha_stable_measure(1.0)
+GRID5 = (0.2, 0.1, 0.05, 0.02, 0.01)
 GAIN_DIM = 6
 BUILTIN_MAPS = (scaled_identity(0.7), saturating(0.5),
                 diagonal_map(np.linspace(-1.0, 2.0, GAIN_DIM)),
@@ -308,6 +310,98 @@ class TestGainMoments:
                         assert np.all(np.isnan(off))
                     else:
                         assert np.all(np.isfinite(off))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("family", ["annulus", "inner_linear",
+                                        "outer_linear"])
+    @pytest.mark.parametrize("theta", ["cosine", "gaussian_dip"])
+    @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_series_at_wide_epsilon(self, eps, theta, family, alpha):
+        # saturating's series where theta strays furthest from 1, up to
+        # ratio q ~ 0.4: within 1e-14 of sum_q |a_q gain_q^k|. A series in
+        # rho = r / (1 + r), centred at |theta| = 1, alternates for
+        # theta > 1 and misses this bound.
+        nu = alpha_stable_measure(alpha)
+        h = build_h(family, eps, nu)
+        base = build_theta(theta, eps)
+        negated = ThetaKernel("negated", eps, lambda z: -base.fn(z))
+        rng = np.random.default_rng(43)
+        d = rng.standard_normal((57, GAIN_DIM))
+        rows = (d / np.linalg.norm(d, axis=1, keepdims=True)
+                * np.geomspace(1e-8, 1e6, 57)[:, None])
+        sigma = saturating(0.5)
+        for th in (base, negated):
+            kern = make_kernel(sigma, th, h, nu)
+            t = kern.table
+            for k in (1, 2, 3, 4):
+                half = sigma.moment(t.theta, t.w * t.h**k, k)(rows)
+                ref, scale = reference_moment_half(kern, rows, k)
+                assert np.all(np.abs(half - ref) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("grid, most", [(GRID5, 41),
+                                            ((0.3, 0.5, 0.7, 0.9, 0.99), 59)])
+    def test_series_terms_meet_the_tail_bound(self, grid, most):
+        # J is the least count whose tail bound C(J + k - 1, k - 1) q^J /
+        # (1 - q)^k is at most 2^-60, with q = 1 - min |theta| / max |theta|
+        # over the nodes that enter the sum
+        def bound(j, q, k):
+            return math.comb(j + k - 1, k - 1) * q**j / (1.0 - q)**k
+
+        longest = 0
+        for alpha in (0.5, 1.0, 1.5):
+            nu = alpha_stable_measure(alpha)
+            for family in ("annulus", "inner_linear", "outer_linear"):
+                for theta in ("cosine", "gaussian_dip"):
+                    for eps in grid:
+                        t = build_jump_kernel(saturating(0.5), family, theta,
+                                              eps, nu).table
+                        mag = np.abs(t.theta)
+                        q = 1.0 - mag.min() / mag.max()
+                        for k in (1, 2, 3, 4):
+                            m, c = _saturating_series(t.theta,
+                                                      t.w * t.h**k, k)
+                            assert m == mag.max()
+                            n = len(c)
+                            assert bound(n, q, k) <= 2.0**-60
+                            assert bound(n - 1, q, k) > 2.0**-60
+                            longest = max(longest, n)
+        assert longest <= most
+
+    def test_series_one_row_and_non_finite_rows(self):
+        # a (dim,) row has the bits of the same row in a stack, for every
+        # k, and a row of non-finite norm gives NaN alone as in a stack
+        kern = build_jump_kernel(saturating(0.5), "outer_linear", "cosine",
+                                 0.2, NU1)
+        t = kern.table
+        rng = np.random.default_rng(47)
+        rows = (rng.standard_normal((9, GAIN_DIM))
+                * np.geomspace(1e-3, 1e3, 9)[:, None])
+        rows[2, 1], rows[5, 3], rows[7, 0] = np.inf, -np.inf, np.nan
+        for k in (1, 2, 3, 4):
+            half = kern.sigma.moment(t.theta, t.w * t.h**k, k)
+            with np.errstate(invalid="ignore"):
+                stack = half(rows)
+                alone = [half(x) for x in rows]
+            assert all(np.shape(x) == () for x in alone)
+            assert np.array_equal(stack, alone, equal_nan=True)
+            assert np.isnan(stack[[2, 5, 7]]).all()
+            assert np.isfinite(np.delete(stack, [2, 5, 7])).all()
+
+    def test_series_longer_than_the_table_sums_the_nodes(self):
+        # |theta| from 0.0125 to 1.01 on the table: the series would need
+        # more terms than there are nodes, so the moment sums the nodes'
+        # gains, within round-off of the oracle
+        h = build_h("annulus", 0.05, NU1)
+        steep = ThetaKernel("steep", 0.05,
+                            lambda z: 0.01 + np.asarray(z, float) ** 2)
+        kern = make_kernel(saturating(0.5), steep, h, NU1)
+        t = kern.table
+        rows = np.geomspace(1e-8, 1e6, 29)[:, None] * np.eye(GAIN_DIM)[0]
+        for k in (1, 2, 3, 4):
+            assert _saturating_series(t.theta, t.w * t.h**k, k)[1] is None
+            half = kern.sigma.moment(t.theta, t.w * t.h**k, k)(rows)
+            ref, scale = reference_moment_half(kern, rows, k)
+            assert np.all(np.abs(half - ref) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("theta", ["one", "cosine", "gaussian_dip"])
     @pytest.mark.parametrize("family", ["annulus", "inner_linear",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from snse import nonlinear
 from snse.basis import get_basis
 from snse.nonlinear import (
     bilinear_b_batch, coupling_tensor, nonlinear_term_batch, verify_b_estimates,
@@ -177,11 +178,12 @@ class TestBatchShapes:
             assert np.allclose(batch[p], one, atol=1e-13)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5])
-    def test_blocks_match_one_call(self, basis2, rng, block):
+    def test_blocks_match_one_call(self, basis2, rng, block, monkeypatch):
         # 7 rows in runs of block rows: each run is its own batch
         c = rng.standard_normal((7, basis2.dim))
         whole = nonlinear_term_batch(basis2, c)
-        blocked = nonlinear_term_batch(basis2, c, block)
+        monkeypatch.setattr(nonlinear, "_B_ROWS", block)
+        blocked = nonlinear_term_batch(basis2, c)
         assert np.allclose(blocked, whole, atol=1e-13)
         for lo in range(0, 7, block):
             assert np.array_equal(blocked[lo:lo + block],
