@@ -217,7 +217,12 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
     to each path's stream in turn (sampling.PathStreams).  Worker w of W
     runs chunks w, w + W, ...: worker 0 on the caller's thread, the others
     on threads in copies of the caller's context (numpy's error state
-    included) with every OpenBLAS at one thread.  The first exception
+    included) with every OpenBLAS at one thread.  The workers share one
+    lock, the turn: a worker holds it through each of its chunks and lets
+    it go only while its main step's B(u) runs, whose gemms release the
+    GIL.  So one worker's gemms overlap another's small-array work, while
+    no two workers' small numpy calls, which would pass the GIL back and
+    forth on every call, run at once (simulate_arms).  The first exception
     stops every worker taking chunks and is raised once all have finished.
 
     Raises ConfigError, before any chunk is planned, when a chunk's jump
@@ -237,12 +242,14 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
             "or pick a kernel of lower activity")
     traces = ArmTraces(config.solver, len(arms), n, config.basis.dim)
     bounds = _chunk_bounds(n, config.chunk_size)
-    # threads pay only where B(u)'s gemms, which release the GIL, dominate
+    # threads pay only where B(u)'s gemms, which release the GIL, dominate;
+    # the workers take turns at everything else (see simulate_arms)
     workers = min(len(bounds), len(os.sched_getaffinity(0))) if (
         config.solver.include_nonlinearity and config.basis.n_max >= 3
         and hasattr(os, "sched_getaffinity")) else 1
     blas = _blas_thread_fns() if workers > 1 else []
     workers = workers if blas else 1
+    turn = threading.Lock() if workers > 1 else None
     errors: list[BaseException] = []
 
     def work(w: int) -> None:
@@ -255,7 +262,7 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
                          for name, j in arms]
                 simulate_arms(config.basis, config.solver, config.initial,
                               chunk, config.noise, config.forcing,
-                              traces.window(lo, hi))
+                              traces.window(lo, hi), turn)
         except BaseException as exc:
             errors.append(exc)
 

@@ -40,7 +40,9 @@ and the rest of the batch keeps going.  A single path is a batch of one.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,7 +373,8 @@ class _AtomPlan:
 def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
                   noise: BrownianNoiseSpec | None = None,
                   forcing: FieldMap | None = None,
-                  out: ArmTraces | None = None) -> list[PathBatch]:
+                  out: ArmTraces | None = None,
+                  turn: threading.Lock | None = None) -> list[PathBatch]:
     """Drive the same paths of several arms as one stacked batch.
 
     arms is a sequence of (kernel, streams) pairs, streams yielding one
@@ -395,7 +398,20 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     every compensator, and in a round sigma(theta v) gives every jump (v
     goes in as it is when every arm has theta = one) and sigma(v) every
     compensator.
+
+    turn, a lock that the workers of one run share (harness.run_arm), is
+    held from the first draw to the last record and let go only while the
+    main step's B(u) runs, whose gemms release the GIL.  So one worker's
+    small-array work can run next to another's gemms but never next to
+    another's small-array work, where the two would pass the GIL back and
+    forth on every numpy call.  Taking turns reorders no arithmetic.
     """
+    with turn if turn is not None else contextlib.nullcontext():
+        return _advance(basis, cfg, u0, arms, noise, forcing, out, turn)
+
+
+def _advance(basis, cfg, u0, arms, noise, forcing, out, turn):
+    """simulate_arms, with the turn (if any) held by the caller."""
     n_paths = len(arms[0][1])
     if any(len(streams) != n_paths for _, streams in arms):
         raise ValueError("every arm needs the same number of paths")
@@ -488,7 +504,15 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(cfg.n_steps):
-            expl = _explicit_drift(basis, cfg, u, forcing)
+            if turn is None:
+                expl = _explicit_drift(basis, cfg, u, forcing)
+            else:
+                # the other workers take their turns while B(u) runs
+                turn.release()
+                try:
+                    expl = _explicit_drift(basis, cfg, u, forcing)
+                finally:
+                    turn.acquire()
             if n % cfg.record_stride == 0:
                 out.record(n // cfg.record_stride, u, h2, v2, expl, eigs,
                            iv2, counts)

@@ -346,7 +346,10 @@ class NodeTable:
     rule weight times the Levy density, h and theta the kernel values at the
     same marks. The -z half is implied: w and theta are even, and h at -z is
     parity * h. Every nu-integral of a kernel reads these arrays instead of
-    calling the kernel's callables.
+    calling the kernel's callables, and so does sup_jump_size, through
+    sup_h and sup_theta: |h| and |theta| on its uniform grid of _SUP_GRID
+    marks from the support's lower end (at least 1e-12 of the upper) to
+    the upper end.
     """
 
     z: np.ndarray       # (Q,)
@@ -354,6 +357,8 @@ class NodeTable:
     h: np.ndarray       # (Q,)
     theta: np.ndarray   # (Q,)
     parity: float       # +1.0 for an even h, -1.0 for an odd one
+    sup_h: np.ndarray       # (_SUP_GRID,)
+    sup_theta: np.ndarray   # (_SUP_GRID,)
 
 
 @dataclass
@@ -422,8 +427,13 @@ def _node_table(theta: ThetaKernel, h: HKernel, measure: LevyMeasure,
         raise InadmissibleKernelError(
             f"theta {theta.family!r} and h {h.family!r} are not symmetric "
             f"in the mark on {measure.label()}")
-    table = NodeTable(z, rule * rho, hv, tv, parity)
-    for arr in (table.z, table.w, table.h, table.theta):
+    lo, hi = h.support
+    grid = np.linspace(max(lo, 1e-12 * hi), hi, _SUP_GRID)
+    table = NodeTable(z, rule * rho, hv, tv, parity,
+                      np.abs(np.asarray(h.fn(grid))),
+                      np.abs(np.asarray(theta.fn(grid))))
+    for arr in (table.z, table.w, table.h, table.theta, table.sup_h,
+                table.sup_theta):
         arr.setflags(write=False)
     return table
 
@@ -570,12 +580,10 @@ def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
 def sup_jump_size(kernel: JumpKernel, radius: float) -> float:
     """sup over marks and over the H ball of radius M of |sigma_eps(u, z)|_H.
 
-    Exact in the state (via ball_sup), gridded in the mark. The grid includes
-    the support endpoints, where the built-in profiles attain their sup.
+    Exact in the state (via ball_sup), gridded in the mark on the node
+    table's sup grid. The grid includes the support endpoints, where the
+    built-in profiles attain their sup.
     """
-    lo, hi = kernel.h.support
-    z = np.linspace(max(lo, 1e-12 * hi), hi, _SUP_GRID)
     # |h| and |theta| are even, so the +z half holds the sup
-    hv = np.abs(np.asarray(kernel.h.fn(z)))
-    tv = np.abs(np.asarray(kernel.theta.fn(z)))
-    return float((hv * kernel.sigma.ball_sup(tv * radius)).max())
+    t = kernel.table
+    return float((t.sup_h * kernel.sigma.ball_sup(t.sup_theta * radius)).max())

@@ -2,13 +2,14 @@ import dataclasses
 import functools
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import path_dump_lines
-from snse import harness
+from snse import harness, integrate
 from snse.basis import get_basis
 from snse.errors import CertificationError, ConfigError
 from snse.harness import (ExperimentConfig, csv_cell, functional_samples,
@@ -247,6 +248,107 @@ class TestRunArm:
         assert len({thread for _, thread, _ in calls}) == 2
         for _, _, state in calls:
             assert state["over"] == "ignore" and state["under"] == "warn"
+
+    # the turn: workers hold one lock except around their main step's B(u)
+
+    @staticmethod
+    def _within(call, deadline=60.0):
+        """call() on a helper thread, its result or exception passed on; a
+        call still running after deadline seconds (a deadlock) fails."""
+        box = {}
+
+        def run():
+            try:
+                box["out"] = call()
+            except BaseException as exc:
+                box["exc"] = exc
+
+        helper = threading.Thread(target=run, daemon=True)
+        helper.start()
+        helper.join(deadline)
+        assert not helper.is_alive(), f"no return within {deadline} s"
+        if "exc" in box:
+            raise box["exc"]
+        return box["out"]
+
+    def _two_chunks(self, basis):
+        # 2 chunks of 50 paths, 3 arms: 150 stacked rows in a main step
+        return dataclasses.replace(self._nonlinear(basis), chunk_size=50)
+
+    def test_workers_take_turns(self, basis4, monkeypatch):
+        if not harness._blas_thread_fns():
+            pytest.skip("no OpenBLAS thread setter: every run is serial")
+        self._cpus(monkeypatch, 2)
+        calls = self._spy(monkeypatch)
+        count, inside, most = threading.Lock(), [0], [0]
+        real = integrate._compensator
+
+        def compensator(*args):
+            with count:
+                inside[0] += 1
+                most[0] = max(most[0], inside[0])
+            try:
+                # a window in which the other worker could come in
+                time.sleep(1e-3)
+                return real(*args)
+            finally:
+                with count:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(integrate, "_compensator", compensator)
+        self._within(lambda: run_arm(self._two_chunks(basis4), "all"))
+        assert sorted(lo for lo, _, _ in calls) == [0, 50]
+        assert len({thread for _, thread, _ in calls}) == 2
+        assert most[0] == 1
+
+    def _worker_1_fails(self, basis, monkeypatch, tmp_path, name, hit):
+        """integrate.<name> raises on worker 1's first call whose arguments
+        hit() accepts: the error reaches the caller, nothing is persisted,
+        and a second run then gives the serial bytes."""
+        if not harness._blas_thread_fns():
+            pytest.skip("no OpenBLAS thread setter: every run is serial")
+        cfg = self._two_chunks(basis)
+        self._cpus(monkeypatch, 1)
+        serial = run_arm(cfg, "all")
+        self._cpus(monkeypatch, 2)
+        real = getattr(integrate, name)
+        caller, failed = [], []
+
+        def failing(*args):
+            if (threading.current_thread() is not caller[0] and not failed
+                    and hit(*args)):
+                failed.append(threading.current_thread())
+                raise RuntimeError(f"{name} failed")
+            return real(*args)
+
+        def run():
+            caller.append(threading.current_thread())
+            persist(run_experiment(cfg), tmp_path / "out")
+
+        monkeypatch.setattr(integrate, name, failing)
+        with pytest.raises(RuntimeError, match=f"{name} failed"):
+            self._within(run)
+        assert len(failed) == 1 and not failed[0].is_alive()
+        assert not (tmp_path / "out").exists()
+        monkeypatch.setattr(integrate, name, real)
+        calls = self._spy(monkeypatch)
+        again = self._within(lambda: run_arm(cfg, "all"))
+        assert len({thread for _, thread, _ in calls}) == 2
+        for one, other in zip(serial, again):
+            for field in ("times",) + _FIELDS:
+                np.testing.assert_array_equal(getattr(one, field),
+                                              getattr(other, field),
+                                              err_msg=field)
+
+    def test_failure_with_turn_let_go(self, basis4, monkeypatch, tmp_path):
+        # worker 1's first full-stack drift is its first main step's B(u),
+        # which runs with the turn let go
+        self._worker_1_fails(basis4, monkeypatch, tmp_path, "_explicit_drift",
+                             lambda basis, cfg, u, forcing: len(u) == 150)
+
+    def test_failure_with_turn_held(self, basis4, monkeypatch, tmp_path):
+        self._worker_1_fails(basis4, monkeypatch, tmp_path, "_compensator",
+                             lambda *args: True)
 
     def test_small_and_linear_runs_start_no_thread(self, basis1, basis2,
                                                    basis4, monkeypatch):

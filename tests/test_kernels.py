@@ -688,3 +688,27 @@ class TestChannels:
             joint = sup_jump_size(kern, radius=2.0)
             closed = _sup_h(kern.h) * kern.sigma.ball_sup(2.0)
             assert joint == pytest.approx(closed, rel=1e-6)
+
+    def test_sup_jump_size_reads_the_shared_grid(self, monkeypatch):
+        # the kernels of one family key under two maps share |h| and |theta|
+        # on the sup grid, read-only; a call evaluates no kernel callable
+        # and has the bits of the grid evaluated afresh
+        kernels = [build_jump_kernel(m, "inner_linear", "cosine", 0.1, NU1)
+                   for m in (scaled_identity(0.5), saturating(0.5))]
+        a, b = (kern.table for kern in kernels)
+        assert a.sup_h is b.sup_h and a.sup_theta is b.sup_theta
+        for arr in (a.sup_h, a.sup_theta):
+            assert arr.shape == (4097,) and not arr.flags.writeable
+        fresh = []
+        for kern in kernels:
+            lo, hi = kern.h.support
+            z = np.linspace(max(lo, 1e-12 * hi), hi, 4097)
+            hv, tv = np.abs(kern.h.fn(z)), np.abs(kern.theta.fn(z))
+            fresh.append(float((hv * kern.sigma.ball_sup(tv * 1.0)).max()))
+
+        def refuse(*args):
+            raise AssertionError("kernel callable evaluated")
+
+        monkeypatch.setattr(HKernel, "fn", refuse)
+        monkeypatch.setitem(vars(kernels[0].theta), "fn", refuse)
+        assert [sup_jump_size(kern, 1.0) for kern in kernels] == fresh
