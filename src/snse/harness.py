@@ -7,13 +7,12 @@ reference (mean gap with joint standard error, and a two-sample KS test).
 The Brownian noise sigma(u) dW and every kernel's jumps sigma(theta u) h
 take one sigma map object, as the paired arms share one diffusion limit.
 
-Reproducibility contract: every path owns a counter-based stream keyed by
-(seed, arm, eps-index, path-index), served by one Philox generator per arm
-and chunk that is re-keyed to each path's key in turn (the same draws as a
-fresh generator per path); the paths run in chunks of `chunk_size` per arm
-(the size is in the config hash), on worker threads for B(u) at n_max >= 3
-(run_arm), and a chunk advances those paths of every arm together as one
-stacked batch, so its working memory scales with 1 + the number of epsilons.
+Reproducibility contract: every path owns a counter-based stream (see
+sampling), from which each chunk draws its noise; the paths run in chunks
+of `chunk_size` per arm (the size is in the config hash), on worker
+threads for B(u) at n_max >= 3 (run_arm), and a chunk advances those paths
+of every arm together as one stacked batch, so its working memory scales
+with 1 + the number of epsilons.
 (config, seed) fix every output byte for a given numpy/BLAS build and BLAS
 thread setting (1 on worker threads), whatever the worker count; persisted
 files carry no timestamps.  Linear runs are also byte-stable across BLAS
@@ -24,8 +23,8 @@ at 1 and 2 threads (at n_max = 4 in none, untested), and a stack takes B(u)
 in fixed blocks of its rows across arms, the V-norm gemv arm by arm, so a
 nonlinear arm can move in the last bits against its one-arm run.
 
-A chunk's jump atoms are planned all at once, so a run whose chunk
-expects more than ATOM_BUDGET atoms is refused before it starts.
+A chunk's jump atoms are drawn and planned all at once, so a run whose
+chunk expects more than ATOM_BUDGET atoms is refused before it starts.
 
 Before simulating, the harness re-derives the linear-growth / Lipschitz and
 jump-size-decay certificates for the supplied kernel grid and refuses to run
@@ -55,12 +54,13 @@ from .integrate import (ArmTraces, BrownianNoiseSpec, PathBatch,
 from .integrate import simulate_brownian_batch, simulate_jump_batch  # noqa: F401
 from .kernels import FieldMap, JumpKernel
 from .measures import float_label
-# derive_stream too is bound only for perfbench/tracing.py
-from .sampling import PathStreams, derive_stream  # noqa: F401
+from .sampling import PathStreams, brownian_increments, sample_prm_paths
+# bound only for perfbench/tracing.py
+from .sampling import derive_stream  # noqa: F401
 from .stats import compare_laws, summarize
 
 BLOWUP_BUDGET = 0.01
-# expected atoms per chunk, each worker planning one at ~210 bytes per atom
+# expected atoms per chunk, each worker planning one at ~190 traced B/atom
 ATOM_BUDGET = 2_000_000
 
 _KNOWN_FUNCTIONALS = ("normH2", "normV2", "sup_normH2")
@@ -187,10 +187,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-def _chunk_bounds(n: int, size: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
 def _blas_thread_fns() -> list:
     """(get, set) thread counts of each OpenBLAS in the process, by the names
     of _BLAS_THREAD_FNS; [] if the map is unreadable or a library has none."""
@@ -213,17 +209,15 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
     Brownian arm, then one jump arm per epsilon.  Paths run in chunks of
     chunk_size, and a chunk advances those paths of every requested arm as
     one stacked batch, written straight into each arm's preallocated
-    traces.  Each arm of a chunk draws from one Philox generator, re-keyed
-    to each path's stream in turn (sampling.PathStreams).  Worker w of W
-    runs chunks w, w + W, ...: worker 0 on the caller's thread, the others
-    on threads in copies of the caller's context (numpy's error state
-    included) with every OpenBLAS at one thread.  The workers share one
-    lock, the turn: a worker holds it through each of its chunks and lets
-    it go only while its main step's B(u) runs, whose gemms release the
-    GIL.  So one worker's gemms overlap another's small-array work, while
-    no two workers' small numpy calls, which would pass the GIL back and
-    forth on every call, run at once (simulate_arms).  The first exception
-    stops every worker taking chunks and is raised once all have finished.
+    traces.  Each arm of a chunk draws its noise first, from one Philox
+    generator re-keyed to each path's stream in turn (sampling.PathStreams).
+    Worker w of W runs chunks w, w + W, ...: worker 0 on the caller's
+    thread, the others on threads in copies of the caller's context
+    (numpy's error state included) with every OpenBLAS at one thread.  The
+    workers share one lock, the turn: a worker holds it from a chunk's
+    first draw to its last record, and simulate_arms lets it go only while
+    the main step's B(u) runs (see there).  The first exception stops
+    every worker taking chunks and is raised once all have finished.
 
     Raises ConfigError, before any chunk is planned, when a chunk's jump
     arms expect more than ATOM_BUDGET atoms (activity * t_end * paths).
@@ -241,7 +235,7 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
             f"the budget of {ATOM_BUDGET:.3g}; lower chunk_size or t_end, "
             "or pick a kernel of lower activity")
     traces = ArmTraces(config.solver, len(arms), n, config.basis.dim)
-    bounds = _chunk_bounds(n, config.chunk_size)
+    bounds = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
     # threads pay only where B(u)'s gemms, which release the GIL, dominate;
     # the workers take turns at everything else (see simulate_arms)
     workers = min(len(bounds), len(os.sched_getaffinity(0))) if (
@@ -249,20 +243,29 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
         and hasattr(os, "sched_getaffinity")) else 1
     blas = _blas_thread_fns() if workers > 1 else []
     workers = workers if blas else 1
-    turn = threading.Lock() if workers > 1 else None
+    turn = threading.Lock()
     errors: list[BaseException] = []
+    solver = config.solver
+
+    def drawn(name: str, j: int, paths: range):
+        streams = PathStreams(config.seed, name, j, paths)
+        if name == "brownian":
+            return None, brownian_increments(streams, solver.n_steps,
+                                             solver.dt)
+        kernel = config.kernels[j]
+        return kernel, sample_prm_paths(kernel, solver.t_end, streams)
 
     def work(w: int) -> None:
         try:
             for lo, hi in bounds[w::workers]:
                 if errors:
                     return
-                chunk = [(None if name == "brownian" else config.kernels[j],
-                          PathStreams(config.seed, name, j, range(lo, hi)))
-                         for name, j in arms]
-                simulate_arms(config.basis, config.solver, config.initial,
-                              chunk, config.noise, config.forcing,
-                              traces.window(lo, hi), turn)
+                window = traces.window(lo, hi)
+                with turn:
+                    simulate_arms(config.basis, solver, config.initial,
+                                  [drawn(name, j, range(lo, hi))
+                                   for name, j in arms],
+                                  config.noise, config.forcing, window, turn)
         except BaseException as exc:
             errors.append(exc)
 
@@ -341,9 +344,9 @@ def _blowup_fraction(batch: PathBatch) -> float:
     return float(1.0 - batch.valid_mask().mean())
 
 
-def _moment_samples(batch: PathBatch) -> tuple[np.ndarray, np.ndarray]:
+def _moments_of(batch: PathBatch) -> tuple[float, float, float, float]:
     valid = batch.valid_mask()
-    return batch.sup_h4[valid], batch.int_v2[valid, -1] ** 2
+    return _summ(batch.sup_h4[valid]) + _summ(batch.int_v2[valid, -1] ** 2)
 
 
 def _summ(x: np.ndarray) -> tuple[float, float]:
@@ -425,11 +428,6 @@ def run_experiment(config: ExperimentConfig, force: bool = False,
                             _blowup_fraction(bm_batch),
                             [_blowup_fraction(b) for b in jump_batches],
                             certified, force and not certified, tuple(notes))
-
-
-def _moments_of(batch: PathBatch) -> tuple[float, float, float, float]:
-    sup4, iv2sq = _moment_samples(batch)
-    return _summ(sup4) + _summ(iv2sq)
 
 
 # ---------------------------------------------------------------------------

@@ -6,32 +6,23 @@ explicit step evaluated at the left endpoint.  One step function,
 simulate_arms, drives a stack of arms (records, blow-up masking, running
 integrals): the same paths of a Brownian arm and of any number of pure-jump
 arms form one (rows, dim) state, so a step takes one B(u) call and one
-record for all of them.  A Brownian block adds its Wiener increments; a
-jump block subtracts its own kernel's compensator from the drift and takes
-the atoms of its sampled Poisson random measure.  Steps that contain atoms
-are split at the atom times, with the jump applied to the left limit.  The
-atoms of every jump block are sampled and planned once per stack, with the
-substep lengths and each atom's kernel factors h(z) and theta(z), and all
-rows with a k-th atom in a step take their k-th substep together, so the
-kernel and drift evaluations per step scale with the largest atom count of
-any row, not with the number of atoms or of arms.  A round only writes the
-norms of its substeps and jumps into buffers of its step; each row's
-integral of |u|_V^2 and sup of |u|_H^2 over the step are reduced once,
-after the last round.  Every arm of a stack takes one sigma map, evaluated
-once per state on all rows.  B(u) runs in fixed blocks of
-nonlinear._B_ROWS of the stacked rows, whatever arm they belong to, and
-the V-norm gemv arm by arm, so a linear arm has the bits it has when it
-runs alone, while a gemm's rows can move in the last bits with the block
-shape.
-
-Per-path randomness contract (pinned by tests, do not reorder):
-  * Brownian arm: one standard_normal(n_steps) call per path.
-  * Jump arm: one poisson count and then one random(3 * count) call per
-    path, nothing else (sampling.sample_prm_paths).
-Draws stay one pinned sequence per path, taken path after path.  So a
-chunk may serve every path's sequence from one re-keyed generator
-(sampling.PathStreams); the draws are the same as from one generator per
-path.
+record for all of them.  An arm is a kernel and its noise, which the caller
+draws (see sampling).  A Brownian block adds its Wiener increments; a jump
+block subtracts its own kernel's compensator from the drift and takes the
+atoms of its Poisson random measure.  Steps that contain atoms are split at
+the atom times, with the jump applied to the left limit.  The atoms of
+every jump block are planned once per stack, with the substep lengths and
+each atom's kernel factors h(z) and theta(z), and all rows with a k-th atom
+in a step take their k-th substep together, so the kernel and drift
+evaluations per step scale with the largest atom count of any row, not with
+the number of atoms or of arms.  A round only writes the norms of its
+substeps and jumps into buffers of its step; each row's integral of |u|_V^2
+and sup of |u|_H^2 over the step are reduced once, after the last round.
+Every arm of a stack takes one sigma map, evaluated once per state on all
+rows.  B(u) runs in fixed blocks of nonlinear._B_ROWS of the stacked rows,
+whatever arm they belong to, and the V-norm gemv arm by arm, so a linear
+arm has the bits it has when it runs alone, while a gemm's rows can move in
+the last bits with the block shape.
 
 Trajectories are never clamped.  Once a path leaves the configured norm
 ball it is marked blown up, its state traces turn NaN from that record on,
@@ -40,7 +31,6 @@ and the rest of the batch keeps going.  A single path is a batch of one.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import threading
 from dataclasses import dataclass
@@ -50,7 +40,7 @@ import numpy as np
 from .basis import BasisSpec
 from .kernels import FieldMap, JumpKernel, gain_moment, row_dot
 from .nonlinear import nonlinear_term_batch
-from .sampling import sample_prm_paths
+from .sampling import brownian_increments, sample_prm_paths
 # bound here, though unused, because perfbench/tracing.py wraps these names
 from .kernels import compensator_drift, eval_sigma_eps  # noqa: F401
 from .sampling import sample_prm  # noqa: F401
@@ -293,14 +283,15 @@ class _AtomPlan:
         zero = np.zeros(self.coef.size, dtype=bool)
         self.gains = []
         row, times, hv, tv = [], [], [], []
-        for block, kernel, streams in jumpy:
+        for block, kernel, (drawn, counts) in jumpy:
             rows = slice(block.start - span.start, block.stop - span.start)
             if kernel.theta.family == "one":
                 self.coef[rows] = kernel.h_integral
                 zero[rows] = kernel.h_integral == 0.0
             else:
                 self.gains.append((rows, kernel))
-            drawn, counts = sample_prm_paths(kernel, cfg.t_end, streams)
+            if counts.sum() != len(drawn):
+                raise ValueError("atom counts must sum to the atom count")
             row.append(np.repeat(np.arange(block.start, block.stop), counts))
             hv.append(kernel.h.fn(drawn.marks))
             tv.append(np.ones(len(drawn)) if kernel.theta.family == "one"
@@ -308,9 +299,12 @@ class _AtomPlan:
             times.append(drawn.times)
         row = np.concatenate(row)
         times = np.concatenate(times)
+        # a row's atoms are in time order, so each (row, step) is one run
+        if not (np.all((times >= 0.0) & (times <= cfg.t_end)) and np.all(
+                (times[1:] >= times[:-1]) | (row[1:] != row[:-1]))):
+            raise ValueError("atom times unsorted in a path or off [0, t_end]")
 
         step = np.minimum((times / dt).astype(int), n_steps - 1)
-        # a row's atoms are in time order, so each (row, step) is one run
         key = row * n_steps + step
         fresh = np.ones(key.size, dtype=bool)
         fresh[1:] = key[1:] != key[:-1]
@@ -377,17 +371,17 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
                   turn: threading.Lock | None = None) -> list[PathBatch]:
     """Drive the same paths of several arms as one stacked batch.
 
-    arms is a sequence of (kernel, streams) pairs, streams yielding one
-    numpy Generator per path, with as many paths in every arm.  Streams
-    are taken in path order, each arm's once, and each is used up before
-    the next is taken, so a stream need only be valid until then (see
-    sampling.PathStreams).  kernel None makes a Brownian arm driven by
-    noise (noise=None integrates the deterministic system); a JumpKernel
-    makes a compensated pure-jump arm.  Every arm that is driven must take
-    the same sigma map object (ValueError otherwise).  u0 is one (dim,) row
-    or one row per path, shared by every arm.  The traces go to out, an
-    ArmTraces (or window of one) of exactly these arms and paths, or to a
-    new one; returns one PathBatch per arm.
+    arms is a sequence of (kernel, drawn) pairs with as many paths in every
+    arm, drawn being the arm's noise.  kernel None makes a Brownian arm
+    driven by noise, drawn being its (n_steps, paths) Wiener increments
+    (noise=None integrates the deterministic system); a JumpKernel makes a
+    compensated pure-jump arm, drawn being the (Atoms, counts) of its
+    Poisson random measure, each path's atoms in time order on [0, t_end].
+    Arms may share their noise.  Noise that is not so, or driven arms that
+    do not all take the same sigma map object, raise ValueError.  u0 is one
+    (dim,) row or one row per path, shared by every arm.  The traces go to
+    out, an ArmTraces (or window of one) of exactly these arms and paths,
+    or to a new one; returns one PathBatch per arm.
 
     A step with atoms is split at the atom times: between atoms the state
     moves by the exponential Euler step with the compensated drift of the
@@ -400,21 +394,19 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     compensator.
 
     turn, a lock that the workers of one run share (harness.run_arm), is
-    held from the first draw to the last record and let go only while the
-    main step's B(u) runs, whose gemms release the GIL.  So one worker's
-    small-array work can run next to another's gemms but never next to
-    another's small-array work, where the two would pass the GIL back and
-    forth on every numpy call.  Taking turns reorders no arithmetic.
+    held by the caller and let go here only while the main step's B(u)
+    runs, whose gemms release the GIL.  So one worker's small-array work
+    can run next to another's gemms but never next to another's
+    small-array work, where the two would pass the GIL back and forth on
+    every numpy call.  Taking turns reorders no arithmetic.
     """
-    with turn if turn is not None else contextlib.nullcontext():
-        return _advance(basis, cfg, u0, arms, noise, forcing, out, turn)
-
-
-def _advance(basis, cfg, u0, arms, noise, forcing, out, turn):
-    """simulate_arms, with the turn (if any) held by the caller."""
-    n_paths = len(arms[0][1])
-    if any(len(streams) != n_paths for _, streams in arms):
-        raise ValueError("every arm needs the same number of paths")
+    # a jump arm's noise spans the steps too, with one count per path
+    shapes = [np.shape(drawn) if kernel is None
+              else (cfg.n_steps, len(drawn[1])) for kernel, drawn in arms]
+    if any(s != shapes[0] or s[:-1] != (cfg.n_steps,) for s in shapes):
+        raise ValueError("every arm's noise must be (n_steps, paths), with "
+                         "the same number of paths")
+    n_paths = shapes[0][1]
     maps = [noise.sigma if kernel is None else kernel.sigma
             for kernel, _ in arms if kernel is not None or noise is not None]
     if any(m is not maps[0] for m in maps):
@@ -425,18 +417,13 @@ def _advance(basis, cfg, u0, arms, noise, forcing, out, turn):
         out = ArmTraces(cfg, len(arms), n_paths, basis.dim)
     blocks = [slice(a * n_paths, (a + 1) * n_paths) for a in range(len(arms))]
 
-    root = np.sqrt(cfg.dt)
     wiener = []   # (block, increments) of each Brownian arm
-    jumpy = []    # (block, kernel, streams) of each jump arm
-    for block, (kernel, streams) in zip(blocks, arms):
+    jumpy = []    # (block, kernel, (Atoms, counts)) of each jump arm
+    for block, (kernel, drawn) in zip(blocks, arms):
         if kernel is not None:
-            jumpy.append((block, kernel, streams))
+            jumpy.append((block, kernel, drawn))
         elif noise is not None:
-            # step-major, so each step reads one contiguous row
-            dw = np.empty((cfg.n_steps, n_paths))
-            for p, g in enumerate(streams):
-                dw[:, p] = g.standard_normal(cfg.n_steps) * root
-            wiener.append((block, dw))
+            wiener.append((block, drawn))
     plan = _AtomPlan(cfg, jumpy) if jumpy else None
 
     eigs = basis.eigenvalues
@@ -575,15 +562,16 @@ def simulate_brownian_batch(basis: BasisSpec, cfg: SolverConfig, u0,
     """Drive a batch of paths with the Brownian noise.
 
     streams is one numpy Generator per path; noise=None integrates the
-    deterministic system.
+    deterministic system (the increments are drawn all the same).
     """
-    return simulate_arms(basis, cfg, u0, [(None, streams)], noise,
-                         forcing)[0]
+    dw = brownian_increments(streams, cfg.n_steps, cfg.dt)
+    return simulate_arms(basis, cfg, u0, [(None, dw)], noise, forcing)[0]
 
 
 def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
                         streams, kernel: JumpKernel,
                         forcing: FieldMap | None = None) -> PathBatch:
     """Drive a batch of paths with the compensated pure-jump noise."""
-    return simulate_arms(basis, cfg, u0, [(kernel, streams)], None,
+    drawn = sample_prm_paths(kernel, cfg.t_end, streams)
+    return simulate_arms(basis, cfg, u0, [(kernel, drawn)], None,
                          forcing)[0]

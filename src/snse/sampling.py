@@ -1,17 +1,21 @@
-"""Poisson random measure sampling and reproducible stream derivation.
+"""The one module that takes random draws: reproducible streams, and from
+them the noise of both arms, Wiener increments and Poisson random measure
+atoms, which the integrator only steps.
 
 Every path owns a counter-based stream keyed by (seed, arm, eps-index,
-path-index), so a path's random draws do not depend on how paths are grouped
-into batches.  A run of paths may take its streams from one generator
-re-keyed path by path (``PathStreams``); the draws are the same.
-
-Event draw order is fixed and documented: count, then times, then
-magnitudes (the power law's closed-form inverse CDF), then signs (fair, the
-measures being symmetric). Changing it would silently change every jump-arm
-trajectory, so the order is pinned by tests.  A path's atoms come back as
-struct-of-arrays (``Atoms``), sorted by time.  The sampler
-takes the pinned draws path by path and does the rest once for all paths
-(``sample_prm_paths``); ``sample_prm`` is its one-path call.
+path-index), so a path's random draws do not depend on how paths are
+grouped into batches.  Per-path randomness contract (pinned by tests, do
+not reorder: a change would silently change every trajectory):
+  * Brownian arm: one standard_normal(n_steps) call (brownian_increments).
+  * Jump arm: one poisson count, then one random(3 * count) call, read as
+    count times, count magnitudes (the power law's closed-form inverse
+    CDF) and count signs (fair, the measures being symmetric), nothing
+    else.  sample_prm_paths takes the draws path by path and does the rest
+    once for all paths; sample_prm is its one-path call.  A path's atoms
+    come back as struct-of-arrays (Atoms), sorted by time.
+Draws stay one pinned sequence per path, taken path after path.  So a
+chunk may serve every path's sequence from one re-keyed generator
+(PathStreams); the draws are the same as from one generator per path.
 """
 
 from __future__ import annotations
@@ -79,6 +83,16 @@ class PathStreams:
             key[0], key[1] = k & _MASK64, k >> 64
             bits.state = state
             yield self.generator
+
+
+def brownian_increments(streams, n_steps: int, dt: float) -> np.ndarray:
+    """(n_steps, paths) Wiener increments over steps of dt, one path per
+    stream: step-major, so each step reads one contiguous row."""
+    root = np.sqrt(dt)
+    dw = np.empty((n_steps, len(streams)))
+    for p, g in enumerate(streams):
+        dw[:, p] = g.standard_normal(n_steps) * root
+    return dw
 
 
 @dataclass(frozen=True)

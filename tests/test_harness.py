@@ -132,19 +132,19 @@ class TestRunArm:
 
     @staticmethod
     def _spy(monkeypatch, before=None):
-        """Patch simulate_arms to record (first path, thread, error state)
-        of each chunk, then call before(first path)."""
+        """Patch ArmTraces.window, which run_arm calls once per chunk before
+        the chunk takes the turn, to record (first path, thread, error
+        state) of each chunk, then call before(first path)."""
         calls = []
-        real = harness.simulate_arms
+        real = harness.ArmTraces.window
 
-        def spy(basis, solver, u0, chunk, *rest):
-            lo = chunk[0][1].paths[0]
+        def spy(traces, lo, hi):
             calls.append((lo, threading.current_thread(), np.geterr()))
             if before is not None:
                 before(lo)
-            return real(basis, solver, u0, chunk, *rest)
+            return real(traces, lo, hi)
 
-        monkeypatch.setattr(harness, "simulate_arms", spy)
+        monkeypatch.setattr(harness.ArmTraces, "window", spy)
         return calls
 
     @staticmethod
@@ -281,21 +281,27 @@ class TestRunArm:
         self._cpus(monkeypatch, 2)
         calls = self._spy(monkeypatch)
         count, inside, most = threading.Lock(), [0], [0]
-        real = integrate._compensator
 
-        def compensator(*args):
-            with count:
-                inside[0] += 1
-                most[0] = max(most[0], inside[0])
-            try:
-                # a window in which the other worker could come in
-                time.sleep(1e-3)
-                return real(*args)
-            finally:
+        def counted(real):
+            def call(*args):
                 with count:
-                    inside[0] -= 1
+                    inside[0] += 1
+                    most[0] = max(most[0], inside[0])
+                try:
+                    # a window in which the other worker could come in
+                    time.sleep(1e-3)
+                    return real(*args)
+                finally:
+                    with count:
+                        inside[0] -= 1
+            return call
 
-        monkeypatch.setattr(integrate, "_compensator", compensator)
+        # the chunk's draws, as harness binds them, and every compensator
+        for module, name in ((harness, "brownian_increments"),
+                             (harness, "sample_prm_paths"),
+                             (integrate, "_compensator")):
+            monkeypatch.setattr(module, name,
+                                counted(getattr(module, name)))
         self._within(lambda: run_arm(self._two_chunks(basis4), "all"))
         assert sorted(lo for lo, _, _ in calls) == [0, 50]
         assert len({thread for _, thread, _ in calls}) == 2

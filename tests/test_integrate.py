@@ -15,7 +15,8 @@ from snse.kernels import (ThetaKernel, build_h, build_jump_kernel,
                           scaled_identity)
 from snse.measures import alpha_stable_measure
 from snse.nonlinear import nonlinear_term_batch
-from snse.sampling import Atoms, derive_stream, sample_prm
+from snse.sampling import (Atoms, brownian_increments, derive_stream,
+                           sample_prm, sample_prm_paths)
 
 from oracles import random_field, reference_jump_batch
 
@@ -24,6 +25,15 @@ NU1 = alpha_stable_measure(1.0)
 
 def diag_stream(p=0):
     return derive_stream(0, "diagnostic", 0, p)
+
+
+def drawn(cfg, arms):
+    """(kernel, streams) arms as simulate_arms takes them, (kernel, noise):
+    each arm's streams drawn into its increments or atoms."""
+    return [(kernel, brownian_increments(streams, cfg.n_steps, cfg.dt)
+             if kernel is None else sample_prm_paths(kernel, cfg.t_end,
+                                                     streams))
+            for kernel, streams in arms]
 
 
 def unit_vector(basis, idx, amp=1.0):
@@ -524,9 +534,10 @@ class TestStackedArms:
             return [derive_stream(41, arm, j, p) for p in range(16)]
 
         stacked = simulate_arms(basis2, cfg, u0,
-                                [(None, streams("brownian", 0)),
-                                 (kernels[0], streams("jump", 0)),
-                                 (kernels[1], streams("jump", 1))], noise)
+                                drawn(cfg, [(None, streams("brownian", 0)),
+                                            (kernels[0], streams("jump", 0)),
+                                            (kernels[1], streams("jump", 1))]),
+                                noise)
         alone = [simulate_brownian_batch(basis2, cfg, u0,
                                          streams("brownian", 0), noise)]
         alone += [simulate_jump_batch(basis2, cfg, u0, streams("jump", j), k)
@@ -563,8 +574,9 @@ class TestStackedArms:
         u0 = random_field(basis2, np.random.default_rng(8), norm_h=0.5)
         brown, jump = simulate_arms(
             basis2, cfg, u0,
-            [(None, [derive_stream(59, "brownian", 0, p) for p in range(6)]),
-             (kernel, [derive_stream(59, "jump", 0, p) for p in range(6)])],
+            drawn(cfg, [
+                (None, [derive_stream(59, "brownian", 0, p) for p in range(6)]),
+                (kernel, [derive_stream(59, "jump", 0, p) for p in range(6)])]),
             BrownianNoiseSpec(sigma))
         assert np.isnan(jump.blowup_time).all()
         atoms = int(jump.jump_counts[:, -1].sum())
@@ -585,8 +597,9 @@ class TestStackedArms:
         def streams(j):
             return [derive_stream(47, "jump", j, p) for p in range(8)]
 
-        stacked = simulate_arms(basis2, cfg, u0, [(k, streams(j))
-                                                  for j, k in enumerate(kernels)])
+        stacked = simulate_arms(basis2, cfg, u0,
+                                drawn(cfg, [(k, streams(j))
+                                            for j, k in enumerate(kernels)]))
         for j, (kernel, got) in enumerate(zip(kernels, stacked)):
             # activity 198 over dt = 0.01: about two atoms per path and step
             assert got.jump_counts[:, -1].min() >= 10
@@ -622,8 +635,9 @@ class TestStackedArms:
             return [derive_stream(71, arm, j, p) for p in range(6)]
 
         simulate_arms(basis2, cfg, u0,
-                      [(None, streams("brownian", 0))]
-                      + [(k, streams("jump", j)) for j, k in enumerate(kernels)],
+                      drawn(cfg, [(None, streams("brownian", 0))]
+                            + [(k, streams("jump", j))
+                               for j, k in enumerate(kernels)]),
                       BrownianNoiseSpec(sigma))
         most = np.zeros(cfg.n_steps, dtype=int)
         for j, kernel in enumerate(kernels):
@@ -667,9 +681,10 @@ class TestStackedArms:
         monkeypatch.setattr(integrate, "nonlinear_term_batch", outer)
         monkeypatch.setattr(nonlinear, "_stress_divergence", inner)
         stacked = simulate_arms(basis2, cfg, u0,
-                                [(None, streams("brownian", 0))]
-                                + [(k, streams("jump", j))
-                                   for j, k in enumerate(kernels)], noise)
+                                drawn(cfg, [(None, streams("brownian", 0))]
+                                      + [(k, streams("jump", j))
+                                         for j, k in enumerate(kernels)]),
+                                noise)
         monkeypatch.undo()
         b = nonlinear._B_ROWS
         assert b < 900
@@ -697,15 +712,17 @@ class TestStackedArms:
                                    NU1)
         cfg = SolverConfig(t_end=0.02, dt=0.01)
         u0 = unit_vector(basis2, 0, amp=0.3)
-        arms = [(None, [diag_stream()]), (kernel, [diag_stream(1)])]
+        arms = drawn(cfg, [(None, [diag_stream()]),
+                           (kernel, [diag_stream(1)])])
         with pytest.raises(ValueError, match="one sigma map"):
             simulate_arms(basis2, cfg, u0, arms,
                           BrownianNoiseSpec(saturating(0.5)))
         other = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.1,
                                   NU1)
         with pytest.raises(ValueError, match="one sigma map"):
-            simulate_arms(basis2, cfg, u0, [(kernel, [diag_stream()]),
-                                            (other, [diag_stream(1)])])
+            simulate_arms(basis2, cfg, u0,
+                          drawn(cfg, [(kernel, [diag_stream()]),
+                                      (other, [diag_stream(1)])]))
 
     def test_jump_arm_without_atoms(self, basis2):
         # activity 2 (1/0.9 - 1) = 0.22 per unit time over 0.05: the quiet
@@ -721,8 +738,9 @@ class TestStackedArms:
         def streams(j):
             return [derive_stream(43, "jump", j, p) for p in range(8)]
 
-        stacked = simulate_arms(basis2, cfg, u0, [(quiet, streams(0)),
-                                                  (busy, streams(1))])
+        stacked = simulate_arms(basis2, cfg, u0,
+                                drawn(cfg, [(quiet, streams(0)),
+                                            (busy, streams(1))]))
         alone = [simulate_jump_batch(basis2, cfg, u0, streams(j), k)
                  for j, k in enumerate((quiet, busy))]
         assert not stacked[0].jump_counts.any()
@@ -753,6 +771,99 @@ class TestStackedArms:
             u = efac * ((0.0 - comp) * cfg.dt + u)
         for p in range(4):
             assert np.array_equal(batch.terminal[p], u)
+
+
+class TestNoiseAsData:
+    """simulate_arms steps the noise it is handed, and refuses bad noise."""
+
+    CFG = SolverConfig(t_end=0.05, dt=0.01, include_nonlinearity=False,
+                       track_modes=(0, 2))
+
+    @staticmethod
+    def _kernel(theta="one"):
+        # activity 198: about ten atoms per path over t_end = 0.05
+        return build_jump_kernel(saturating(0.5), "annulus", theta, 0.01, NU1)
+
+    @staticmethod
+    def _streams(n=6):
+        return [derive_stream(37, "jump", 0, p) for p in range(n)]
+
+    def _step(self, basis, arms, noise=None):
+        u0 = random_field(basis, np.random.default_rng(5), norm_h=0.5)
+        return simulate_arms(basis, self.CFG, u0, arms, noise)
+
+    def test_two_arms_share_one_draw(self, basis2):
+        # one (Atoms, counts) handed to two jump arms of one stack: both get
+        # the bytes of the one-arm run from the same streams
+        kernel = self._kernel("cosine")
+        atoms, counts = sample_prm_paths(kernel, self.CFG.t_end,
+                                         self._streams())
+        assert counts.min() > 1
+        first, second = self._step(basis2, [(kernel, (atoms, counts)),
+                                            (kernel, (atoms, counts))])
+        u0 = random_field(basis2, np.random.default_rng(5), norm_h=0.5)
+        alone = simulate_jump_batch(basis2, self.CFG, u0, self._streams(),
+                                    kernel)
+        for name in _FIELDS:
+            np.testing.assert_array_equal(getattr(first, name),
+                                          getattr(second, name),
+                                          err_msg=name)
+            np.testing.assert_array_equal(getattr(first, name),
+                                          getattr(alone, name),
+                                          err_msg=name)
+
+    def test_increments_not_steps_by_paths(self, basis2):
+        kernel = self._kernel()
+        noise = BrownianNoiseSpec(kernel.sigma)
+        n = self.CFG.n_steps
+        for dw in (np.zeros((n + 1, 6)), np.zeros((n - 1, 6)),
+                   np.zeros(n), np.zeros((n, 6, 1))):
+            with pytest.raises(ValueError, match="n_steps, paths"):
+                self._step(basis2, [(None, dw)], noise)
+        # five increments columns next to a jump arm of six paths
+        drawn_atoms = sample_prm_paths(kernel, self.CFG.t_end,
+                                       self._streams())
+        with pytest.raises(ValueError, match="same number of paths"):
+            self._step(basis2, [(None, np.zeros((n, 5))),
+                                (kernel, drawn_atoms)], noise)
+
+    def test_counts_not_summing_to_atoms(self, basis2):
+        kernel = self._kernel()
+        atoms, counts = sample_prm_paths(kernel, self.CFG.t_end,
+                                         self._streams())
+        for shift in (1, -1):
+            wrong = counts.copy()
+            wrong[2] += shift
+            with pytest.raises(ValueError, match="counts must sum"):
+                self._step(basis2, [(kernel, (atoms, wrong))])
+
+    def test_atom_times_off_the_horizon(self, basis2):
+        kernel = self._kernel()
+        atoms, counts = sample_prm_paths(kernel, self.CFG.t_end,
+                                         self._streams())
+        last = int(counts[0]) - 1
+        for p, t in ((0, -1e-12), (last, np.nextafter(self.CFG.t_end, 1.0)),
+                     (last, np.nan)):
+            times = atoms.times.copy()
+            times[p] = t
+            with pytest.raises(ValueError, match=r"off \[0, t_end\]"):
+                self._step(basis2, [(kernel, (Atoms(times, atoms.marks),
+                                              counts))])
+
+    def test_atom_times_unsorted_in_a_path(self, basis2):
+        kernel = self._kernel()
+        atoms, counts = sample_prm_paths(kernel, self.CFG.t_end,
+                                         self._streams())
+        # a path's atoms follow the previous path's, whose last atom is
+        # mostly later than this path's first: that is no disorder
+        start = int(counts[0])
+        assert atoms.times[start] < atoms.times[start - 1]
+        self._step(basis2, [(kernel, (atoms, counts))])
+        times = atoms.times.copy()
+        times[[start, start + 1]] = times[[start + 1, start]]
+        with pytest.raises(ValueError, match="unsorted in a path"):
+            self._step(basis2, [(kernel, (Atoms(times, atoms.marks),
+                                          counts))])
 
 
 class TestArmTraces:
@@ -795,8 +906,8 @@ class TestArmTraces:
                     (kernel, sampling.PathStreams(9, "jump", 0,
                                                   range(lo, hi)))]
             written.clear()
-            simulate_arms(basis2, cfg, u0, arms, BrownianNoiseSpec(sigma),
-                          None, window)
+            simulate_arms(basis2, cfg, u0, drawn(cfg, arms),
+                          BrownianNoiseSpec(sigma), None, window)
             assert sorted(written) == list(range(cfg.n_recorded))
             for name in integrate._TRACES:
                 got = getattr(window, name)

@@ -7,8 +7,9 @@ from scipy import stats
 from snse.kernels import build_jump_kernel, scaled_identity
 from oracles import power_magnitude_cdf
 from snse.measures import alpha_stable_measure, power_magnitude_ppf
-from snse.sampling import (ARM_CODES, PathStreams, derive_stream,
-                           sample_prm, sample_prm_paths, stream_key)
+from snse.sampling import (ARM_CODES, PathStreams, brownian_increments,
+                           derive_stream, sample_prm, sample_prm_paths,
+                           stream_key)
 
 NU1 = alpha_stable_measure(1.0)
 
@@ -80,6 +81,26 @@ class TestPathStreams:
         streams = PathStreams(1, "brownian", 0, range(10, 13))
         assert len(streams) == 3
         assert all(g is streams.generator for g in streams)
+
+
+class TestBrownianIncrements:
+    """The Brownian draw contract: one standard_normal(n_steps) per path."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_column_is_its_path_stream(self, seed):
+        paths, n, dt = range(5, 9), 13, 0.02
+        dw = brownian_increments(PathStreams(seed, "brownian", 0, paths), n,
+                                 dt)
+        assert dw.shape == (n, len(paths))
+        for col, p in enumerate(paths):
+            want = (derive_stream(seed, "brownian", 0, p).standard_normal(n)
+                    * np.sqrt(dt))
+            assert np.array_equal(dw[:, col], want)
+
+    def test_no_streams(self):
+        dw = brownian_increments(PathStreams(3, "brownian", 0, range(0)), 4,
+                                 0.1)
+        assert dw.shape == (4, 0)
 
 
 class TestChunkSampler:
