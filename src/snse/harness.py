@@ -209,8 +209,9 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
     Brownian arm, then one jump arm per epsilon.  Paths run in chunks of
     chunk_size, and a chunk advances those paths of every requested arm as
     one stacked batch, written straight into each arm's preallocated
-    traces.  Each arm of a chunk draws its noise first, from one Philox
-    generator re-keyed to each path's stream in turn (sampling.PathStreams).
+    traces.  Each arm of a chunk first draws its noise, from one Philox
+    generator re-keyed to each path's stream in turn (sampling.PathStreams),
+    as (config.noise.sigma, increments) or (kernel, (Atoms, counts)).
     Worker w of W runs chunks w, w + W, ...: worker 0 on the caller's
     thread, the others on threads in copies of the caller's context
     (numpy's error state included) with every OpenBLAS at one thread.  The
@@ -250,8 +251,8 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
     def drawn(name: str, j: int, paths: range):
         streams = PathStreams(config.seed, name, j, paths)
         if name == "brownian":
-            return None, brownian_increments(streams, solver.n_steps,
-                                             solver.dt)
+            return config.noise.sigma, brownian_increments(
+                streams, solver.n_steps, solver.dt)
         kernel = config.kernels[j]
         return kernel, sample_prm_paths(kernel, solver.t_end, streams)
 
@@ -265,7 +266,8 @@ def run_arm(config: ExperimentConfig, arm: str, eps_index: int = 0):
                     simulate_arms(config.basis, solver, config.initial,
                                   [drawn(name, j, range(lo, hi))
                                    for name, j in arms],
-                                  config.noise, config.forcing, window, turn)
+                                  forcing=config.forcing, out=window,
+                                  turn=turn)
         except BaseException as exc:
             errors.append(exc)
 

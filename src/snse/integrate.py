@@ -6,23 +6,23 @@ explicit step evaluated at the left endpoint.  One step function,
 simulate_arms, drives a stack of arms (records, blow-up masking, running
 integrals): the same paths of a Brownian arm and of any number of pure-jump
 arms form one (rows, dim) state, so a step takes one B(u) call and one
-record for all of them.  An arm is a kernel and its noise, which the caller
-draws (see sampling).  A Brownian block adds its Wiener increments; a jump
-block subtracts its own kernel's compensator from the drift and takes the
-atoms of its Poisson random measure.  Steps that contain atoms are split at
-the atom times, with the jump applied to the left limit.  The atoms of
-every jump block are planned once per stack, with the substep lengths and
-each atom's kernel factors h(z) and theta(z), and all rows with a k-th atom
-in a step take their k-th substep together, so the kernel and drift
-evaluations per step scale with the largest atom count of any row, not with
-the number of atoms or of arms.  A round only writes the norms of its
-substeps and jumps into buffers of its step; each row's integral of |u|_V^2
-and sup of |u|_H^2 over the step are reduced once, after the last round.
-Every arm of a stack takes one sigma map, evaluated once per state on all
-rows.  B(u) runs in fixed blocks of nonlinear._B_ROWS of the stacked rows,
-whatever arm they belong to, and the V-norm gemv arm by arm, so a linear
-arm has the bits it has when it runs alone, while a gemm's rows can move in
-the last bits with the block shape.
+record for all of them.  An arm is a driver and its noise, which the caller
+draws (see sampling): a Brownian block adds its sigma map's sigma(u) times
+its Wiener increments; a jump block subtracts its kernel's compensator from
+the drift and takes the atoms of its Poisson random measure.  Steps that
+contain atoms are split at the atom times, with the jump applied to the
+left limit.  The atoms of every jump block are planned once per stack, with
+the substep lengths and each atom's kernel factors h(z) and theta(z), and
+all rows with a k-th atom in a step take their k-th substep together, so
+the kernel and drift evaluations per step scale with the largest atom count
+of any row, not with the number of atoms or of arms.  A round only writes
+the norms of its substeps and jumps into buffers of its step; each row's
+integral of |u|_V^2 and sup of |u|_H^2 over the step are reduced once,
+after the last round.  Every arm of a stack takes one sigma map, evaluated
+once per state on all rows.  B(u) runs in fixed blocks of nonlinear._B_ROWS
+of the stacked rows, whatever arm they belong to, and the V-norm gemv arm
+by arm, so a linear arm has the bits it has when it runs alone, while a
+gemm's rows can move in the last bits with the block shape.
 
 Trajectories are never clamped.  Once a path leaves the configured norm
 ball it is marked blown up, its state traces turn NaN from that record on,
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec
-from .kernels import FieldMap, JumpKernel, gain_moment, row_dot
+from .kernels import FieldMap, JumpKernel, gain_moment, row_dot, zero_map
 from .nonlinear import nonlinear_term_batch
 from .sampling import brownian_increments, sample_prm_paths
 # bound here, though unused, because perfbench/tracing.py wraps these names
@@ -270,10 +270,9 @@ class _AtomPlan:
     its place in its step's rows, delta the length of its substep, from
     the step start or the row's previous atom up to the atom (0 for an atom
     at its row's previous time, or at a step start that rounding put after
-    it), h and theta the kernel values at its mark (theta 1.0 for theta =
-    one, where the product is exact), and atom_coef and atom_zero its row's
-    coef and zero.  h_zero tells whether any atom's mark lies off the h
-    support.
+    it), h and theta the kernel values at its mark (theta = one gives exact
+    ones), and atom_coef and atom_zero its row's coef and zero.  h_zero
+    tells whether any atom's mark lies off the h support.
     """
 
     def __init__(self, cfg: SolverConfig, jumpy):
@@ -294,8 +293,7 @@ class _AtomPlan:
                 raise ValueError("atom counts must sum to the atom count")
             row.append(np.repeat(np.arange(block.start, block.stop), counts))
             hv.append(kernel.h.fn(drawn.marks))
-            tv.append(np.ones(len(drawn)) if kernel.theta.family == "one"
-                      else kernel.theta.fn(drawn.marks))
+            tv.append(kernel.theta.fn(drawn.marks))
             times.append(drawn.times)
         row = np.concatenate(row)
         times = np.concatenate(times)
@@ -364,21 +362,19 @@ class _AtomPlan:
         return out
 
 
-def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
-                  noise: BrownianNoiseSpec | None = None,
+def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms, *,
                   forcing: FieldMap | None = None,
                   out: ArmTraces | None = None,
                   turn: threading.Lock | None = None) -> list[PathBatch]:
     """Drive the same paths of several arms as one stacked batch.
 
-    arms is a sequence of (kernel, drawn) pairs with as many paths in every
-    arm, drawn being the arm's noise.  kernel None makes a Brownian arm
-    driven by noise, drawn being its (n_steps, paths) Wiener increments
-    (noise=None integrates the deterministic system); a JumpKernel makes a
-    compensated pure-jump arm, drawn being the (Atoms, counts) of its
-    Poisson random measure, each path's atoms in time order on [0, t_end].
-    Arms may share their noise.  Noise that is not so, or driven arms that
-    do not all take the same sigma map object, raise ValueError.  u0 is one
+    arms is a sequence of (driver, drawn) pairs with as many paths in every
+    arm, drawn being the arm's noise.  A FieldMap sigma drives a Brownian
+    arm by its (n_steps, paths) Wiener increments, a JumpKernel a
+    compensated pure-jump arm by the (Atoms, counts) of its Poisson random
+    measure, each path's atoms in time order on [0, t_end].  Arms may share
+    their noise.  Any other driver, noise that is not so, or arms that do
+    not all take the same sigma map object raise ValueError.  u0 is one
     (dim,) row or one row per path, shared by every arm.  The traces go to
     out, an ArmTraces (or window of one) of exactly these arms and paths,
     or to a new one; returns one PathBatch per arm.
@@ -398,20 +394,25 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     runs, whose gemms release the GIL.  So one worker's small-array work
     can run next to another's gemms but never next to another's
     small-array work, where the two would pass the GIL back and forth on
-    every numpy call.  Taking turns reorders no arithmetic.
+    every numpy call.  Taking turns reorders no arithmetic.  Without a
+    turn the call takes and holds a fresh lock of its own.
     """
+    for driver, _ in arms:
+        if not isinstance(driver, (FieldMap, JumpKernel)):
+            raise ValueError("an arm's driver must be a FieldMap (Brownian) "
+                             f"or a JumpKernel, not {type(driver).__name__}")
     # a jump arm's noise spans the steps too, with one count per path
-    shapes = [np.shape(drawn) if kernel is None
-              else (cfg.n_steps, len(drawn[1])) for kernel, drawn in arms]
+    shapes = [np.shape(drawn) if isinstance(driver, FieldMap)
+              else (cfg.n_steps, len(drawn[1])) for driver, drawn in arms]
     if any(s != shapes[0] or s[:-1] != (cfg.n_steps,) for s in shapes):
         raise ValueError("every arm's noise must be (n_steps, paths), with "
                          "the same number of paths")
     n_paths = shapes[0][1]
-    maps = [noise.sigma if kernel is None else kernel.sigma
-            for kernel, _ in arms if kernel is not None or noise is not None]
+    maps = [driver if isinstance(driver, FieldMap) else driver.sigma
+            for driver, _ in arms]
     if any(m is not maps[0] for m in maps):
         raise ValueError("the arms of a stack must share one sigma map object")
-    sigma = maps[0].fn if maps else None
+    sigma = maps[0].fn
     u = np.tile(_tile_initial(u0, n_paths, basis.dim), (len(arms), 1))
     if out is None:
         out = ArmTraces(cfg, len(arms), n_paths, basis.dim)
@@ -419,11 +420,11 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
 
     wiener = []   # (block, increments) of each Brownian arm
     jumpy = []    # (block, kernel, (Atoms, counts)) of each jump arm
-    for block, (kernel, drawn) in zip(blocks, arms):
-        if kernel is not None:
-            jumpy.append((block, kernel, drawn))
-        elif noise is not None:
+    for block, (driver, drawn) in zip(blocks, arms):
+        if isinstance(driver, FieldMap):
             wiener.append((block, drawn))
+        else:
+            jumpy.append((block, driver, drawn))
     plan = _AtomPlan(cfg, jumpy) if jumpy else None
 
     eigs = basis.eigenvalues
@@ -489,22 +490,22 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms,
     sup4 = h2 ** 2
     cap2 = cfg.blowup_norm**2
 
+    if turn is None:
+        turn = threading.Lock()
+        turn.acquire()
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(cfg.n_steps):
-            if turn is None:
+            # the other workers take their turns while B(u) runs
+            turn.release()
+            try:
                 expl = _explicit_drift(basis, cfg, u, forcing)
-            else:
-                # the other workers take their turns while B(u) runs
-                turn.release()
-                try:
-                    expl = _explicit_drift(basis, cfg, u, forcing)
-                finally:
-                    turn.acquire()
+            finally:
+                turn.acquire()
             if n % cfg.record_stride == 0:
                 out.record(n // cfg.record_stride, u, h2, v2, expl, eigs,
                            iv2, counts)
             iv2_step = cfg.dt * v2
-            su = sigma(u) if sigma is not None else None
+            su = sigma(u)
             if plan is not None:
                 jr = plan.span
                 expl[jr] -= _compensator(u[jr], su[jr], plan.coef, plan.gains,
@@ -562,10 +563,13 @@ def simulate_brownian_batch(basis: BasisSpec, cfg: SolverConfig, u0,
     """Drive a batch of paths with the Brownian noise.
 
     streams is one numpy Generator per path; noise=None integrates the
-    deterministic system (the increments are drawn all the same).
+    deterministic system, as a zero sigma arm that draws nothing.
     """
-    dw = brownian_increments(streams, cfg.n_steps, cfg.dt)
-    return simulate_arms(basis, cfg, u0, [(None, dw)], noise, forcing)[0]
+    if noise is None:
+        arm = (zero_map(), np.zeros((cfg.n_steps, len(streams))))
+    else:
+        arm = (noise.sigma, brownian_increments(streams, cfg.n_steps, cfg.dt))
+    return simulate_arms(basis, cfg, u0, [arm], forcing=forcing)[0]
 
 
 def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
@@ -573,5 +577,5 @@ def simulate_jump_batch(basis: BasisSpec, cfg: SolverConfig, u0,
                         forcing: FieldMap | None = None) -> PathBatch:
     """Drive a batch of paths with the compensated pure-jump noise."""
     drawn = sample_prm_paths(kernel, cfg.t_end, streams)
-    return simulate_arms(basis, cfg, u0, [(kernel, drawn)], None,
-                         forcing)[0]
+    return simulate_arms(basis, cfg, u0, [(kernel, drawn)],
+                         forcing=forcing)[0]

@@ -308,14 +308,8 @@ def constant_field(coeffs) -> FieldMap:
     name = "constant:" + ";".join(f"{float_label(g[i])}@{i}"
                                   for i in np.nonzero(g)[0])
 
-    g_ro = g.view()
-    g_ro.setflags(write=False)
-
     def fn(u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape == g.shape:
-            return g_ro
-        out = np.empty(u.shape)
+        out = np.empty(np.shape(u))
         out[...] = g
         return out
 
@@ -501,8 +495,7 @@ def eval_sigma_eps(kernel: JumpKernel, coeffs, z):
         raise ValueError("marks must be nonzero")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     hval = np.asarray(kernel.h.fn(z))[..., None]
-    if kernel.theta.family != "one":
-        coeffs = np.asarray(kernel.theta.fn(z))[..., None] * coeffs
+    coeffs = np.asarray(kernel.theta.fn(z))[..., None] * coeffs
     return np.where(hval == 0.0, 0.0, kernel.sigma.fn(coeffs) * hval)
 
 

@@ -54,10 +54,11 @@ from .basis import BasisSpec
 
 _TENSOR_TOL = 1e-12   # coupling entries at or below this are dropped as zero
 _B_BATCH = 2000       # random triples per verify_b_estimates batch
-# nonlinear_term_batch takes (P, dim) rows in blocks of this many: OpenBLAS
-# splits a gemm this wide well across two threads (a 128-row call runs
-# slower on two threads than on one), while the block's grid buffer stays a
-# few MB
+# nonlinear_term_batch takes (P, dim) rows in blocks of this many, which
+# bounds a call's grid buffer to a few MB.  Worker runs take every gemm at
+# one BLAS thread; serial ones (one chunk, n_max <= 2, or no thread setter
+# found) at the default count, and OpenBLAS splits a gemm this wide well
+# across two threads (a 128-row call runs slower on two than on one)
 _B_ROWS = 512
 
 

@@ -19,6 +19,7 @@ from snse.integrate import BrownianNoiseSpec, SolverConfig
 from snse.kernels import (constant_field, saturating, scaled_identity,
                           zero_map)
 from snse.measures import alpha_stable_measure
+from snse.sampling import PathStreams, brownian_increments, sample_prm_paths
 from snse.stats import compare_laws
 
 
@@ -373,6 +374,30 @@ class TestRunArm:
         assert started == []
         assert len(calls) == 3 + 5 + 3
         assert {thread for _, thread, _ in calls} == {threading.current_thread()}
+
+    def test_direct_call_writes_run_arm_bytes(self, basis4, monkeypatch):
+        # the one step path: a one-chunk simulate_arms call with no turn
+        # takes a fresh lock, and writes the bytes a (serial) run_arm writes
+        # for the same paths, here its second chunk of three
+        self._cpus(monkeypatch, 1)
+        cfg = self._nonlinear(basis4)
+        ran = run_arm(cfg, "all")
+        paths = range(34, 68)
+        arms = [(cfg.noise.sigma, brownian_increments(
+            PathStreams(cfg.seed, "brownian", 0, paths), cfg.solver.n_steps,
+            cfg.solver.dt))]
+        arms += [(k, sample_prm_paths(k, cfg.solver.t_end,
+                                      PathStreams(cfg.seed, "jump", j, paths)))
+                 for j, k in enumerate(cfg.kernels)]
+        direct = integrate.simulate_arms(cfg.basis, cfg.solver, cfg.initial,
+                                         arms, forcing=cfg.forcing)
+        assert len(direct) == len(ran) == 3
+        assert ran[2].jump_counts[paths.start:paths.stop, -1].sum() > 0
+        for got, full in zip(direct, ran):
+            assert got.times.tobytes() == full.times.tobytes()
+            for name in _FIELDS:
+                want = getattr(full, name)[paths.start:paths.stop]
+                assert getattr(got, name).tobytes() == want.tobytes(), name
 
 
 _FIELDS =("norm_h2", "norm_v2", "int_v2", "mode_traces", "drift_traces",

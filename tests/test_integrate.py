@@ -10,9 +10,9 @@ from snse import integrate, sampling
 from snse.basis import get_basis
 from snse.integrate import (BrownianNoiseSpec, SolverConfig, simulate_arms,
                             simulate_brownian_batch, simulate_jump_batch)
-from snse.kernels import (ThetaKernel, build_h, build_jump_kernel,
-                          constant_field, make_kernel, saturating,
-                          scaled_identity)
+from snse.kernels import (JumpKernel, ThetaKernel, build_h,
+                          build_jump_kernel, constant_field, make_kernel,
+                          saturating, scaled_identity)
 from snse.measures import alpha_stable_measure
 from snse.nonlinear import nonlinear_term_batch
 from snse.sampling import (Atoms, brownian_increments, derive_stream,
@@ -28,12 +28,12 @@ def diag_stream(p=0):
 
 
 def drawn(cfg, arms):
-    """(kernel, streams) arms as simulate_arms takes them, (kernel, noise):
-    each arm's streams drawn into its increments or atoms."""
-    return [(kernel, brownian_increments(streams, cfg.n_steps, cfg.dt)
-             if kernel is None else sample_prm_paths(kernel, cfg.t_end,
-                                                     streams))
-            for kernel, streams in arms]
+    """(driver, streams) arms as simulate_arms takes them, (driver, noise):
+    each arm's streams drawn into its atoms or increments."""
+    return [(driver, sample_prm_paths(driver, cfg.t_end, streams)
+             if isinstance(driver, JumpKernel)
+             else brownian_increments(streams, cfg.n_steps, cfg.dt))
+            for driver, streams in arms]
 
 
 def unit_vector(basis, idx, amp=1.0):
@@ -196,6 +196,21 @@ class TestBrownian:
         again = simulate_brownian_batch(basis2, cfg, u0, streams(), noise=noise)
         assert np.array_equal(batch.terminal, again.terminal)
         assert np.array_equal(batch.norm_h2, again.norm_h2)
+
+    def test_no_noise_draws_nothing(self, basis2):
+        # noise=None is a zero sigma arm: its streams are never drawn from
+        class Undrawable:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew from the stream ({name})")
+
+        u0 = unit_vector(basis2, 2, amp=0.5)
+        cfg = SolverConfig(t_end=0.05, dt=1e-2)
+        a = simulate_brownian_batch(basis2, cfg, u0, [Undrawable()] * 3)
+        b = simulate_brownian_batch(basis2, cfg, u0,
+                                    [diag_stream(p) for p in range(3)])
+        for name in _FIELDS:
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name),
+                                          err_msg=name)
 
     def test_no_noise_channels_is_deterministic(self, basis2):
         u0 = unit_vector(basis2, 2, amp=0.5)
@@ -534,10 +549,9 @@ class TestStackedArms:
             return [derive_stream(41, arm, j, p) for p in range(16)]
 
         stacked = simulate_arms(basis2, cfg, u0,
-                                drawn(cfg, [(None, streams("brownian", 0)),
+                                drawn(cfg, [(sigma, streams("brownian", 0)),
                                             (kernels[0], streams("jump", 0)),
-                                            (kernels[1], streams("jump", 1))]),
-                                noise)
+                                            (kernels[1], streams("jump", 1))]))
         alone = [simulate_brownian_batch(basis2, cfg, u0,
                                          streams("brownian", 0), noise)]
         alone += [simulate_jump_batch(basis2, cfg, u0, streams("jump", j), k)
@@ -575,9 +589,8 @@ class TestStackedArms:
         brown, jump = simulate_arms(
             basis2, cfg, u0,
             drawn(cfg, [
-                (None, [derive_stream(59, "brownian", 0, p) for p in range(6)]),
-                (kernel, [derive_stream(59, "jump", 0, p) for p in range(6)])]),
-            BrownianNoiseSpec(sigma))
+                (sigma, [derive_stream(59, "brownian", 0, p) for p in range(6)]),
+                (kernel, [derive_stream(59, "jump", 0, p) for p in range(6)])]))
         assert np.isnan(jump.blowup_time).all()
         atoms = int(jump.jump_counts[:, -1].sum())
         assert atoms > 0
@@ -635,10 +648,9 @@ class TestStackedArms:
             return [derive_stream(71, arm, j, p) for p in range(6)]
 
         simulate_arms(basis2, cfg, u0,
-                      drawn(cfg, [(None, streams("brownian", 0))]
+                      drawn(cfg, [(sigma, streams("brownian", 0))]
                             + [(k, streams("jump", j))
-                               for j, k in enumerate(kernels)]),
-                      BrownianNoiseSpec(sigma))
+                               for j, k in enumerate(kernels)]))
         most = np.zeros(cfg.n_steps, dtype=int)
         for j, kernel in enumerate(kernels):
             for g in streams("jump", j):
@@ -681,10 +693,9 @@ class TestStackedArms:
         monkeypatch.setattr(integrate, "nonlinear_term_batch", outer)
         monkeypatch.setattr(nonlinear, "_stress_divergence", inner)
         stacked = simulate_arms(basis2, cfg, u0,
-                                drawn(cfg, [(None, streams("brownian", 0))]
+                                drawn(cfg, [(sigma, streams("brownian", 0))]
                                       + [(k, streams("jump", j))
-                                         for j, k in enumerate(kernels)]),
-                                noise)
+                                         for j, k in enumerate(kernels)]))
         monkeypatch.undo()
         b = nonlinear._B_ROWS
         assert b < 900
@@ -712,17 +723,23 @@ class TestStackedArms:
                                    NU1)
         cfg = SolverConfig(t_end=0.02, dt=0.01)
         u0 = unit_vector(basis2, 0, amp=0.3)
-        arms = drawn(cfg, [(None, [diag_stream()]),
+        arms = drawn(cfg, [(saturating(0.5), [diag_stream()]),
                            (kernel, [diag_stream(1)])])
         with pytest.raises(ValueError, match="one sigma map"):
-            simulate_arms(basis2, cfg, u0, arms,
-                          BrownianNoiseSpec(saturating(0.5)))
+            simulate_arms(basis2, cfg, u0, arms)
         other = build_jump_kernel(saturating(0.5), "annulus", "cosine", 0.1,
                                   NU1)
         with pytest.raises(ValueError, match="one sigma map"):
             simulate_arms(basis2, cfg, u0,
                           drawn(cfg, [(kernel, [diag_stream()]),
                                       (other, [diag_stream(1)])]))
+        # two Brownian arms on equal maps that are not one object
+        twin = dataclasses.replace(kernel.sigma)
+        assert twin == kernel.sigma and twin is not kernel.sigma
+        with pytest.raises(ValueError, match="one sigma map"):
+            simulate_arms(basis2, cfg, u0,
+                          drawn(cfg, [(kernel.sigma, [diag_stream()]),
+                                      (twin, [diag_stream(1)])]))
 
     def test_jump_arm_without_atoms(self, basis2):
         # activity 2 (1/0.9 - 1) = 0.22 per unit time over 0.05: the quiet
@@ -788,9 +805,9 @@ class TestNoiseAsData:
     def _streams(n=6):
         return [derive_stream(37, "jump", 0, p) for p in range(n)]
 
-    def _step(self, basis, arms, noise=None):
+    def _step(self, basis, arms):
         u0 = random_field(basis, np.random.default_rng(5), norm_h=0.5)
-        return simulate_arms(basis, self.CFG, u0, arms, noise)
+        return simulate_arms(basis, self.CFG, u0, arms)
 
     def test_two_arms_share_one_draw(self, basis2):
         # one (Atoms, counts) handed to two jump arms of one stack: both get
@@ -814,18 +831,38 @@ class TestNoiseAsData:
 
     def test_increments_not_steps_by_paths(self, basis2):
         kernel = self._kernel()
-        noise = BrownianNoiseSpec(kernel.sigma)
         n = self.CFG.n_steps
         for dw in (np.zeros((n + 1, 6)), np.zeros((n - 1, 6)),
                    np.zeros(n), np.zeros((n, 6, 1))):
             with pytest.raises(ValueError, match="n_steps, paths"):
-                self._step(basis2, [(None, dw)], noise)
+                self._step(basis2, [(kernel.sigma, dw)])
         # five increments columns next to a jump arm of six paths
         drawn_atoms = sample_prm_paths(kernel, self.CFG.t_end,
                                        self._streams())
         with pytest.raises(ValueError, match="same number of paths"):
-            self._step(basis2, [(None, np.zeros((n, 5))),
-                                (kernel, drawn_atoms)], noise)
+            self._step(basis2, [(kernel.sigma, np.zeros((n, 5))),
+                                (kernel, drawn_atoms)])
+
+    def test_driver_neither_map_nor_kernel(self, basis2):
+        # None (the former Brownian marker), a noise spec and an h kernel
+        # drive no arm, whatever the noise next to them
+        kernel = self._kernel()
+        dw = np.zeros((self.CFG.n_steps, 6))
+        for driver in (None, BrownianNoiseSpec(kernel.sigma), kernel.h):
+            with pytest.raises(ValueError, match="FieldMap.*JumpKernel"):
+                self._step(basis2, [(driver, dw)])
+            with pytest.raises(ValueError, match="FieldMap.*JumpKernel"):
+                self._step(basis2, [(kernel.sigma, dw), (driver, dw)])
+
+    def test_fifth_positional_argument(self, basis2):
+        # forcing, out and turn are keyword-only: a noise spec handed
+        # positionally binds to nothing
+        kernel = self._kernel()
+        dw = np.zeros((self.CFG.n_steps, 6))
+        u0 = random_field(basis2, np.random.default_rng(5), norm_h=0.5)
+        with pytest.raises(TypeError):
+            simulate_arms(basis2, self.CFG, u0, [(kernel.sigma, dw)],
+                          BrownianNoiseSpec(kernel.sigma))
 
     def test_counts_not_summing_to_atoms(self, basis2):
         kernel = self._kernel()
@@ -901,13 +938,12 @@ class TestArmTraces:
                 if name not in sentinel:
                     fresh = np.isnan(getattr(window, name))
                 assert fresh.all(), name
-            arms = [(None, sampling.PathStreams(9, "brownian", 0,
-                                                range(lo, hi))),
+            arms = [(sigma, sampling.PathStreams(9, "brownian", 0,
+                                                 range(lo, hi))),
                     (kernel, sampling.PathStreams(9, "jump", 0,
                                                   range(lo, hi)))]
             written.clear()
-            simulate_arms(basis2, cfg, u0, drawn(cfg, arms),
-                          BrownianNoiseSpec(sigma), None, window)
+            simulate_arms(basis2, cfg, u0, drawn(cfg, arms), out=window)
             assert sorted(written) == list(range(cfg.n_recorded))
             for name in integrate._TRACES:
                 got = getattr(window, name)
