@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import JumpKernel, gain_moment
+from .kernels import FieldMap, JumpKernel, gain_moment, sq_norm
 
 
-def _outer(s: np.ndarray) -> np.ndarray:
-    return s[..., :, None] * s[..., None, :]
+def brownian_block(sigma: FieldMap, x):
+    """|x|_H^2 and the Brownian block sigma(x) outer sigma(x) per row."""
+    x = np.asarray(x, dtype=np.float64)
+    n2 = sq_norm(x)
+    s = sigma.fn(x, n2)
+    return n2, s[..., :, None] * s[..., None, :]
+
+
+def block_gap(kernel: JumpKernel, n2, block):
+    """generator_gap from brownian_block's n2 and block."""
+    diff = gain_moment(kernel, n2, 2)[..., None, None] * block - block
+    return np.max(np.abs(diff), axis=(-2, -1))
 
 
 def jump_qv_matrix(kernel: JumpKernel, x) -> np.ndarray:
@@ -23,9 +33,8 @@ def jump_qv_matrix(kernel: JumpKernel, x) -> np.ndarray:
     It is sigma(x) outer sigma(x) times the kernel's second gain moment
     over the full-support node table; one block per row of x.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return (gain_moment(kernel, x, 2)[..., None, None]
-            * _outer(kernel.sigma.fn(x)))
+    n2, block = brownian_block(kernel.sigma, x)
+    return gain_moment(kernel, n2, 2)[..., None, None] * block
 
 
 def generator_gap(kernel: JumpKernel, x):
@@ -34,6 +43,4 @@ def generator_gap(kernel: JumpKernel, x):
     The diffusion is the Brownian arm the kernel approximates, whose
     variation block is sigma(x) outer sigma(x) for the kernel's base map.
     """
-    x = np.asarray(x, dtype=np.float64)
-    diff = jump_qv_matrix(kernel, x) - _outer(kernel.sigma.fn(x))
-    return np.max(np.abs(diff), axis=(-2, -1))
+    return block_gap(kernel, *brownian_block(kernel.sigma, x))

@@ -10,8 +10,11 @@ the uniform-in-epsilon statements use the largest grid epsilon as their
 threshold.
 
 The mass helpers take (P, dim) rows of states and return one value per
-row, each bit-identical to its one-row call, so every check makes one call
-per kernel over all sampled fields.
+row, each bit-identical to its one-row call.  Every map is radial,
+sigma(t u) = gain(t, |u|_H) sigma(u), so a check takes the fields' squared
+norms, sigma and its dot products once per grid, and each kernel adds only
+its gain moments (or gains), with the bits of the one-kernel helpers,
+which are built on the same pieces.
 
 Check names map onto the certified statements as follows:
   * check_growth_lipschitz: linear-growth and Lipschitz bounds of the
@@ -32,9 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec
-from .generators import generator_gap
+from .generators import block_gap, brownian_block
+# bound here, though unused, because perfbench/tracing.py wraps this name
+from .generators import generator_gap  # noqa: F401
 from .kernels import (FieldMap, JumpKernel, build_jump_kernel, gain_moment,
-                      node_values, row_dot, sup_jump_size, zero_map)
+                      row_dot, sq_norm, sup_jump_size, zero_map)
 from .measures import LevyMeasure, float_label
 
 _QV_TOL = 0.05          # largest qv_gap allowed at the smallest epsilon
@@ -57,18 +62,44 @@ def kernel_grid(base_sigma: FieldMap, family_h: str, family_theta: str,
             for e in eps_grid]
 
 
+def _radial(sigma: FieldMap, u):
+    """|u|_H^2 and sigma(u) per row: what a nu-integral needs besides gains."""
+    u = np.asarray(u, dtype=np.float64)
+    n2 = sq_norm(u)
+    return n2, sigma.fn(u, n2)
+
+
 def jump_l2_mass(kernel: JumpKernel, u):
     """Integral of |sigma_eps(u, z)|_H^2 d(nu), one value per row."""
-    u = np.asarray(u, dtype=np.float64)
-    sig = kernel.sigma.fn(u)
-    return gain_moment(kernel, u, 2) * row_dot(sig, sig)
+    n2, sig = _radial(kernel.sigma, u)
+    return gain_moment(kernel, n2, 2) * row_dot(sig, sig)
 
 
 def jump_l4_mass(kernel: JumpKernel, u):
     """Integral of |sigma_eps(u, z)|_H^4 d(nu), one value per row."""
-    u = np.asarray(u, dtype=np.float64)
-    sig = kernel.sigma.fn(u)
-    return gain_moment(kernel, u, 4) * row_dot(sig, sig) ** 2
+    n2, sig = _radial(kernel.sigma, u)
+    return gain_moment(kernel, n2, 4) * row_dot(sig, sig) ** 2
+
+
+def _diff_parts(nu, su, nv, sv):
+    """The epsilon-free part of jump_l2_diff, from _radial of u and of v:
+    the radii |u|_H and |v|_H and, with d = sigma(u) - sigma(v), the dots
+    |d|^2, d . sigma(v) and |sigma(v)|^2, each as a (..., 1) column."""
+    d = su - sv
+    return (np.sqrt(nu[..., None]), np.sqrt(nv[..., None]),
+            *(x[..., None] for x in (row_dot(d, d), row_dot(d, sv),
+                                     row_dot(sv, sv))))
+
+
+def _l2_diff(kernel: JumpKernel, ru, rv, dd, ds, ss):
+    """jump_l2_diff from _diff_parts: gains at the nodes, then arithmetic."""
+    t, gain = kernel.table, kernel.sigma.gain
+    gu = gain(t.theta, ru)
+    dg = gu - gain(t.theta, rv)
+    node = gu * gu * dd + 2.0 * gu * dg * ds + dg * dg * ss
+    # the -z half repeats these bits: theta and h^2 are even
+    part = row_dot(node, t.w * t.h * t.h)
+    return 0.0 + part + part
 
 
 def jump_l2_diff(kernel: JumpKernel, u, v):
@@ -86,31 +117,18 @@ def jump_l2_diff(kernel: JumpKernel, u, v):
     catastrophically. The sum runs on the +z half of the table and is added
     twice.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    sv = kernel.sigma.fn(v)
-    d = kernel.sigma.fn(u) - sv
-    dd, ds, ss = (x[..., None] for x in (row_dot(d, d), row_dot(d, sv),
-                                        row_dot(sv, sv)))
-    w, hv, gu = node_values(kernel, u)
-    _, _, gv = node_values(kernel, v)
-    dg = gu - gv
-    node = gu * gu * dd + 2.0 * gu * dg * ds + dg * dg * ss
-    # the -z half repeats these bits: theta and h^2 are even
-    part = row_dot(node, w * hv * hv)
-    return 0.0 + part + part
+    return _l2_diff(kernel, *_diff_parts(*_radial(kernel.sigma, u),
+                                         *_radial(kernel.sigma, v)))
 
 
 def jump_v2_mass(kernel: JumpKernel, u, eigenvalues):
     """Same as jump_l2_mass but in the V norm."""
-    u = np.asarray(u, dtype=np.float64)
-    sig = kernel.sigma.fn(u)
-    return gain_moment(kernel, u, 2) * row_dot(sig * sig, eigenvalues)
+    n2, sig = _radial(kernel.sigma, u)
+    return gain_moment(kernel, n2, 2) * row_dot(sig * sig, eigenvalues)
 
 
 def brownian_l2_mass(kernel: JumpKernel, u):
     """|sigma(u)|_H^2 of the matched Brownian noise, per row."""
-    u = np.asarray(u, dtype=np.float64)
     return np.sum(kernel.sigma.fn(u) ** 2, axis=-1)
 
 
@@ -188,6 +206,8 @@ def _grid_epsilons(kernels) -> list[float]:
     eps = [k.epsilon for k in kernels]
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("kernels must come in strictly decreasing epsilon order")
+    if any(k.sigma is not kernels[0].sigma for k in kernels):
+        raise ValueError("the kernels of a grid must share one sigma map")
     return eps
 
 
@@ -217,17 +237,20 @@ def check_growth_lipschitz(basis: BasisSpec, kernels, forcing: FieldMap | None =
     fields = random_sample_fields(basis, 2 * n_samples, _GROWTH_SEED)
     us, vs = fields[:n_samples], fields[n_samples:]
 
-    n2 = np.sum(us * us, axis=1)
+    n2, su = _radial(kernels[0].sigma, us)
+    ss = row_dot(su, su)
+    diff = _diff_parts(n2, su, *_radial(kernels[0].sigma, vs))
     fu = F.fn(us)
     f2 = np.sum(fu**2, axis=1)
     fdiff = np.sum((fu - F.fn(vs)) ** 2, axis=1)
     duv = np.sum((us - vs) ** 2, axis=1)
     rows = []
     for e, kern in zip(eps, kernels):
+        m2, m4 = gain_moment(kern, n2, 2), gain_moment(kern, n2, 4)
         for name, vals in (
-                ("growth_l2", (f2 + jump_l2_mass(kern, us)) / (1.0 + n2)),
-                ("growth_l4", jump_l4_mass(kern, us) / (1.0 + n2**2)),
-                ("lipschitz", (fdiff + jump_l2_diff(kern, us, vs)) / duv)):
+                ("growth_l2", (f2 + m2 * ss) / (1.0 + n2)),
+                ("growth_l4", m4 * ss**2 / (1.0 + n2**2)),
+                ("lipschitz", (fdiff + _l2_diff(kern, *diff)) / duv)):
             val, wit = _max_witness(vals)
             rows.append(CheckRow(name, e, val, wit, bool(np.isfinite(val))))
     return HypothesisReport("growth_lipschitz", rows,
@@ -268,16 +291,19 @@ def check_qv_limit_v_growth(basis: BasisSpec, kernels,
     fields = random_sample_fields(basis, n_samples, _QV_SEED)
     eigs = basis.eigenvalues
 
-    h2 = 1.0 + np.sum(fields * fields, axis=1)
+    n2, sig = _radial(kernels[0].sigma, fields)
+    h2 = 1.0 + n2
     v2 = 1.0 + row_dot(fields * fields, eigs)
+    ss, sv2 = row_dot(sig, sig), row_dot(sig * sig, eigs)
+    brownian = brownian_l2_mass(kernels[0], fields)
     rows = []
     gaps = []
     for e, kern in zip(eps, kernels):
-        gap, gw = _max_witness(np.abs(jump_l2_mass(kern, fields)
-                                      - brownian_l2_mass(kern, fields)) / h2)
+        m2 = gain_moment(kern, n2, 2)
+        gap, gw = _max_witness(np.abs(m2 * ss - brownian) / h2)
         gaps.append(gap)
         rows.append(CheckRow("qv_gap", e, gap, gw, True))
-        vg, vw = _max_witness(jump_v2_mass(kern, fields, eigs) / v2)
+        vg, vw = _max_witness(m2 * sv2 / v2)
         rows.append(CheckRow("v_growth", e, vg, vw, bool(np.isfinite(vg))))
 
     trend_ok = all(b <= a * _QV_TREND_SLACK + 1e-9 for a, b in zip(gaps, gaps[1:]))
@@ -312,11 +338,12 @@ def gap_panel(basis: BasisSpec, kernels) -> GapPanelReport:
     """
     eps = _grid_epsilons(kernels)
     panel = sample_panel(basis)
-    gaps = np.stack([generator_gap(kern, panel) for kern in kernels])
+    n2, block = brownian_block(kernels[0].sigma, panel)
+    gaps = np.stack([block_gap(kern, n2, block) for kern in kernels])
     panel_max = gaps.max(axis=1)
     monotone = all(nxt < cur or max(cur, nxt) <= _GAP_FLOOR
                    for cur, nxt in zip(panel_max, panel_max[1:]))
-    h2 = 1.0 + np.sum(panel * panel, axis=1)
+    h2 = 1.0 + n2
     envelope = float((gaps / h2[None, :]).max())
     return GapPanelReport(tuple(eps), panel, gaps, panel_max, monotone,
                           envelope, monotone)

@@ -19,10 +19,11 @@ of any row, not with the number of atoms or of arms.  A round only writes
 the norms of its substeps and jumps into buffers of its step; each row's
 integral of |u|_V^2 and sup of |u|_H^2 over the step are reduced once,
 after the last round.  Every arm of a stack takes one sigma map, evaluated
-once per state on all rows.  B(u) runs in fixed blocks of nonlinear._B_ROWS
-of the stacked rows, whatever arm they belong to, and the V-norm gemv arm
-by arm, so a linear arm has the bits it has when it runs alone, while a
-gemm's rows can move in the last bits with the block shape.
+once per state on all rows from the |u|_H^2 the traces take anyway.  B(u)
+runs in fixed blocks of nonlinear._B_ROWS of the stacked rows, whatever arm
+they belong to, and the V-norm gemv arm by arm, so a linear arm has the
+bits it has when it runs alone, while a gemm's rows can move in the last
+bits with the block shape.
 
 Trajectories are never clamped.  Once a path leaves the configured norm
 ball it is marked blown up, its state traces turn NaN from that record on,
@@ -228,16 +229,16 @@ class ArmTraces:
         self.terminal[...] = u.reshape(rows + u.shape[1:])
 
 
-def _compensator(v, s, coef, gains, zero) -> np.ndarray:
-    """The compensator at rows v, given s = sigma(v): one coefficient per
-    row times s, coef on the theta = one rows and the first gain moment on
-    the (rows, kernel) of gains, and an exact 0 on the rows of zero (None
-    or a mask), which s may hold non-finite, so each row has the bits of
-    kernels.compensator_drift."""
+def _compensator(n2, s, coef, gains, zero) -> np.ndarray:
+    """The compensator at rows v of n2 = |v|_H^2, given s = sigma(v): one
+    coefficient per row times s, coef on the theta = one rows and the first
+    gain moment on the (rows, kernel) of gains, and an exact 0 on the rows of
+    zero (None or a mask), which s may hold non-finite, so each row has the
+    bits of kernels.compensator_drift."""
     if gains:
         coef = coef.copy()
         for rows, kernel in gains:
-            coef[rows] = gain_moment(kernel, v[rows], 1)
+            coef[rows] = gain_moment(kernel, n2[rows], 1)
     out = 0.0 + coef[:, None] * s
     if zero is not None:
         out[zero] = 0.0
@@ -387,7 +388,8 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms, *,
     all rows: in a main step sigma(u) serves the Wiener increments and
     every compensator, and in a round sigma(theta v) gives every jump (v
     goes in as it is when every arm has theta = one) and sigma(v) every
-    compensator.
+    compensator.  Each gain moment and each call but sigma(theta v) reads
+    the |u|_H^2 that the loop took of its state for the traces.
 
     turn, a lock that the workers of one run share (harness.run_arm), is
     held by the caller and let go here only while the main step's B(u)
@@ -463,15 +465,17 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms, *,
             sub_h2 = np.add.reduce(v * v, axis=1)
             h = plan.h[lo:hi, None]
             # 1.0 * v is v, so theta multiplies only where some arm needs it
-            jump = sigma(plan.theta[lo:hi, None] * v if plan.gains else v) * h
+            jump = (sigma(plan.theta[lo:hi, None] * v) if plan.gains
+                    else sigma(v, sub_h2)) * h
             if plan.h_zero:
                 jump[h[:, 0] == 0.0] = 0.0
             v += jump
             u_cur[at] = v
-            np.fmax(sub_h2, np.add.reduce(v * v, axis=1), out=step_h2[here])
+            v_h2 = np.add.reduce(v * v, axis=1)
+            np.fmax(sub_h2, v_h2, out=step_h2[here])
             dv = _explicit_drift(basis, cfg, v, forcing)
-            dv -= _compensator(v, sigma(v), plan.atom_coef[lo:hi], gains,
-                               None if plan.atom_zero is None
+            dv -= _compensator(v_h2, sigma(v, v_h2), plan.atom_coef[lo:hi],
+                               gains, None if plan.atom_zero is None
                                else plan.atom_zero[lo:hi])
             drift[at] = dv
         piece = np.zeros(len(u_cur))
@@ -505,11 +509,11 @@ def simulate_arms(basis: BasisSpec, cfg: SolverConfig, u0, arms, *,
                 out.record(n // cfg.record_stride, u, h2, v2, expl, eigs,
                            iv2, counts)
             iv2_step = cfg.dt * v2
-            su = sigma(u)
+            su = sigma(u, h2)
             if plan is not None:
                 jr = plan.span
-                expl[jr] -= _compensator(u[jr], su[jr], plan.coef, plan.gains,
-                                         plan.zero)
+                expl[jr] -= _compensator(h2[jr], su[jr], plan.coef,
+                                         plan.gains, plan.zero)
             atoms = plan is not None and plan.bounds[n] < plan.bounds[n + 1]
             if atoms:
                 rows = plan.rows[n]

@@ -34,10 +34,12 @@ budget _QV_BUDGET = 1e-4 is refused.
 Every state map declares a scalar gain with sigma(t u) = gain(t, |u|_H) sigma(u).
 A nu-integral of sigma(theta(z) u) h(z) therefore needs sigma(u) once and the
 table's scalar gain moments sum_z w h^k gain(theta(z), |u|)^k, never sigma at
-the nodes; each map gives these moments next to its gain: one dot per kernel
-and k where the gain is constant in |u|, and for saturating a series of J
-terms in x = r / (1 + m r), with r = |u| and m the largest |theta| on the
-table, whose coefficients are summed over the nodes once per kernel and k.
+the nodes; both read u's norm as |u|_H^2 (sq_norm), which callers take once
+per state. Each map gives these moments, functions of |u|_H^2, next to its
+gain: one dot per kernel and k where the gain is constant in |u|, and for
+saturating a series of J terms in x = r / (1 + m r), with r = |u| and m the
+largest |theta| on the table, whose coefficients are summed over the nodes
+once per kernel and k.
 J is the least count whose tail bound is at most 2^-60 of the value: for
 the built-in families at most 41 on eps 0.2 ... 0.01 and 59 on
 0.3 ... 0.99, against 240 nodes.
@@ -158,21 +160,23 @@ class FieldMap:
 
     ball_sup(R) is the exact sup of |map(u)|_H over the H ball of radius R,
     used by the closed-form jump-size bound; it acts elementwise on an array
-    of radii. gain(t, r) is the scalar with fn(t u) = gain(t, |u|_H) fn(u)
-    for every real t; it broadcasts t against r, and the jump kernel's
-    nu-integrals rely on it in place of evaluating fn at every mark. A gain
-    may return a fresh array or t itself (the table's read-only theta, for
-    the linear maps), so callers never write into it.
+    of radii. fn(u, n2) reads n2 = sq_norm(u) where given and takes it
+    itself otherwise, with the same bits. gain(t, r) is the scalar with
+    fn(t u) = gain(t, |u|_H) fn(u) for every real t; it broadcasts t
+    against r, and the jump kernel's nu-integrals rely on it in place of
+    evaluating fn at every mark. A gain may return a fresh array or t
+    itself (the table's read-only theta, for the linear maps), so callers
+    never write into it.
 
     moment(t, a, k) takes node vectors t and a and returns the function
-    that maps rows u to the gain moment sum_q a_q gain(t_q, |u|_H)^k, one
-    value per row. Where the gain does not depend on |u|_H that is one dot,
-    taken once. saturating's is a J-term series in x = r / (1 + m r)
-    (_saturating_series), one (rows, J) table and one dot per call; it sums
-    a (rows, nodes) array of gains only where J would exceed the node
-    count, which no built-in theta does. Each row has the bits of its
-    one-row call, and a value may be a read-only broadcast, so callers never
-    write into it.
+    that maps the rows' n2 = |u|_H^2 to the gain moment sum_q a_q
+    gain(t_q, |u|_H)^k, one value per row. Where the gain does not depend
+    on |u|_H that is one dot, taken once. saturating's is a J-term series
+    in x = r / (1 + m r) (_saturating_series), one (rows, J) table and one
+    dot per call; it sums a (rows, nodes) array of gains only where J
+    would exceed the node count, which no built-in theta does. Each row
+    has the bits of its one-row call, and a value may be a read-only
+    broadcast, so callers never write into it.
     """
 
     name: str
@@ -182,9 +186,15 @@ class FieldMap:
     moment: Callable
 
 
+def sq_norm(u) -> np.ndarray:
+    """|u|_H^2 per row, with the bits that np.linalg.norm squares."""
+    u = np.asarray(u, dtype=np.float64)
+    return np.add.reduce(u * u, axis=-1)
+
+
 def _every_row(value):
-    """The moment of a gain constant in |u|: value on each row of u."""
-    return lambda u: np.broadcast_to(value, np.shape(u)[:-1])
+    """The moment of a gain constant in |u|: value on each row's n2."""
+    return lambda n2: np.broadcast_to(value, np.shape(n2))
 
 
 def _linear_moment(t, a, k):
@@ -247,17 +257,15 @@ def _saturating_series(t: np.ndarray, a: np.ndarray, k: int):
 
 def scaled_identity(c: float = 1.0) -> FieldMap:
     return FieldMap(f"identity:{float_label(c)}",
-                    lambda u: c * np.asarray(u, dtype=np.float64),
+                    lambda u, n2=None: c * np.asarray(u, dtype=np.float64),
                     lambda r: abs(c) * r, lambda t, r: t, _linear_moment)
 
 
 def saturating(c: float = 1.0) -> FieldMap:
-    def fn(u):
+    def fn(u, n2=None):
         u = np.asarray(u, dtype=np.float64)
-        # what np.linalg.norm(u, axis=-1, keepdims=True) computes for real
-        # rows, without its Python-level dispatch
-        n = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
-        return c * u / (1.0 + n)
+        n2 = sq_norm(u) if n2 is None else n2
+        return c * u / (1.0 + np.sqrt(n2)[..., None])
 
     def gain(t, r):
         # t * (1 + r) / (1 + |t| r) in place: two full-size arrays, not four
@@ -274,17 +282,17 @@ def saturating(c: float = 1.0) -> FieldMap:
         m, c = _saturating_series(t, a, k)
         if c is None:
             # more terms than nodes: sum the nodes' gains
-            return lambda u: row_dot(_power_in_place(
-                gain(t, np.linalg.norm(u, axis=-1, keepdims=True)), k), a)
+            return lambda n2: row_dot(_power_in_place(
+                gain(t, np.sqrt(n2[..., None])), k), a)
         c = np.concatenate((np.zeros(k - 1), c))
 
-        def half(u):
+        def half(n2):
             # rows of s, ..., s, x, ..., x (k times s, J - 1 times x): their
             # running products are s, ..., s^k, s^k x, ..., s^k x^(J-1), and
             # c puts zeros against s, ..., s^(k-1). r is kept as a (..., 1)
-            # array, so a (dim,) row is written in place too; r = inf gives
-            # x = s = NaN, as the gain does
-            r = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
+            # array, so one row's scalar n2 is written in place too; r = inf
+            # gives x = s = NaN, as the gain does
+            r = np.sqrt(n2[..., None])
             terms = np.empty(r.shape[:-1] + c.shape)
             w = m * r
             w += 1.0
@@ -308,7 +316,7 @@ def constant_field(coeffs) -> FieldMap:
     name = "constant:" + ";".join(f"{float_label(g[i])}@{i}"
                                   for i in np.nonzero(g)[0])
 
-    def fn(u):
+    def fn(u, n2=None):
         out = np.empty(np.shape(u))
         out[...] = g
         return out
@@ -318,7 +326,7 @@ def constant_field(coeffs) -> FieldMap:
 
 
 def zero_map() -> FieldMap:
-    return FieldMap("zero", lambda u: np.zeros_like(np.asarray(u, dtype=np.float64)),
+    return FieldMap("zero", lambda u, n2=None: np.zeros(np.shape(u)),
                     lambda r: 0.0, lambda t, r: np.ones_like(t), _flat_moment)
 
 
@@ -509,25 +517,9 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def node_values(kernel: JumpKernel, coeffs):
-    """Table weights w, h and the gains gain(theta(z), |u|_H) on the +z half.
-
-    coeffs may carry leading row axes; the gains have shape (..., Q), so
-    sigma(theta(z) u) is gain[..., q] * sigma(u) at node q, and at its
-    mirror mark -z as well, since theta is even. Only jump_l2_diff needs
-    gains node by node; every other nu-integral takes gain moments.
-    """
-    t = kernel.table
-    r = np.linalg.norm(coeffs, axis=-1, keepdims=True)
-    g = kernel.sigma.gain(t.theta, r)
-    shape = r.shape[:-1] + t.theta.shape
-    if np.shape(g) != shape:
-        g = np.broadcast_to(g, shape)
-    return t.w, t.h, g
-
-
-def gain_moment(kernel: JumpKernel, coeffs, k: int):
-    """sum_z w h^k gain(theta(z), |u|_H)^k over both signs, one value per row.
+def gain_moment(kernel: JumpKernel, n2, k: int):
+    """sum_z w h^k gain(theta(z), |u|_H)^k over both signs, one value per
+    row of squared norms n2 = sq_norm(u).
 
     With it, the nu-integral of |sigma_eps(u, z)|^k is |sigma(u)|^k times
     this moment (and for k = 1 the integral of sigma_eps itself). The +z
@@ -549,7 +541,7 @@ def gain_moment(kernel: JumpKernel, coeffs, k: int):
         moment = kernel.halves[k] = (
             _every_row(row_dot(t.theta, a)) if kernel.theta.family == "one"
             else kernel.sigma.moment(t.theta, a, k))
-    half = moment(np.asarray(coeffs, dtype=np.float64))
+    half = moment(np.asarray(n2, dtype=np.float64))
     return 0.0 + half + kernel.table.parity**k * half
 
 
@@ -564,7 +556,7 @@ def compensator_drift(kernel: JumpKernel, coeffs) -> np.ndarray:
     total = np.zeros_like(coeffs)
     if kernel.theta.family != "one":
         total += (kernel.sigma.fn(coeffs)
-                  * gain_moment(kernel, coeffs, 1)[..., None])
+                  * gain_moment(kernel, sq_norm(coeffs), 1)[..., None])
     elif kernel.h_integral != 0.0:
         total += kernel.h_integral * kernel.sigma.fn(coeffs)
     return total

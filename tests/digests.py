@@ -11,10 +11,12 @@ Each config runs once per --seed given (at its own seed if none is),
 at its own path count or at --paths, through run_experiment and persist
 with the path dumps.  A run prints its config hash, one digest per
 (arm, PathBatch field), arm 0 being the Brownian arm and arm j the jump
-arm at the j-th epsilon, and one per persisted file:
+arm at the j-th epsilon, one per persisted file, and one of the rows of
+certify_kernels on the config's kernel grid:
 
     <sha256>  <config>@<seed>:<paths> arm0.norm_h2
     <sha256>  <config>@<seed>:<paths> file.summary.csv
+    <sha256>  <config>@<seed>:<paths> certification
 
 The bytes are fixed by (config, seed) for one numpy/BLAS build and BLAS
 thread setting (see harness), so compare listings taken on one machine
@@ -31,6 +33,7 @@ from pathlib import Path
 
 from snse.config import load_config
 from snse.harness import persist, run_experiment
+from snse.hypotheses import certify_kernels
 
 
 def sha256(data: bytes) -> str:
@@ -40,8 +43,9 @@ def sha256(data: bytes) -> str:
 def digests(config) -> list[tuple[str, str]]:
     """(name, digest) of one run of an ExperimentConfig: its config hash,
     then every PathBatch field of every arm, then every file persist writes
-    with the path dumps.  A certification failure does not stop the run
-    (force), so every config gives its digests."""
+    with the path dumps, then the certification rows of its kernel grid.
+    A certification failure does not stop the run (force), so every config
+    gives its digests."""
     result = run_experiment(config, force=True)
     out = [("config_hash", config.config_hash())]
     for a, batch in enumerate([result.bm_batch, *result.jump_batches]):
@@ -52,6 +56,9 @@ def digests(config) -> list[tuple[str, str]]:
         persist(result, tmp, dump_paths=True)
         for file in sorted(Path(tmp).iterdir()):
             out.append((f"file.{file.name}", sha256(file.read_bytes())))
+    report = certify_kernels(config.basis, config.kernels)
+    out.append(("certification",
+                sha256(repr(list(report.csv_rows())).encode())))
     return out
 
 

@@ -254,7 +254,8 @@ def diagonal_map(diag):
 
     d = np.asarray(diag, dtype=np.float64)
     top = float(np.max(np.abs(d)))
-    return FieldMap("diagonal", lambda u: np.asarray(u, dtype=np.float64) * d,
+    return FieldMap("diagonal",
+                    lambda u, n2=None: np.asarray(u, dtype=np.float64) * d,
                     lambda r: top * r, lambda t, r: t,
                     scaled_identity().moment)
 
@@ -265,15 +266,18 @@ def diagonal_map(diag):
 def reference_moment_half(kernel, coeffs, k):
     """The +z half of kernels.gain_moment summed node by node, and its scale.
 
-    The half is row_dot(g^k, w h^k) over the gains g = gain(theta(z),
-    |u|_H) of node_values, as gain_moment summed it before the state maps
-    had closed-form moments (numpy's pow for k > 1). The scale is
-    sum_q |w h^k g^k| per row, the size of the sum's round-off.
+    The half is row_dot(g^k, w h^k) over the (rows, nodes) array of gains
+    g = gain(theta(z), |u|_H) on the table, as gain_moment summed it before
+    the state maps had closed-form moments (numpy's pow for k > 1). The
+    scale is sum_q |w h^k g^k| per row, the size of the sum's round-off.
     """
-    from snse.kernels import node_values, row_dot
+    from snse.kernels import row_dot
 
-    w, hv, g = node_values(kernel, coeffs)
-    gk, a = (g if k == 1 else g**k), w * hv**k
+    t = kernel.table
+    r = np.linalg.norm(coeffs, axis=-1, keepdims=True)
+    g = np.broadcast_to(kernel.sigma.gain(t.theta, r),
+                        r.shape[:-1] + t.theta.shape)
+    gk, a = (g if k == 1 else g**k), t.w * t.h**k
     return row_dot(gk, a), row_dot(np.abs(gk), np.abs(a))
 
 

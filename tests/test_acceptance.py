@@ -90,6 +90,20 @@ def test_a01_trilinear_identities(basis8):
     _within(time.perf_counter() - t0, 10.0, "trilinear identity sweep")
 
 
+@pytest.mark.parametrize("n_max", [2, 4, 8])
+def test_a01_enstrophy_identity(n_max):
+    # <B(u), Au> = 0 on the 2-D Fourier truncation, as <B(u), u> = 0 is:
+    # the bound 1e-12 max|B(u)| max|Au| was fixed before the first run
+    t0 = time.perf_counter()
+    basis = get_basis(n_max)
+    u = np.random.default_rng(17).standard_normal((64, basis.dim))
+    b = nonlinear_term_batch(basis, u)
+    au = basis.eigenvalues * u
+    pairing = np.abs(np.sum(b * au, axis=1)).max()
+    assert pairing <= 1e-12 * np.abs(b).max() * np.abs(au).max()
+    _within(time.perf_counter() - t0, 10.0, "enstrophy identity")
+
+
 def test_a02_nonlinear_term_matches_convolution_oracle():
     t0 = time.perf_counter()
     basis = get_basis(4)

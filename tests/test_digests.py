@@ -37,9 +37,9 @@ def test_digests_repeat_and_follow_the_seed(tmp_path):
     first = listing(3)
     assert listing(3) == first
     names = [name for name, _ in first]
-    assert len(names) == len(set(names)) == 1 + 2 * 10 + 5
+    assert len(names) == len(set(names)) == 1 + 2 * 10 + 5 + 1
     assert {"config_hash", "arm1.terminal", "file.paths_bm.csv",
-            "file.paths_eps0.2.csv"} <= set(names)
+            "file.paths_eps0.2.csv", "certification"} <= set(names)
     other = dict(listing(4))
     assert other.keys() == set(names)
     changed = {name for name, digest in first if other[name] != digest}

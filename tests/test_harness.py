@@ -359,7 +359,14 @@ class TestRunArm:
 
     def test_small_and_linear_runs_start_no_thread(self, basis1, basis2,
                                                    basis4, monkeypatch):
-        # steps bound by Python: threads would only contend for the GIL
+        # a linear run takes no B(u), the only call made outside the turn,
+        # so a second worker has nothing to overlap. At n_max = 2 the rule
+        # is kept on a measurement that shows no gain: run_arm on
+        # examples/family_i.cfg (1,000 paths, two chunks) in 16 alternating
+        # pairs of fresh interpreters on a shared 2-vCPU host read medians
+        # of 0.93 s at W = 1 and 0.88 s at W = 2 for the first call (W = 2
+        # lower in 10 pairs) and 0.82 s against 0.92 s for the second
+        # (lower in 8), against a W = 1 first-call IQR of 0.24 s
         self._cpus(monkeypatch, 2)
         calls = self._spy(monkeypatch)
         started = []

@@ -144,6 +144,17 @@ class TestBatchedChecks:
                 == reference_qv_limit_v_growth(basis, kernels))
 
 
+    def test_grid_of_two_maps_refused(self, basis2):
+        # a check takes sigma once per grid, so every kernel must hold the
+        # same map object, as kernel_grid builds them
+        kernels = [kernel_grid(saturating(0.5), "annulus", "cosine", (e,),
+                               NU1)[0] for e in (0.1, 0.05)]
+        for check in (check_growth_lipschitz, check_qv_limit_v_growth,
+                      gap_panel):
+            with pytest.raises(ValueError, match="share one sigma map"):
+                check(basis2, kernels)
+
+
 class TestJumpSizeDecay:
     def test_flat_family_closed_form(self):
         kernels = kernel_grid(scaled_identity(1.0), "annulus", "one", GRID,

@@ -12,7 +12,7 @@ from snse.integrate import (BrownianNoiseSpec, SolverConfig, simulate_arms,
                             simulate_brownian_batch, simulate_jump_batch)
 from snse.kernels import (JumpKernel, ThetaKernel, build_h,
                           build_jump_kernel, constant_field, make_kernel,
-                          saturating, scaled_identity)
+                          saturating, scaled_identity, sq_norm)
 from snse.measures import alpha_stable_measure
 from snse.nonlinear import nonlinear_term_batch
 from snse.sampling import (Atoms, brownian_increments, derive_stream,
@@ -412,7 +412,7 @@ class TestJumpOracle:
             lambda z: np.where(np.abs(z) <= 1.0, 1.0 + eps * np.cos(z), 1e6))
         sat = saturating(0.5)
 
-        def capped(u):
+        def capped(u, n2=None):
             u = np.asarray(u, dtype=np.float64)
             n = np.linalg.norm(u, axis=-1, keepdims=True)
             return np.where(n <= 10.0, sat.fn(u), np.inf)
@@ -449,7 +449,7 @@ class TestJumpOracle:
         # beyond H norm 0.2: the paths start at 0.5 and live until an atom
         sat = saturating(0.5)
 
-        def capped(u):
+        def capped(u, n2=None):
             u = np.asarray(u, dtype=np.float64)
             n = np.linalg.norm(u, axis=-1, keepdims=True)
             return np.where(n <= 0.2, sat.fn(u), np.inf)
@@ -577,9 +577,9 @@ class TestStackedArms:
         # it
         seen = [0]
 
-        def fn(u):
+        def fn(u, n2=None):
             seen[0] += len(u)
-            return sat.fn(u)
+            return sat.fn(u, n2)
 
         sat = saturating(0.5)
         sigma = dataclasses.replace(sat, fn=fn)
@@ -595,6 +595,35 @@ class TestStackedArms:
         atoms = int(jump.jump_counts[:, -1].sum())
         assert atoms > 0
         assert seen[0] == cfg.n_steps * 12 + 2 * atoms
+
+    @pytest.mark.parametrize("theta", ["one", "cosine"])
+    def test_map_reads_the_loop_norms(self, basis2, theta):
+        # every sigma call from the loop is handed n2 with the bits of
+        # sq_norm of its rows, but sigma(theta v) in the rounds of a stack
+        # with theta != one, which takes its own: one call per round
+        calls = []
+
+        def fn(u, n2=None):
+            calls.append((u.copy(), None if n2 is None else n2.copy()))
+            return sat.fn(u, n2)
+
+        sat = saturating(0.5)
+        sigma = dataclasses.replace(sat, fn=fn)
+        kernel = build_jump_kernel(sigma, "annulus", theta, 0.1, NU1)
+        cfg = SolverConfig(t_end=0.2, dt=0.01)
+        u0 = random_field(basis2, np.random.default_rng(8), norm_h=0.5)
+        brown, jump = simulate_arms(
+            basis2, cfg, u0,
+            drawn(cfg, [
+                (sigma, [derive_stream(59, "brownian", 0, p) for p in range(6)]),
+                (kernel, [derive_stream(59, "jump", 0, p) for p in range(6)])]))
+        assert np.isnan(jump.blowup_time).all()
+        given = [(u, n2) for u, n2 in calls if n2 is not None]
+        assert given and all(n2.tobytes() == sq_norm(u).tobytes()
+                             for u, n2 in given)
+        rounds = int(np.diff(jump.jump_counts, axis=1).max(axis=0).sum())
+        assert rounds > 0
+        assert len(calls) - len(given) == (0 if theta == "one" else rounds)
 
     def test_busy_theta_one_and_cosine_arms(self, basis2):
         # a round passes theta v to sigma once any arm of the stack has

@@ -24,7 +24,7 @@ from snse.kernels import (
     build_jump_kernel, build_theta,
     compensator_drift, constant_field, eval_sigma_eps, gain_moment,
     h_norm_check, make_kernel, row_dot, saturating,
-    scaled_identity, sup_jump_size, zero_map,
+    scaled_identity, sq_norm, sup_jump_size, zero_map,
 )
 from snse.measures import alpha_stable_measure, moment_mass, power_law_measure
 
@@ -151,6 +151,21 @@ class TestFieldMaps:
             den = np.linalg.norm(u - v, axis=-1)
             assert np.all(num <= lipschitz * den + 1e-12)
 
+    @pytest.mark.parametrize("fm", BUILTIN_MAPS, ids=lambda fm: fm.name)
+    def test_given_norms_move_no_bit(self, fm):
+        # fn(u, sq_norm(u)) has the bits of fn(u) on one row, on a stack and
+        # on rows holding NaN or inf, and sq_norm's root those of
+        # np.linalg.norm
+        rng = np.random.default_rng(53)
+        rows = (rng.standard_normal((7, GAIN_DIM))
+                * np.geomspace(1e-3, 1e3, 7)[:, None])
+        rows[2, 1], rows[4, 0], rows[5, 3] = np.nan, np.inf, -np.inf
+        with np.errstate(invalid="ignore"):
+            for u in (rows[0], rows[2], rows[4], rows[:2], rows):
+                assert fm.fn(u, sq_norm(u)).tobytes() == fm.fn(u).tobytes()
+                assert (np.sqrt(sq_norm(u)).tobytes()
+                        == np.linalg.norm(u, axis=-1).tobytes())
+
     def test_saturating_bounded(self, basis2, rng):
         fm = saturating()
         u = 100.0 * rng.standard_normal((5, basis2.dim))
@@ -245,7 +260,7 @@ class TestGainMoments:
         t = kern.table
         for k in (1, 2, 3, 4):
             plus = row_dot(gp**k, wp * hp**k)
-            value = gain_moment(kern, rows, k)
+            value = gain_moment(kern, sq_norm(rows), k)
             # numpy's vectorized pow need not be exactly odd or even in its
             # base beyond the square, so from k = 3 the mirror's power is
             # the +z power times parity^k, and the sum with numpy's powers
@@ -257,7 +272,7 @@ class TestGainMoments:
             else:
                 # the map's closed-form half, added in sign order, and
                 # within round-off of the node-gain sum
-                half = kern.sigma.moment(t.theta, t.w * t.h**k, k)(rows)
+                half = kern.sigma.moment(t.theta, t.w * t.h**k, k)(sq_norm(rows))
                 assert np.array_equal(
                     value, (0.0 + half) + (-1.0 if odd else 1.0) ** k * half)
                 ref, scale = reference_moment_half(kern, rows, k)
@@ -294,7 +309,7 @@ class TestGainMoments:
                 for k in (1, 2, 3, 4):
                     a = t.w * t.h**k
                     moment = sigma.moment(t.theta, a, k)
-                    half = moment(rows)
+                    half = moment(sq_norm(rows))
                     ref, scale = reference_moment_half(kern, rows, k)
                     if closed:
                         assert np.all(np.abs(half - ref) <= 1e-14 * scale)
@@ -303,7 +318,7 @@ class TestGainMoments:
                     # rows of non-finite norm: NaN through saturating's
                     # gain, finite where the gain is constant, as the sum
                     with np.errstate(invalid="ignore"):
-                        off = moment(bad)
+                        off = moment(sq_norm(bad))
                         ref = reference_moment_half(kern, bad, k)[0]
                     assert np.array_equal(off, ref, equal_nan=True)
                     if closed:
@@ -334,7 +349,7 @@ class TestGainMoments:
             kern = make_kernel(sigma, th, h, nu)
             t = kern.table
             for k in (1, 2, 3, 4):
-                half = sigma.moment(t.theta, t.w * t.h**k, k)(rows)
+                half = sigma.moment(t.theta, t.w * t.h**k, k)(sq_norm(rows))
                 ref, scale = reference_moment_half(kern, rows, k)
                 assert np.all(np.abs(half - ref) <= 1e-14 * scale)
 
@@ -380,8 +395,8 @@ class TestGainMoments:
         for k in (1, 2, 3, 4):
             half = kern.sigma.moment(t.theta, t.w * t.h**k, k)
             with np.errstate(invalid="ignore"):
-                stack = half(rows)
-                alone = [half(x) for x in rows]
+                stack = half(sq_norm(rows))
+                alone = [half(sq_norm(x)) for x in rows]
             assert all(np.shape(x) == () for x in alone)
             assert np.array_equal(stack, alone, equal_nan=True)
             assert np.isnan(stack[[2, 5, 7]]).all()
@@ -399,7 +414,7 @@ class TestGainMoments:
         rows = np.geomspace(1e-8, 1e6, 29)[:, None] * np.eye(GAIN_DIM)[0]
         for k in (1, 2, 3, 4):
             assert _saturating_series(t.theta, t.w * t.h**k, k)[1] is None
-            half = kern.sigma.moment(t.theta, t.w * t.h**k, k)(rows)
+            half = kern.sigma.moment(t.theta, t.w * t.h**k, k)(sq_norm(rows))
             ref, scale = reference_moment_half(kern, rows, k)
             assert np.all(np.abs(half - ref) <= 1e-14 * scale)
 
@@ -435,8 +450,8 @@ class TestGainMoments:
             # gain is constant in |u| it has the bits of a sum over a full,
             # contiguous array of gains, and saturating's closed form is
             # within round-off of that sum
-            half = kern.sigma.moment(t.theta, t.w * t.h, 1)(x)
-            assert np.array_equal(gain_moment(kern, x, 1),
+            half = kern.sigma.moment(t.theta, t.w * t.h, 1)(sq_norm(x))
+            assert np.array_equal(gain_moment(kern, sq_norm(x), 1),
                                   0.0 + half + t.parity * half)
             if exact:
                 r = np.linalg.norm(x, axis=-1, keepdims=True)
